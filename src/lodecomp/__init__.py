@@ -43,6 +43,7 @@ from .entanglement import (
     apply_local_unitary,
     apply_pairwise_unitary,
     e_lo,
+    entropy_report,
     level_mixing_unitary,
     shannon_entropy,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "common_fine_graining",
     "dress_state",
     "e_lo",
+    "entropy_report",
     "generate",
     "ghz_state",
     "haar_unitary",

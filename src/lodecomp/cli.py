@@ -13,7 +13,7 @@ import sys
 
 from .catalog import KINDS, StateSpec, generate
 from .decomposition import maximal_decomposition, verify_lo
-from .entanglement import EntropyReport, e_lo, shannon_entropy
+from .entanglement import e_lo, entropy_report
 from .errors import InternalConsistencyError, UnsupportedOperationError
 from .fileio import (
     StateFile,
@@ -58,17 +58,6 @@ def _emit(text: str, path) -> None:
         sys.stdout.write(text)
 
 
-def _entropy_from_result(result) -> EntropyReport:
-    weights = tuple(float(w) for w in result.decomposition.weights)
-    return EntropyReport(
-        weights=weights,
-        entropy_bits=shannon_entropy(weights),
-        branch_count=len(weights),
-        degenerate_spectrum=bool(result.diagnostics.degenerate_subsystems),
-        non_unique=result.diagnostics.non_unique,
-    )
-
-
 def _format_table(document: dict) -> str:
     lines = []
     name = document.get("name")
@@ -107,7 +96,7 @@ def cmd_decompose(args) -> int:
     state_file = StateFile.read(args.input)
     state = state_file.to_state()
     result = maximal_decomposition(state, _tolerances(args), args.seed)
-    document = report_document(result, _entropy_from_result(result), state_file.name)
+    document = report_document(result, entropy_report(result), state_file.name)
     if args.format == "json":
         text = report_to_json(document)
     elif args.format == "csv":
@@ -210,7 +199,7 @@ def cmd_compare(args) -> int:
         state_file = StateFile.read(path)
         state = state_file.to_state()
         result = maximal_decomposition(state, _tolerances(args), args.seed)
-        entropy = _entropy_from_result(result)
+        entropy = entropy_report(result)
         rows.append(
             {
                 "label": state_file.name or path,

@@ -58,14 +58,13 @@ class EntropyReport:
         return self.entropy_bits * math.log(2.0)
 
 
-def e_lo(state: StateTensor, tol: Tolerances = DEFAULT_TOLERANCES, seed: int = 0) -> EntropyReport:
-    """Shannon entropy (in bits) of the maximal decomposition's weights.
+def entropy_report(result) -> EntropyReport:
+    """Branch weights of a maximal decomposition result, and their entropy.
 
     The recovered weights sum to 1 only up to roundoff; the entropy is
     taken of the renormalized vector so that a single branch gives
     exactly 0 bits.
     """
-    result = maximal_decomposition(state, tol, seed)
     weights = tuple(float(w) for w in result.decomposition.weights)
     total = sum(weights)
     return EntropyReport(
@@ -75,6 +74,11 @@ def e_lo(state: StateTensor, tol: Tolerances = DEFAULT_TOLERANCES, seed: int = 0
         degenerate_spectrum=bool(result.diagnostics.degenerate_subsystems),
         non_unique=result.diagnostics.non_unique,
     )
+
+
+def e_lo(state: StateTensor, tol: Tolerances = DEFAULT_TOLERANCES, seed: int = 0) -> EntropyReport:
+    """Shannon entropy (in bits) of the maximal decomposition's weights."""
+    return entropy_report(maximal_decomposition(state, tol, seed))
 
 
 def _check_unitary(mat: np.ndarray, size: int) -> np.ndarray:

@@ -40,6 +40,9 @@ def _pairs_to_complex(pairs, what: str) -> np.ndarray:
         if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
             raise ValueError(f"{what}[{k}] must contain two numbers")
         out[k] = complex(re, im)
+    nonfinite = np.flatnonzero(~np.isfinite(out))
+    if nonfinite.size:
+        raise ValueError(f"{what}[{nonfinite[0]}] must contain two finite numbers")
     return out
 
 
@@ -219,6 +222,15 @@ def branches_from_report(document: dict, state: StateTensor, atol: float = 1e-9)
     branches = []
     problems = []
     for j, entry in enumerate(document["branches"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"branch {j} must be an object")
+        reported = entry.get("weight")
+        if (
+            isinstance(reported, bool)
+            or not isinstance(reported, (int, float))
+            or not math.isfinite(reported)
+        ):
+            raise ValueError(f"branch {j} weight must be a finite number")
         supports = []
         raw = entry.get("supports")
         if not isinstance(raw, list) or len(raw) != len(dims):
@@ -226,6 +238,8 @@ def branches_from_report(document: dict, state: StateTensor, atol: float = 1e-9)
         for n, columns in enumerate(raw):
             if not isinstance(columns, list) or not columns:
                 raise ValueError(f"branch {j} subsystem {n} support is empty")
+            if not all(isinstance(col, list) for col in columns):
+                raise ValueError(f"branch {j} support {n} columns must be lists of [re, im] pairs")
             basis = np.stack(
                 [_pairs_to_complex(col, f"branch {j} support {n}") for col in columns],
                 axis=1,
@@ -239,7 +253,6 @@ def branches_from_report(document: dict, state: StateTensor, atol: float = 1e-9)
         projector = supports[0] @ supports[0].conj().T
         vec = apply_matrix_at(state.amps, dims, 0, projector)
         weight = float(np.vdot(vec, vec).real)
-        reported = float(entry.get("weight", -1.0))
         if weight <= 1e-12:
             problems.append(f"branch {j}: reported supports carry no weight in the state")
             continue

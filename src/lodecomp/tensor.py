@@ -188,16 +188,25 @@ def _check_subsystem(dims, n: int) -> int:
 
 
 def apply_matrix_at(amps: np.ndarray, dims, n: int, mat: np.ndarray) -> np.ndarray:
-    """Apply a (d'_n, d_n) matrix to subsystem ``n`` of a flat vector."""
+    """Apply a (d'_n, d_n) matrix to subsystem ``n`` of a flat vector.
+
+    The kernel is picked by the vector's shape around ``n``, as measured
+    with one BLAS thread: a matmul batched over the leading subsystems
+    while the trailing ones are at least a quarter as large, else a single
+    matmul over the vector with subsystem ``n`` moved last (a batched
+    matmul over many short trailing axes is several times slower).
+    """
     n = _check_subsystem(dims, n)
     d = dims[n]
     if mat.shape[1] != d:
         raise ValueError(f"matrix acts on dimension {mat.shape[1]}, subsystem {n} has {d}")
-    pre = math.prod(dims[:n]) if n else 1
-    post = math.prod(dims[n + 1:]) if n + 1 < len(dims) else 1
+    pre = math.prod(dims[:n])
+    post = math.prod(dims[n + 1:])
     arr = amps.reshape(pre, d, post)
-    out = np.einsum("ab,pbq->paq", mat, arr)
-    return out.reshape(-1)
+    if pre <= 4 * post:
+        return np.matmul(mat, arr).reshape(-1)
+    out = arr.transpose(0, 2, 1).reshape(pre * post, d) @ mat.T
+    return out.reshape(pre, post, -1).transpose(0, 2, 1).reshape(-1)
 
 
 def apply_matrix_at_pair(amps: np.ndarray, dims, n: int, m: int, mat: np.ndarray) -> np.ndarray:

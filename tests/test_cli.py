@@ -4,6 +4,10 @@ import sys
 
 import pytest
 
+from lodecomp.cli import main
+from lodecomp.entanglement import e_lo
+from lodecomp.fileio import StateFile
+
 
 def run_cli(*argv, **kwargs):
     return subprocess.run(
@@ -118,6 +122,19 @@ class TestDecompose:
         run_cli("decompose", str(ghz_file), "--format", "json", "--seed", "3", "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_json_entropy_matches_e_lo(self, tmp_path, seed):
+        # in-process, so both sides run on the same BLAS configuration
+        state = tmp_path / "dressed_z.json"
+        report = tmp_path / "report.json"
+        assert main([
+            "generate", "--kind", "random_local_dressing", "--base", "z",
+            "--weights", "0.5,0.3,0.2", "--seed", str(seed), "-o", str(state),
+        ]) == 0
+        assert main(["decompose", str(state), "--format", "json", "-o", str(report)]) == 0
+        written = json.loads(report.read_text())["entropy_bits"]
+        assert written == e_lo(StateFile.read(state).to_state()).entropy_bits
+
 
 class TestEntropy:
     def test_ghz_one_bit(self, ghz_file):
@@ -190,6 +207,26 @@ class TestVerify:
         report.write_text(json.dumps(document))
         proc = run_cli("verify", str(ghz_file), str(report))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["branches"][0].update(weight=None),
+            lambda doc: doc["branches"].__setitem__(0, [doc["branches"][0]["weight"]]),
+            lambda doc: doc["branches"][0]["supports"][1].__setitem__(0, 0.5),
+            lambda doc: doc["branches"][0]["supports"][1][0][0].__setitem__(0, float("nan")),
+        ],
+        ids=["weight_null", "branch_as_list", "column_as_number", "entry_nan"],
+    )
+    def test_malformed_report_entry_is_input_error(self, ghz_file, tmp_path, mutate):
+        report = tmp_path / "report.json"
+        run_cli("decompose", str(ghz_file), "--format", "json", "-o", str(report))
+        document = json.loads(report.read_text())
+        mutate(document)
+        report.write_text(json.dumps(document))
+        proc = run_cli("verify", str(ghz_file), str(report))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: branch 0")
 
 
 class TestCompare:

@@ -26,9 +26,14 @@ from lodecomp.decomposition import (
 )
 from lodecomp.errors import InternalConsistencyError, UnsupportedOperationError
 from lodecomp.spectral import local_spectrum
-from lodecomp.tensor import StateTensor, flat_index
+from lodecomp.tensor import LocalProjector, StateTensor, flat_index, joint_projection_norm
+from lodecomp.tolerances import DEFAULT_TOLERANCES
 
-from util import assert_same_decomposition, is_coarse_graining_of
+from util import (
+    assert_same_decomposition,
+    is_coarse_graining_of,
+    reference_projector_identity,
+)
 
 
 def computational_blocks(dim):
@@ -147,6 +152,104 @@ class TestVerify:
         report = verify_lo(maximal_decomposition(ghz_state(3, 4)).decomposition)
         check = {c.name: c for c in report.checks}["branch_count"]
         assert check.passed
+
+
+def catalog_and_dressed_states():
+    states = [
+        ghz_state(), ghz_state(3, 4), ghz_state(4), w_state(), w_state(4),
+        z_state((0.5, 0.3, 0.2)), z_state((0.4, 0.3, 0.2, 0.1), dims=(4, 4, 4)),
+        u_state(), v_state(), x_state(),
+        product_state((2, 3, 2), split=1, seed=3), random_state((2, 3, 4), seed=5),
+        random_state((3, 4), seed=1),
+    ]
+    for seed in range(3):
+        states += [
+            dress_state(z_state((0.45, 0.3, 0.15, 0.1), dims=(4, 4, 4)), seed=seed),
+            dress_state(ghz_state(3, 3), seed=seed),
+            dress_state(x_state(), seed=seed),
+            dress_state(w_state(4), seed=seed),
+        ]
+    return states
+
+
+def projector_identity(report):
+    return {c.name: c for c in report.checks}["projector_identity"]
+
+
+def turned(d, branch, n, direction, theta):
+    """Copy of ``d`` with one support column turned by ``theta`` toward a unit vector."""
+    branches = []
+    for i, br in enumerate(d.branches):
+        supports = list(br.supports)
+        if i == branch:
+            col = np.cos(theta) * supports[n][:, 0] + np.sin(theta) * direction
+            supports[n] = np.column_stack([col, supports[n][:, 1:]])
+        branches.append(Branch(br.weight, br.vector, supports))
+    return BranchDecomposition(d.state, branches)
+
+
+class TestVerifyAgainstReference:
+    """The per-(subsystem, branch) projector check against the full N^2 k^2 loop."""
+
+    def test_no_looser_than_reference(self):
+        # the reference contains every term the batched check computes, so its
+        # residual can only be larger, up to rounding of the product order
+        for state in catalog_and_dressed_states():
+            d = maximal_decomposition(state).decomposition
+            new = projector_identity(verify_lo(d)).residual
+            ref = reference_projector_identity(d)
+            assert new <= ref + 1e-15, (state.dims, new, ref)
+            assert new <= DEFAULT_TOLERANCES.t_nindep
+
+    def test_derived_tolerance(self):
+        check = projector_identity(verify_lo(maximal_decomposition(ghz_state()).decomposition))
+        assert check.tolerance == pytest.approx((DEFAULT_TOLERANCES.t_nindep - 2e-9) / 2)
+
+    @pytest.mark.parametrize("toward", ["other_branch", "outside_support"])
+    def test_turned_supports(self, toward):
+        state = dress_state(z_state((0.5, 0.3, 0.2), dims=(4, 4, 4)), seed=2)
+        d = maximal_decomposition(state).decomposition
+        n = 2
+        if toward == "other_branch":
+            direction = d.branches[1].supports[n][:, 0]
+        else:
+            used = np.hstack([br.supports[n] for br in d.branches])
+            direction = np.linalg.svd(used.conj().T)[2][-1].conj()
+        outcomes = []
+        for theta in np.logspace(-12, -3, 37):
+            candidate = turned(d, 0, n, direction, theta)
+            passed = verify_lo(candidate).passed
+            outcomes.append(passed)
+            if passed:
+                assert reference_projector_identity(candidate) <= DEFAULT_TOLERANCES.t_nindep
+        assert outcomes[0] and not outcomes[-1]
+
+
+class TestGraphAgainstReference:
+    def test_edge_weights_are_joint_projections(self):
+        for state in catalog_and_dressed_states():
+            if state.n_subsystems == 2:
+                continue
+            blocks = [sbd_refine(state, n) for n in range(state.n_subsystems)]
+            graph = build_correlation_graph(state, blocks)
+            accepted = {(a, b): w for a, b, w in graph.edges}
+            rejected = []
+            for a, na in enumerate(graph.nodes):
+                for b in range(a + 1, len(graph.nodes)):
+                    nb = graph.nodes[b]
+                    if na.subsystem == nb.subsystem:
+                        continue
+                    want = joint_projection_norm(
+                        state,
+                        LocalProjector(na.subsystem, na.basis),
+                        LocalProjector(nb.subsystem, nb.basis),
+                    )
+                    if (a, b) in accepted:
+                        assert abs(accepted[a, b] - want) <= 1e-12
+                    else:
+                        rejected.append(want)
+            if rejected:
+                assert abs(graph.max_rejected_edge - max(rejected)) <= 1e-12
 
 
 class TestTrivial:

@@ -96,6 +96,27 @@ class TestApplyMatrixAt:
         full = np.kron(np.kron(np.eye(2), mat), np.eye(2))
         assert np.allclose(got, full @ amps)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=6),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_matches_einsum_any_axis(self, dims, axis, rows, seed):
+        # covers both kernels: batched over the leading axes, and the single
+        # matmul with the axis moved last (taken when the trailing axes are short)
+        rng = np.random.default_rng(seed)
+        dims = tuple(dims)
+        n = axis % len(dims)
+        amps = random_amps(rng, int(np.prod(dims)))
+        mat = rng.standard_normal((rows, dims[n])) + 1j * rng.standard_normal((rows, dims[n]))
+        got = apply_matrix_at(amps, dims, n, mat)
+        pre, post = int(np.prod(dims[:n])), int(np.prod(dims[n + 1:]))
+        want = np.einsum("ab,pbq->paq", mat, amps.reshape(pre, dims[n], post)).reshape(-1)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, atol=1e-13)
+
     def test_pair_adjacent(self):
         rng = np.random.default_rng(4)
         dims = (2, 3, 2)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from lodecomp.tensor import apply_matrix_at
+
 PROJ_ATOL = 1e-8
 
 
@@ -57,3 +59,33 @@ def random_partition(rng, k, n_classes=2):
     for i, label in enumerate(labels.tolist()):
         classes.setdefault(int(label), []).append(i)
     return list(classes.values())
+
+
+def reference_projector_identity(d):
+    """Largest residual of P_n^i P_m^j psi = delta_ij sqrt(w_i) v_i over all
+    subsystem and branch pairs.
+
+    This is the N^2 k^2 full-vector loop that ``verify_lo``'s
+    per-(subsystem, branch) check replaced, kept as its reference.
+    """
+    dims = d.state.dims
+    n_sub = len(dims)
+
+    def project(vec, n, basis):
+        return apply_matrix_at(vec, dims, n, basis @ basis.conj().T)
+
+    projected = {
+        (m, j): project(d.state.amps, m, br.supports[m])
+        for m in range(n_sub)
+        for j, br in enumerate(d.branches)
+    }
+    worst = 0.0
+    for n in range(n_sub):
+        for m in range(n_sub):
+            for i, bi in enumerate(d.branches):
+                for j in range(d.n_branches):
+                    out = project(projected[(m, j)], n, bi.supports[n])
+                    if i == j:
+                        out = out - np.sqrt(bi.weight) * bi.vector
+                    worst = max(worst, float(np.linalg.norm(out)))
+    return worst
