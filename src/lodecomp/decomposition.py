@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalConsistencyError, UnsupportedOperationError
-from .spectral import cluster_eigenvalues, local_spectrum, schmidt_decompose
+from .spectral import SpectralData, cluster_eigenvalues, local_spectrum, schmidt_decompose
 from .tensor import StateTensor, apply_matrix_at, partial_trace
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -430,6 +430,8 @@ def build_correlation_graph(
     blocks,
     t_edge: float = DEFAULT_TOLERANCES.t_edge,
     t_supp: float = DEFAULT_TOLERANCES.t_supp,
+    *,
+    spectra=None,
 ) -> CorrelationGraph:
     """Build the block correlation graph of a state.
 
@@ -452,10 +454,15 @@ def build_correlation_graph(
         For each subsystem, a list of orthonormal bases.  Per subsystem the
         blocks must be mutually orthogonal and jointly span exactly the
         local support of the reduced state.
+    spectra : sequence of SpectralData, optional
+        The local spectra at this ``t_supp``, when the caller already has
+        them, for the span check; computed here otherwise.
     """
     dims = state.dims
     if len(blocks) != state.n_subsystems:
         raise ValueError("need one block list per subsystem")
+    if spectra is None:
+        spectra = [local_spectrum(state, n, t_supp=t_supp) for n in range(state.n_subsystems)]
     nodes = []
     stacks = []
     starts = []
@@ -474,7 +481,7 @@ def build_correlation_graph(
         gram = stacked.conj().T @ stacked
         if float(np.max(np.abs(gram - np.eye(stacked.shape[1])))) > 1e-8:
             raise ValueError(f"blocks on subsystem {n} are not mutually orthonormal")
-        support = local_spectrum(state, n, t_supp=t_supp).support_basis
+        support = spectra[n].support_basis
         coverage = support - stacked @ (stacked.conj().T @ support)
         containment = stacked - support @ (support.conj().T @ stacked)
         if float(np.linalg.norm(coverage)) > 1e-8 or float(np.linalg.norm(containment)) > 1e-8:
@@ -528,64 +535,84 @@ def build_correlation_graph(
 # randomized simultaneous block diagonalization of the correlation family
 
 
-def _correlation_family(state: StateTensor, n: int, support: np.ndarray):
-    """Hermitian correlation operators on subsystem ``n``'s support.
+def _pair_states(state: StateTensor, n: int | None = None) -> dict:
+    """Two-subsystem reduced states, keyed (a, m) with a < m and reshaped to
+    (d_a, d_m, d_a, d_m): every pair, or only the pairs that hold ``n``."""
+    dims = state.dims
+    return {
+        (a, m): partial_trace(state, [a, m]).matrix.reshape(dims[a], dims[m], dims[a], dims[m])
+        for a in range(state.n_subsystems)
+        for m in range(a + 1, state.n_subsystems)
+        if n is None or n in (a, m)
+    }
 
-    For every other subsystem m and local basis pair (a, b), the operator
-    with entries ``rho[(x,a),(y,b)]`` of the two-subsystem reduced state is
+
+def _correlation_family(state: StateTensor, spec: SpectralData, pairs: dict) -> np.ndarray:
+    """Hermitian correlation operators on a subsystem's support, stacked (M, r, r).
+
+    For subsystem n = ``spec.subsystem``, every other subsystem m and local
+    basis pair a <= b, the operator with entries ``rho_nm[(x,a),(y,b)]`` is
     block-diagonal with respect to any locally orthogonal decomposition's
     subsystem-n subspaces, as are its Hermitian and anti-Hermitian parts.
-    The local density operator itself is included as well.  All members
-    are compressed onto the support basis.
+    Member 0 is the local density operator, which is diagonal in its own
+    eigenbasis; then, for each m in ascending order, the Hermitian and the
+    anti-Hermitian part of each (a, b) in row-major upper-triangle order.
+    All members are compressed onto the support basis (r columns), and
+    those with Frobenius norm at or below 1e-14 are dropped.  ``pairs``
+    holds rho_nm for every m, as :func:`_pair_states` builds it.
     """
-    dims = state.dims
-    d_n = dims[n]
-    members = []
-
-    rho_n = partial_trace(state, [n]).matrix
-    members.append(support.conj().T @ rho_n @ support)
-
+    n = spec.subsystem
+    support = spec.support_basis
+    members = [np.diag(spec.eigenvalues[: spec.support_rank]).astype(np.complex128)[None]]
     for m in range(state.n_subsystems):
         if m == n:
             continue
-        d_m = dims[m]
-        rho_pair = partial_trace(state, [n, m]).matrix
         if n < m:
-            rho4 = rho_pair.reshape(d_n, d_m, d_n, d_m)
+            rho4 = pairs[n, m]
         else:
-            rho4 = rho_pair.reshape(d_m, d_n, d_m, d_n).transpose(1, 0, 3, 2)
-        for a in range(d_m):
-            for b in range(a, d_m):
-                block = rho4[:, a, :, b]
-                herm = (block + block.conj().T) / 2.0
-                anti = (block - block.conj().T) / 2.0j
-                for part in (herm, anti):
-                    compressed = support.conj().T @ part @ support
-                    if float(np.linalg.norm(compressed)) > 1e-14:
-                        members.append(compressed)
-    return members
+            rho4 = pairs[m, n].transpose(1, 0, 3, 2)
+        upper_a, upper_b = np.triu_indices(rho4.shape[1])
+        blocks = rho4[:, upper_a, :, upper_b]  # blocks[p] = rho4[:, a_p, :, b_p]
+        adjoint = blocks.conj().swapaxes(1, 2)
+        parts = np.stack([(blocks + adjoint) / 2.0, (blocks - adjoint) / 2.0j], axis=1)
+        compressed = support.conj().T @ parts.reshape(-1, *blocks.shape[1:]) @ support
+        members.append(compressed[np.linalg.norm(compressed, axis=(1, 2)) > 1e-14])
+    return np.concatenate(members)
 
 
-def _merge_coupled(parts, family, t_edge: float):
-    """Re-merge candidate parts coupled by any family member's cross block."""
+def _merge_coupled(parts, family: np.ndarray, t_edge: float):
+    """Re-merge candidate parts coupled by any family member's cross block.
+
+    Parts a < b merge when some member F has ||B_b^H F B_a||_F > t_edge.
+    With the parts stacked as C = (B_1 ... B_p), every cross block of every
+    member is a block of C^H F C, so one batched product over the family
+    gives them all: |C^H F C|^2 is block-summed over the part boundaries on
+    both axes, maximized over the members, and read off the strictly lower
+    triangle.  The members are Hermitian, so block (a, b) is the adjoint of
+    block (b, a) and the triangle holds every pair once.
+    """
+    stacked = np.hstack(parts)
+    starts = np.cumsum([0] + [p.shape[1] for p in parts[:-1]])
+    cross = stacked.conj().T @ family @ stacked
+    power = cross.real**2 + cross.imag**2
+    power = np.add.reduceat(np.add.reduceat(power, starts, axis=1), starts, axis=2)
+    coupled = np.tril(np.sqrt(power.max(axis=0)) > t_edge, -1)
     uf = _UnionFind(len(parts))
-    for fam in family:
-        for a in range(len(parts)):
-            fa = fam @ parts[a]
-            for b in range(a + 1, len(parts)):
-                cross = parts[b].conj().T @ fa
-                if float(np.linalg.norm(cross)) > t_edge:
-                    uf.union(a, b)
+    for b, a in zip(*np.nonzero(coupled)):
+        uf.union(int(a), int(b))
     return [np.hstack([parts[i] for i in grp]) for grp in uf.groups()]
 
 
-def _sbd_partition(state: StateTensor, n: int, tol: Tolerances, rng) -> list:
-    spec = local_spectrum(state, n, tol.t_deg, tol.t_supp)
+def _sbd_partition(
+    state: StateTensor, spec: SpectralData, tol: Tolerances, rng, pairs: dict | None = None
+) -> list:
     support = spec.support_basis
     rank = support.shape[1]
     if rank == 1:
         return [support]
-    family = _correlation_family(state, n, support)
+    if pairs is None:
+        pairs = _pair_states(state, spec.subsystem)
+    family = _correlation_family(state, spec, pairs)
     parts = [np.eye(rank, dtype=np.complex128)]
     stable = 0
     rounds = 0
@@ -593,11 +620,11 @@ def _sbd_partition(state: StateTensor, n: int, tol: Tolerances, rng) -> list:
         rounds += 1
         if rounds > 50 * rank:
             raise InternalConsistencyError(
-                f"block-diagonalization failed to stabilize on subsystem {n}"
+                f"block-diagonalization failed to stabilize on subsystem {spec.subsystem}"
             )
         count_before = len(parts)
         coeffs = rng.standard_normal(len(family))
-        combined = sum(c * f for c, f in zip(coeffs, family))
+        combined = np.tensordot(coeffs, family, axes=1)
         candidates = []
         for basis in parts:
             if basis.shape[1] == 1:
@@ -632,10 +659,11 @@ def sbd_refine(
     correlations cannot distinguish further.
 
     Draws random Hermitian combinations of the correlation family, splits
-    the current subspaces along their eigenvalue clusters, merges back any
-    split that some family member couples across, and stops after the
-    configured number of consecutive stable rounds.  Deterministic for a
-    fixed seed.
+    the current subspaces along their eigenvalue clusters, merges back
+    parts a < b whenever some family member F has ||B_b^H F B_a||_F above
+    ``tol.t_edge`` (all cross blocks from one batched product over the
+    stacked parts), and stops after the configured number of consecutive
+    stable rounds.  Deterministic for a fixed seed.
 
     Returns
     -------
@@ -649,7 +677,8 @@ def sbd_refine(
         )
     if not 0 <= n < state.n_subsystems:
         raise ValueError(f"subsystem index {n} out of range")
-    return _sbd_partition(state, n, tol, np.random.default_rng(seed))
+    spec = local_spectrum(state, n, tol.t_deg, tol.t_supp)
+    return _sbd_partition(state, spec, tol, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +723,8 @@ def _expand_vector(vec: np.ndarray, ranks, bases) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def _extract_component_branches(state, partitions, tol, acc):
-    graph = build_correlation_graph(state, partitions, tol.t_edge, tol.t_supp)
+def _extract_component_branches(state, partitions, tol, acc, spectra):
+    graph = build_correlation_graph(state, partitions, tol.t_edge, tol.t_supp, spectra=spectra)
     acc.record_graph(graph)
     dims = state.dims
     branches = []
@@ -741,8 +770,8 @@ def _refine_branch(state, branch, tol, seed_seq, acc):
     return out
 
 
-def _assemble_and_refine(state, partitions, tol, seed_seq, acc):
-    branches = _extract_component_branches(state, partitions, tol, acc)
+def _assemble_and_refine(state, partitions, tol, seed_seq, acc, spectra=None):
+    branches = _extract_component_branches(state, partitions, tol, acc, spectra)
     if len(branches) == 1:
         # the restriction to a single branch is the problem itself;
         # re-running it cannot reveal anything new
@@ -786,12 +815,13 @@ def _decompose_multipartite(state, tol, seed_seq, acc):
         ]
         path = "eigenvector-graph"
     else:
+        pairs = _pair_states(state)
         partitions = []
-        for n in range(state.n_subsystems):
+        for spec in spectra:
             rng = np.random.default_rng(seed_seq.spawn(1)[0])
-            partitions.append(_sbd_partition(state, n, tol, rng))
+            partitions.append(_sbd_partition(state, spec, tol, rng, pairs))
         path = "block-sbd"
-    branches = _assemble_and_refine(state, partitions, tol, seed_seq, acc)
+    branches = _assemble_and_refine(state, partitions, tol, seed_seq, acc, spectra)
     return branches, path, degenerate
 
 

@@ -14,6 +14,7 @@ fixed seed yield byte-identical report text.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,14 +33,33 @@ def _complex_pairs(vec: np.ndarray) -> list:
 
 
 def _pairs_to_complex(pairs, what: str) -> np.ndarray:
+    # fast path: an (n, 2) array of JSON numbers.  Booleans must be looked
+    # for by type, because numpy reads [true, 0] as the integers [1, 0].
+    try:
+        arr = np.asarray(pairs)
+    except ValueError:  # ragged nesting
+        arr = None
+    if (
+        arr is not None
+        and arr.dtype.kind in "iuf"
+        and arr.shape == (len(pairs), 2)
+        and bool not in map(type, itertools.chain.from_iterable(pairs))
+    ):
+        out = np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128).reshape(-1)
+        if np.isfinite(out).all():
+            return out
+    # the per-index loop names the first bad entry
     out = np.empty(len(pairs), dtype=np.complex128)
     for k, pair in enumerate(pairs):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValueError(f"{what}[{k}] must be a [re, im] pair")
         re, im = pair
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
             raise ValueError(f"{what}[{k}] must contain two numbers")
-        out[k] = complex(re, im)
+        try:
+            out[k] = complex(re, im)
+        except OverflowError:
+            raise ValueError(f"{what}[{k}] must contain two finite numbers") from None
     nonfinite = np.flatnonzero(~np.isfinite(out))
     if nonfinite.size:
         raise ValueError(f"{what}[{nonfinite[0]}] must contain two finite numbers")

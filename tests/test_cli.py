@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from lodecomp.catalog import ghz_state
 from lodecomp.cli import main
 from lodecomp.entanglement import e_lo
 from lodecomp.fileio import StateFile
@@ -114,6 +115,20 @@ class TestDecompose:
         bad.write_text("{broken")
         proc = run_cli("decompose", str(bad))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "pair",
+        [[10**400, 0], [True, 0], ["1", 0], [1.0, 0.0, 0.0]],
+        ids=["huge_integer", "boolean", "string", "three_elements"],
+    )
+    def test_malformed_amplitude_is_input_error(self, tmp_path, capsys, pair):
+        # in-process: the exit code and message are main's, with no interpreter start
+        document = json.loads(StateFile.from_state(ghz_state()).to_json())
+        document["amps"][5] = pair
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        assert main(["decompose", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: amps[5]")
 
     def test_json_byte_identical_across_runs(self, ghz_file, tmp_path):
         a = tmp_path / "a.json"

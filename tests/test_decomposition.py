@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lodecomp.catalog import (
     dress_state,
     ghz_state,
+    haar_unitary,
     product_state,
     random_state,
     u_state,
@@ -13,6 +16,9 @@ from lodecomp.catalog import (
     z_state,
 )
 from lodecomp.decomposition import (
+    _correlation_family,
+    _merge_coupled,
+    _pair_states,
     Branch,
     BranchDecomposition,
     assemble_branches,
@@ -32,7 +38,10 @@ from lodecomp.tolerances import DEFAULT_TOLERANCES
 from util import (
     assert_same_decomposition,
     is_coarse_graining_of,
+    reference_correlation_family,
+    reference_merge_coupled,
     reference_projector_identity,
+    support_projectors,
 )
 
 
@@ -427,6 +436,176 @@ class TestSbdRefine:
     def test_bad_subsystem(self):
         with pytest.raises(ValueError):
             sbd_refine(ghz_state(), 5)
+
+
+def two_ring_state(p, seed):
+    """Like the benchmark's degenerate workload: the x-state ring in two
+    orthogonal 4-dim blocks per party, weights p and 1 - p, dressed."""
+    core = np.zeros((8, 8, 8), dtype=np.complex128)
+    ring = x_state().amps.reshape(4, 4, 4)
+    core[:4, :4, :4] = np.sqrt(p) * ring
+    core[4:, 4:, 4:] = np.sqrt(1 - p) * ring
+    return dress_state(StateTensor((8, 8, 8), core.reshape(-1)), seed=seed)
+
+
+def planted_merge_case(seed):
+    """Random parts of a rank-r space and a Hermitian family that couples
+    them as known, with some cross blocks planted at t_edge (1 +- 1e-6).
+
+    Members are built in the parts' own frame G and rotated out,
+    F = U G U^H, so B_b^H F B_a = G[b, a] up to rounding.  With U a
+    permutation that is exact, and t_edge is the default; with U Haar the
+    rounding is about 1e-16, so t_edge is 1e-4.  Returns the parts, the
+    family, t_edge and the part groups a correct merge must give.
+    """
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(2, 10))
+    n_parts = int(rng.integers(2, rank + 1))
+    cuts = np.sort(rng.choice(np.arange(1, rank), n_parts - 1, replace=False))
+    edges = np.concatenate([[0], cuts, [rank]])
+    if rng.random() < 0.5:
+        frame, t_edge = np.eye(rank)[:, rng.permutation(rank)], DEFAULT_TOLERANCES.t_edge
+    else:
+        frame, t_edge = haar_unitary(rank, rng), 1e-4
+    parts = [frame[:, edges[i]:edges[i + 1]].astype(np.complex128) for i in range(n_parts)]
+    labels = rng.integers(0, 3, size=n_parts)  # parts sharing a label are coupled
+    in_frame = []
+    for _ in range(int(rng.integers(1, 6))):
+        g = np.zeros((rank, rank), dtype=np.complex128)
+        for a in range(n_parts):
+            for b in range(a, n_parts):
+                if labels[a] == labels[b]:
+                    rows, cols = slice(edges[b], edges[b + 1]), slice(edges[a], edges[a + 1])
+                    shape = (rows.stop - rows.start, cols.stop - cols.start)
+                    g[rows, cols] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        in_frame.append((g + g.conj().T) / 2)
+    joined = [(a, b) for a in range(n_parts) for b in range(a + 1, n_parts) if labels[a] == labels[b]]
+    for a in range(n_parts):
+        for b in range(a + 1, n_parts):
+            if labels[a] == labels[b] or rng.random() < 0.5:
+                continue
+            above = rng.random() < 0.5
+            rows, cols = slice(edges[b], edges[b + 1]), slice(edges[a], edges[a + 1])
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
+            k = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            k *= t_edge * (1 + (1e-6 if above else -1e-6)) / np.linalg.norm(k)
+            g = in_frame[int(rng.integers(len(in_frame)))]
+            g[rows, cols] += k
+            g[cols, rows] += k.conj().T
+            if above:
+                joined.append((a, b))
+    family = np.stack([frame @ g @ frame.conj().T for g in in_frame])
+    groups = {a: {a} for a in range(n_parts)}
+    for a, b in joined:
+        merged = groups[a] | groups[b]
+        for i in merged:
+            groups[i] = merged
+    expected = sorted({tuple(sorted(g)) for g in groups.values()})
+    return parts, family, t_edge, expected
+
+
+class TestBatchedSbdAgainstReference:
+    """The batched family and merge test against the loops they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_merge_groups_match_loop(self, seed):
+        parts, family, t_edge, expected = planted_merge_case(seed)
+        got = _merge_coupled(parts, family, t_edge)
+        want = reference_merge_coupled(parts, list(family), t_edge)
+        assert len(got) == len(want) == len(expected)
+        for g, w, grp in zip(got, want, expected):
+            assert np.array_equal(g, w)
+            assert np.array_equal(g, np.hstack([parts[i] for i in grp]))
+
+    def test_family_matches_loop(self):
+        states = [s for s in catalog_and_dressed_states() if s.n_subsystems > 2]
+        states += [two_ring_state(0.7, seed=1), dress_state(ghz_state(3, 4), seed=5)]
+        # a 1e-13 admixture puts members between the 1e-14 cut and rounding
+        noise = random_state((3, 3, 3), seed=8).amps
+        states.append(StateTensor((3, 3, 3), ghz_state(3, 3).amps + 1e-13 * noise))
+        for state in states:
+            pairs = _pair_states(state)
+            for n in range(state.n_subsystems):
+                spec = local_spectrum(state, n)
+                got = _correlation_family(state, spec, pairs)
+                want = reference_correlation_family(state, n, spec.support_basis)
+                assert got.shape[0] == len(want), (state.dims, n)
+                for member, ref in zip(got, want):
+                    assert np.max(np.abs(member - ref)) <= 1e-14
+
+    def test_family_for_one_subsystem_matches_all_pairs(self):
+        state = dress_state(ghz_state(4, 3), seed=2)
+        spec = local_spectrum(state, 2)
+        a = _correlation_family(state, spec, _pair_states(state))
+        b = _correlation_family(state, spec, _pair_states(state, 2))
+        assert np.array_equal(a, b)
+
+
+# SBD takes each block as an eigenvalue cluster of a random combination X of
+# the family, so a block is accurate to about eps ||X|| / gap, where gap is
+# the distance from the block's eigenvalues of X to the nearest one outside
+# it.  Draws now and then put that gap near 1e-5 (one two-ring state and
+# seed met 4e-6 and gave projectors 1e-12 off), so seed independence of
+# the supports is asserted at 1e-9, and of the weights at 1e-12.
+SBD_PROJ_ATOL = 1e-9
+SBD_WEIGHT_ATOL = 1e-12
+
+
+def same_branches(d1, d2):
+    """Pair up the branches of two decompositions by weight and projectors."""
+    assert d1.n_branches == d2.n_branches
+    unused = list(d2.branches)
+    for b1 in d1.branches:
+        p1 = support_projectors(b1)
+        for b2 in unused:
+            p2 = support_projectors(b2)
+            if abs(b1.weight - b2.weight) <= SBD_WEIGHT_ATOL and all(
+                np.max(np.abs(p - q)) <= SBD_PROJ_ATOL for p, q in zip(p1, p2)
+            ):
+                unused.remove(b2)
+                break
+        else:
+            raise AssertionError(f"no partner for branch of weight {b1.weight}")
+
+
+class TestSbdMetamorphic:
+    """Block-sbd content does not depend on the seed; on a non-degenerate
+    spectrum forced SBD finds the eigenvector lines."""
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.floats(min_value=0.55, max_value=0.85), st.integers(min_value=0, max_value=10**6))
+    def test_two_ring_seed_independent(self, p, dressing):
+        state = two_ring_state(p, dressing)
+        results = [maximal_decomposition(state, seed=seed) for seed in range(5)]
+        assert all(r.diagnostics.path == "block-sbd" for r in results)
+        assert results[0].decomposition.n_branches == 2
+        for r in results[1:]:
+            same_branches(results[0].decomposition, r.decomposition)
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    @pytest.mark.parametrize("dressing", [0, 3])
+    def test_dressed_ghz_seed_independent(self, dim, dressing):
+        state = dress_state(ghz_state(3, dim), seed=dressing)
+        results = [maximal_decomposition(state, seed=seed) for seed in range(5)]
+        assert results[0].decomposition.n_branches == dim
+        for r in results[1:]:
+            same_branches(results[0].decomposition, r.decomposition)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6))
+    def test_forced_sbd_finds_eigenvector_lines(self, dressing, seed):
+        state = dress_state(z_state((0.45, 0.3, 0.15, 0.1), dims=(4, 4, 4)), seed=dressing)
+        for n in range(3):
+            spec = local_spectrum(state, n)
+            assert not spec.is_support_degenerate
+            parts = sbd_refine(state, n, seed=seed)
+            assert len(parts) == spec.support_rank == 4
+            lines = [np.outer(v, v.conj()) for v in spec.support_basis.T]
+            for part in parts:
+                assert part.shape == (4, 1)
+                proj = part @ part.conj().T
+                assert min(np.max(np.abs(proj - line)) for line in lines) <= SBD_PROJ_ATOL
 
 
 class TestAssemble:

@@ -69,6 +69,37 @@ class TestStateFile:
         with pytest.raises(ValueError):
             StateFile.from_json(json.dumps(document))
 
+    def test_amplitudes_read_exactly(self):
+        # the array fast path must give the bits complex(re, im) gives,
+        # signed zeros and integers included
+        pairs = [[0.1, -0.0], [-0.0, 0.0], [3, -2], [2**53 + 1, 1e-310], [-1.5e300, 7]]
+        document = json.loads(StateFile.from_state(ghz_state()).to_json())
+        document["amps"][: len(pairs)] = pairs
+        amps = StateFile.from_json(json.dumps(document)).amps
+        want = np.array([complex(re, im) for re, im in document["amps"]])
+        assert amps.dtype == np.complex128
+        assert amps.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ([10**400, 0], "finite"),
+            ([0, True], "two numbers"),
+            ([False, 0.5], "two numbers"),
+            (["1", 0], "two numbers"),
+            ([1.0, None], "two numbers"),
+            ([1.0, 0.0, 0.0], "pair"),
+            ([[1.0, 0.0]], "pair"),
+            ([float("inf"), 0.0], "finite"),
+        ],
+        ids=["huge_integer", "true", "false", "string", "null", "three_elements", "nested", "inf"],
+    )
+    def test_bad_amplitude_names_its_index(self, pair, message):
+        document = json.loads(StateFile.from_state(ghz_state()).to_json())
+        document["amps"][6] = pair
+        with pytest.raises(ValueError, match=rf"amps\[6\] must .*{message}"):
+            StateFile.from_json(json.dumps(document))
+
     def test_rejects_non_json(self):
         with pytest.raises(ValueError):
             StateFile.from_json("{not json")

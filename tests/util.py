@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from lodecomp.tensor import apply_matrix_at
+from lodecomp.decomposition import _UnionFind
+from lodecomp.tensor import apply_matrix_at, partial_trace
 
 PROJ_ATOL = 1e-8
 
@@ -89,3 +90,55 @@ def reference_projector_identity(d):
                         out = out - np.sqrt(bi.weight) * bi.vector
                     worst = max(worst, float(np.linalg.norm(out)))
     return worst
+
+
+def reference_correlation_family(state, n, support):
+    """The SBD correlation family of subsystem ``n``, one member at a time.
+
+    This is the (m, a, b) loop that the batched gather in
+    ``decomposition._correlation_family`` replaced, kept as its reference:
+    the local density operator, then for every other subsystem m and every
+    local basis pair a <= b the Hermitian and anti-Hermitian parts of
+    ``rho_nm[(., a), (., b)]``, each compressed onto ``support`` and kept
+    when its Frobenius norm exceeds 1e-14.
+    """
+    dims = state.dims
+    d_n = dims[n]
+    members = [support.conj().T @ partial_trace(state, [n]).matrix @ support]
+    for m in range(state.n_subsystems):
+        if m == n:
+            continue
+        d_m = dims[m]
+        rho_pair = partial_trace(state, [n, m]).matrix
+        if n < m:
+            rho4 = rho_pair.reshape(d_n, d_m, d_n, d_m)
+        else:
+            rho4 = rho_pair.reshape(d_m, d_n, d_m, d_n).transpose(1, 0, 3, 2)
+        for a in range(d_m):
+            for b in range(a, d_m):
+                block = rho4[:, a, :, b]
+                herm = (block + block.conj().T) / 2.0
+                anti = (block - block.conj().T) / 2.0j
+                for part in (herm, anti):
+                    compressed = support.conj().T @ part @ support
+                    if float(np.linalg.norm(compressed)) > 1e-14:
+                        members.append(compressed)
+    return members
+
+
+def reference_merge_coupled(parts, family, t_edge):
+    """The SBD merge test, one member and one part pair at a time.
+
+    This is the triple loop that the batched contraction in
+    ``decomposition._merge_coupled`` replaced, kept as its reference: parts
+    a < b merge when some member F has ||B_b^H F B_a||_F > t_edge.
+    """
+    uf = _UnionFind(len(parts))
+    for fam in family:
+        for a in range(len(parts)):
+            fa = fam @ parts[a]
+            for b in range(a + 1, len(parts)):
+                cross = parts[b].conj().T @ fa
+                if float(np.linalg.norm(cross)) > t_edge:
+                    uf.union(a, b)
+    return [np.hstack([parts[i] for i in grp]) for grp in uf.groups()]
