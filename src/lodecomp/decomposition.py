@@ -17,11 +17,18 @@ the coarse/fine-graining algebra, and the construction of the finest
   blocks, and finally re-refining each multi-dimensional branch until a
   fixpoint.
 
+Assembly rotates each (sub)state once into a full local frame on every
+subsystem (its partition blocks plus an orthonormal complement of the
+support).  Every graph edge, every n-independence residual and every
+refinement sub-state is read off that one rotated vector: N rotations per
+(sub)state, with no projection per node pair, component or subsystem.
+
 All functions are pure and deterministic given their seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -105,8 +112,16 @@ class BranchDecomposition:
 
     @classmethod
     def from_branches(cls, state, branches) -> "BranchDecomposition":
-        """Build a decomposition with branches sorted into canonical order."""
-        ordered = sorted(branches, key=_branch_sort_key)
+        """Build a decomposition with branches sorted into canonical order.
+
+        The order is that of the key (-round(weight, 12), projector key of
+        the subsystem-0 support), stable; the projector key is computed
+        only within runs of equal rounded weight.
+        """
+        ordered = []
+        for _, run in itertools.groupby(sorted(branches, key=_weight_key), key=_weight_key):
+            run = list(run)
+            ordered += sorted(run, key=_support_key) if len(run) > 1 else run
         return cls(state, ordered)
 
     @property
@@ -131,8 +146,12 @@ def _projector_key(basis: np.ndarray):
     )
 
 
-def _branch_sort_key(branch: Branch):
-    return (-round(branch.weight, 12), _projector_key(branch.supports[0]))
+def _weight_key(branch: Branch) -> float:
+    return -round(branch.weight, 12)
+
+
+def _support_key(branch: Branch):
+    return _projector_key(branch.supports[0])
 
 
 def _project_support(vec: np.ndarray, dims, n: int, basis: np.ndarray) -> np.ndarray:
@@ -425,47 +444,41 @@ class CorrelationGraph:
     max_rejected_edge: float | None
 
 
-def build_correlation_graph(
-    state: StateTensor,
-    blocks,
-    t_edge: float = DEFAULT_TOLERANCES.t_edge,
-    t_supp: float = DEFAULT_TOLERANCES.t_supp,
-    *,
-    spectra=None,
-) -> CorrelationGraph:
-    """Build the block correlation graph of a state.
+@dataclass(frozen=True, eq=False)
+class _LocalFrame:
+    """A state rotated once into a full local frame on every subsystem.
 
-    The weight of the edge between block a on subsystem n and block b on
-    subsystem m is the squared joint projection ||P_n^a P_m^b psi||^2.
-    With orthonormal blocks this is ||(B_a^H x B_b^H) psi||^2, so all
-    weights of a subsystem pair come from one marginal: rotate psi by
-    Q_n^H on n and Q_m^H on m, where Q_n stacks subsystem n's blocks, and
-    sum |phi|^2 over the other subsystems, which stay unrotated:
+    U_n = (Q_n | C_n): Q_n stacks subsystem n's blocks in node order, its
+    first ``ranks[n]`` columns, with block k starting at column
+    ``starts[n][k]``, and C_n is an orthonormal complement of their span.
+    ``unitaries`` holds the U_n, ``rotated`` is
+    psi' = (U_0^H x ... x U_{N-1}^H) psi, shaped ``dims``, and
+    ``marginals[n, m]`` (n < m) is the (d_n, d_m) marginal of |psi'|^2,
+    summed over the complete bases of all other subsystems.
+    """
 
-        M_nm[x, y] = sum over the other indices of |phi[..., x, ..., y, ...]|^2
-        weight((n, a), (m, b)) = sum of M_nm[x, y] over x in a, y in b
+    nodes: tuple
+    starts: tuple
+    ranks: tuple
+    unitaries: tuple
+    rotated: np.ndarray
+    marginals: dict
 
-    That is one rotation per subsystem and one per pair, in place of one
-    full-vector projection per node pair.
 
-    Parameters
-    ----------
-    blocks : sequence of sequences of arrays
-        For each subsystem, a list of orthonormal bases.  Per subsystem the
-        blocks must be mutually orthogonal and jointly span exactly the
-        local support of the reduced state.
-    spectra : sequence of SpectralData, optional
-        The local spectra at this ``t_supp``, when the caller already has
-        them, for the span check; computed here otherwise.
+def _local_frame(state: StateTensor, blocks, t_supp: float, spectra=None) -> _LocalFrame:
+    """Validate per-subsystem blocks and rotate the state into their frame.
+
+    N rotations, one per subsystem.  The marginals come from staged sums:
+    |psi'|^2 is summed over the subsystems before n once per n, then for
+    each m > n in turn the subsystems after m and those between n and m.
     """
     dims = state.dims
     if len(blocks) != state.n_subsystems:
         raise ValueError("need one block list per subsystem")
     if spectra is None:
         spectra = [local_spectrum(state, n, t_supp=t_supp) for n in range(state.n_subsystems)]
-    nodes = []
-    stacks = []
-    starts = []
+    nodes, starts, ranks, unitaries = [], [], [], []
+    rotated = state.amps
     for n, sub_blocks in enumerate(blocks):
         bases = []
         for b in sub_blocks:
@@ -478,57 +491,100 @@ def build_correlation_graph(
         if not bases:
             raise ValueError(f"subsystem {n} has no blocks")
         stacked = np.hstack(bases)
-        gram = stacked.conj().T @ stacked
-        if float(np.max(np.abs(gram - np.eye(stacked.shape[1])))) > 1e-8:
+        rank = stacked.shape[1]
+        if float(np.max(np.abs(stacked.conj().T @ stacked - np.eye(rank)))) > 1e-8:
             raise ValueError(f"blocks on subsystem {n} are not mutually orthonormal")
         support = spectra[n].support_basis
         coverage = support - stacked @ (stacked.conj().T @ support)
         containment = stacked - support @ (support.conj().T @ stacked)
         if float(np.linalg.norm(coverage)) > 1e-8 or float(np.linalg.norm(containment)) > 1e-8:
             raise ValueError(f"blocks on subsystem {n} do not span the local support exactly")
-        for k, b in enumerate(bases):
-            nodes.append(GraphNode(n, k, b))
-        stacks.append(stacked)
+        nodes += [GraphNode(n, k, b) for k, b in enumerate(bases)]
         starts.append(np.cumsum([0] + [b.shape[1] for b in bases[:-1]]))
-
-    pair_weights = {}
+        ranks.append(rank)
+        if rank < dims[n]:  # complete Q_n with an orthonormal complement of its span
+            stacked = np.hstack([stacked, np.linalg.qr(stacked, mode="complete")[0][:, rank:]])
+        unitaries.append(stacked)
+        rotated = apply_matrix_at(rotated, dims, n, stacked.conj().T)
+    marginals = {}
+    tail = rotated.real**2 + rotated.imag**2  # summed over the subsystems before n
     for n in range(state.n_subsystems - 1):
-        phi_n = apply_matrix_at(state.amps, dims, n, stacks[n].conj().T)
-        dims_n = dims[:n] + (stacks[n].shape[1],) + dims[n + 1:]
+        tail = rest = tail.reshape(dims[n], -1)
         for m in range(n + 1, state.n_subsystems):
-            phi = apply_matrix_at(phi_n, dims_n, m, stacks[m].conj().T)
-            shape = (
-                math.prod(dims[:n]), dims_n[n], math.prod(dims[n + 1:m]),
-                stacks[m].shape[1], math.prod(dims[m + 1:]),
-            )
-            marginal = (phi.real**2 + phi.imag**2).reshape(shape).sum(axis=(0, 2, 4))
-            marginal = np.add.reduceat(marginal, starts[n], axis=0)
-            pair_weights[n, m] = np.add.reduceat(marginal, starts[m], axis=1)
-    uf = _UnionFind(len(nodes))
-    edges = []
-    min_accepted = None
-    max_rejected = None
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            if nodes[a].subsystem == nodes[b].subsystem:
-                continue
-            pair = pair_weights[nodes[a].subsystem, nodes[b].subsystem]
-            weight = float(pair[nodes[a].block, nodes[b].block])
-            if weight > t_edge:
-                edges.append((a, b, weight))
-                uf.union(a, b)
-                min_accepted = weight if min_accepted is None else min(min_accepted, weight)
-            else:
-                max_rejected = weight if max_rejected is None else max(max_rejected, weight)
+            rest = rest.reshape(dims[n], dims[m], -1)  # summed over the subsystems n < . < m
+            marginals[n, m] = rest.sum(axis=2)
+            rest = rest.sum(axis=1)
+        tail = tail.sum(axis=0)
+    nodes, starts, ranks, unitaries = map(tuple, (nodes, starts, ranks, unitaries))
+    return _LocalFrame(nodes, starts, ranks, unitaries, rotated.reshape(dims), marginals)
+
+
+def build_correlation_graph(
+    state: StateTensor,
+    blocks,
+    t_edge: float = DEFAULT_TOLERANCES.t_edge,
+    t_supp: float = DEFAULT_TOLERANCES.t_supp,
+    *,
+    spectra=None,
+    frame=None,
+) -> CorrelationGraph:
+    """Build the block correlation graph of a state.
+
+    The weight of the edge between block a on subsystem n and block b on
+    subsystem m is the squared joint projection ||P_n^a P_m^b psi||^2.
+    With orthonormal blocks this is ||(B_a^H x B_b^H) psi||^2, so every
+    weight comes from one rotated frame: psi is rotated once on each
+    subsystem by U_n^H, where U_n = (Q_n | C_n) stacks subsystem n's blocks
+    and an orthonormal complement of their span, and
+
+        M_nm[x, y] = sum over the other indices of |psi'[..., x, ..., y, ...]|^2
+        weight((n, a), (m, b)) = sum of M_nm[x, y] over x in a, y in b
+
+    The other subsystems are summed over a complete basis, so the t_supp
+    leak outside the supports cannot move an edge.  That is N rotations
+    of psi for all edges, in place of one full-vector projection per node
+    pair.
+
+    Parameters
+    ----------
+    blocks : sequence of sequences of arrays
+        For each subsystem, a list of orthonormal bases.  Per subsystem the
+        blocks must be mutually orthogonal and jointly span exactly the
+        local support of the reduced state.
+    spectra : sequence of SpectralData, optional
+        The local spectra at this ``t_supp``, when the caller already has
+        them, for the span check; computed here otherwise.
+    frame : optional
+        The state's frame for these blocks, when the caller already has it
+        (its blocks were validated when it was built); computed here
+        otherwise.
+    """
+    if frame is None:
+        frame = _local_frame(state, blocks, t_supp, spectra)
+    # weights[a, b]: the edge weight of nodes a < b on distinct subsystems, else NaN;
+    # nodes are numbered subsystem by subsystem, so np.nonzero lists edges in (a, b) order
+    offsets = np.cumsum([0] + [len(s) for s in frame.starts])
+    weights = np.full((len(frame.nodes),) * 2, np.nan)
+    for (n, m), marginal in frame.marginals.items():
+        rows = np.add.reduceat(marginal[: frame.ranks[n]], frame.starts[n], axis=0)
+        joint = np.add.reduceat(rows[:, : frame.ranks[m]], frame.starts[m], axis=1)
+        weights[offsets[n]:offsets[n + 1], offsets[m]:offsets[m + 1]] = joint
+    edges = [(int(a), int(b), float(weights[a, b])) for a, b in zip(*np.nonzero(weights > t_edge))]
+    rejected = weights[weights <= t_edge]
+    uf = _UnionFind(len(frame.nodes))
+    for a, b, _ in edges:
+        uf.union(a, b)
     components = tuple(uf.groups())
     for comp in components:
-        touched = {nodes[i].subsystem for i in comp}
+        touched = {frame.nodes[i].subsystem for i in comp}
         if touched != set(range(state.n_subsystems)):
             raise InternalConsistencyError(
                 "a correlation-graph component misses a subsystem with nontrivial support; "
                 "edge threshold is inconsistent with the state"
             )
-    return CorrelationGraph(tuple(nodes), tuple(edges), components, min_accepted, max_rejected)
+    min_accepted = min((w for _, _, w in edges), default=None)
+    max_rejected = float(rejected.max()) if rejected.size else None
+    return CorrelationGraph(frame.nodes, tuple(edges), components, min_accepted, max_rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -687,33 +743,8 @@ def sbd_refine(
 
 class _DiagnosticsAccumulator:
     def __init__(self):
-        self.n_independence = 0.0
-        self.min_accepted_edge = None
-        self.max_rejected_edge = None
-
-    def record_graph(self, graph: CorrelationGraph):
-        if graph.min_accepted_edge is not None:
-            self.min_accepted_edge = (
-                graph.min_accepted_edge
-                if self.min_accepted_edge is None
-                else min(self.min_accepted_edge, graph.min_accepted_edge)
-            )
-        if graph.max_rejected_edge is not None:
-            self.max_rejected_edge = (
-                graph.max_rejected_edge
-                if self.max_rejected_edge is None
-                else max(self.max_rejected_edge, graph.max_rejected_edge)
-            )
-
-    def record_residual(self, value: float):
-        self.n_independence = max(self.n_independence, value)
-
-
-def _compress_vector(vec: np.ndarray, dims, bases) -> np.ndarray:
-    arr = vec.reshape(dims)
-    for basis in bases:
-        arr = np.tensordot(arr, basis.conj(), axes=([0], [0]))
-    return arr.reshape(-1)
+        self.residuals = []  # every n-independence residual
+        self.graphs = []  # every (sub)state's correlation graph
 
 
 def _expand_vector(vec: np.ndarray, ranks, bases) -> np.ndarray:
@@ -723,63 +754,107 @@ def _expand_vector(vec: np.ndarray, ranks, bases) -> np.ndarray:
     return arr.reshape(-1)
 
 
+def _component_masks(frame: _LocalFrame, components) -> list:
+    """masks[n][c, x] is True where frame column x on subsystem n lies in one
+    of component c's blocks; complement columns lie in none."""
+    masks = [np.zeros((len(components), d), dtype=bool) for d in frame.rotated.shape]
+    for c, comp in enumerate(components):
+        for i in comp:
+            node = frame.nodes[i]
+            start = frame.starts[node.subsystem][node.block]
+            masks[node.subsystem][c, start:start + node.basis.shape[1]] = True
+    return masks
+
+
+def _n_independence_residuals(frame: _LocalFrame, masks) -> np.ndarray:
+    """max over subsystem pairs a < b of ||P_a^c psi - P_b^c psi||, per component c.
+
+    U is unitary and projectors on different subsystems commute, so in the
+    frame P_n^c is the indicator of c's columns on subsystem n and
+
+        ||P_a^c psi - P_b^c psi||^2 = sum M_ab[x in c_a, y not in c_b]
+                                    + sum M_ab[x not in c_a, y in c_b],
+
+    two sums of non-negative entries of the pair marginal, with no
+    cancellation (unlike w_a + w_b - 2 w_ab, which loses everything below
+    about 1e-8).  For each a, the M_ab of every b > a are stacked side by
+    side: entry (c, y) of ``leak`` is the mass at y from x outside c_a when
+    y is in c_b and from x inside c_a otherwise, so its block sum over b's
+    columns is the squared residual of the pair (a, b).
+    """
+    worst = 0.0
+    for a in range(len(masks) - 1):
+        pairs = np.hstack([frame.marginals[a, b] for b in range(a + 1, len(masks))])
+        inside = np.hstack(masks[a + 1:])
+        leak = np.where(inside, ~masks[a] @ pairs, masks[a] @ pairs)
+        bounds = np.cumsum([0] + [m.shape[1] for m in masks[a + 1:-1]])
+        worst = np.maximum(worst, np.add.reduceat(leak, bounds, axis=1).max(axis=1))
+    return np.sqrt(worst)
+
+
 def _extract_component_branches(state, partitions, tol, acc, spectra):
-    graph = build_correlation_graph(state, partitions, tol.t_edge, tol.t_supp, spectra=spectra)
-    acc.record_graph(graph)
-    dims = state.dims
-    branches = []
-    for comp in graph.components:
-        bases = []
-        for n in range(state.n_subsystems):
-            cols = [graph.nodes[i].basis for i in comp if graph.nodes[i].subsystem == n]
-            bases.append(np.hstack(cols))
-        vectors = [_project_support(state.amps, dims, n, bases[n]) for n in range(len(dims))]
-        residual = 0.0
-        for a in range(len(vectors)):
-            for b in range(a + 1, len(vectors)):
-                residual = max(residual, float(np.linalg.norm(vectors[a] - vectors[b])))
-        acc.record_residual(residual)
-        if residual > tol.t_nindep:
-            raise InternalConsistencyError(
-                f"branch extraction is subsystem-dependent (residual {residual:.3e}); "
-                "the block partition is inconsistent with the state"
-            )
-        weight = float(np.vdot(vectors[0], vectors[0]).real)
-        if weight <= tol.w_min:
-            continue
-        branches.append(Branch(weight, vectors[0] / math.sqrt(weight), tuple(bases)))
-    return branches
+    """Branches from the correlation graph's components, read off one frame.
+
+    The state is rotated once (:func:`_local_frame`) and the frame serves
+    the graph, the n-independence check and the refinement sub-states.
+    Component c's branch must not depend on which subsystem's projector
+    P_n^c extracts it: the largest ||P_a^c psi - P_b^c psi|| (see
+    :func:`_n_independence_residuals`) must stay within ``t_nindep``.  The
+    branch vector is P_0^c psi, from one stacked projector product for all
+    components.
+
+    Returns (branch, sub_amps) pairs.  sub_amps is the branch in its own
+    support bases, (B_0^H x ... x B_{N-1}^H) P_0^c psi / sqrt(w), which is
+    the slice psi'[c_0, ..., c_{N-1}] / sqrt(w): B_0^H P_0^c = B_0^H, and
+    B_n is U_n restricted to c's columns.
+    """
+    frame = _local_frame(state, partitions, tol.t_supp, spectra)
+    graph = build_correlation_graph(state, partitions, tol.t_edge, tol.t_supp, frame=frame)
+    acc.graphs.append(graph)
+    masks = _component_masks(frame, graph.components)
+    residual = float(_n_independence_residuals(frame, masks).max())
+    acc.residuals.append(residual)
+    if residual > tol.t_nindep:
+        raise InternalConsistencyError(
+            f"branch extraction is subsystem-dependent (residual {residual:.3e}); "
+            "the block partition is inconsistent with the state"
+        )
+    columns = [[m[c] for m in masks] for c in range(len(graph.components))]
+    bases = [tuple(u[:, cols] for u, cols in zip(frame.unitaries, c_cols)) for c_cols in columns]
+    projectors = np.concatenate([b[0] @ b[0].conj().T for b in bases])
+    vectors = apply_matrix_at(state.amps, state.dims, 0, projectors).reshape(len(bases), -1)
+    out = []
+    for vec, supports, cols in zip(vectors, bases, columns):
+        weight = float(np.vdot(vec, vec).real)
+        if weight > tol.w_min:
+            sub_amps = frame.rotated[np.ix_(*cols)].reshape(-1) / math.sqrt(weight)
+            out.append((Branch(weight, vec / math.sqrt(weight), supports), sub_amps))
+    return out
 
 
-def _refine_branch(state, branch, tol, seed_seq, acc):
+def _refine_branch(branch, sub_amps, tol, seed_seq, acc):
     ranks = branch.support_ranks
     if min(ranks) < 2:
         return [branch]
-    sub_amps = _compress_vector(branch.vector, state.dims, branch.supports)
-    sub_state = StateTensor(ranks, sub_amps)
-    sub_branches, _, _ = _decompose_multipartite(sub_state, tol, seed_seq, acc)
+    sub_branches, _, _ = _decompose_multipartite(StateTensor(ranks, sub_amps), tol, seed_seq, acc)
     if len(sub_branches) == 1:
         return [branch]
     out = []
     for sb in sub_branches:
         vec = _expand_vector(sb.vector, ranks, branch.supports)
-        supports = tuple(
-            branch.supports[n] @ sb.supports[n] for n in range(state.n_subsystems)
-        )
+        supports = tuple(b @ s for b, s in zip(branch.supports, sb.supports))
         out.append(Branch(branch.weight * sb.weight, vec, supports))
     return out
 
 
 def _assemble_and_refine(state, partitions, tol, seed_seq, acc, spectra=None):
-    branches = _extract_component_branches(state, partitions, tol, acc, spectra)
-    if len(branches) == 1:
+    extracted = _extract_component_branches(state, partitions, tol, acc, spectra)
+    if len(extracted) == 1:
         # the restriction to a single branch is the problem itself;
         # re-running it cannot reveal anything new
-        return branches
-    refined = []
-    for branch in branches:
-        refined.extend(_refine_branch(state, branch, tol, seed_seq, acc))
-    return refined
+        return [extracted[0][0]]
+    refined = (_refine_branch(br, sub_amps, tol, seed_seq, acc) for br, sub_amps in extracted)
+    return [branch for group in refined for branch in group]
 
 
 def assemble_branches(
@@ -886,40 +961,31 @@ def maximal_decomposition(
     """
     acc = _DiagnosticsAccumulator()
     if state.n_subsystems == 2:
-        branches, degenerate = _decompose_bipartite(state, tol)
+        branches, non_unique = _decompose_bipartite(state, tol)
         dec = BranchDecomposition.from_branches(state, branches)
         for br in dec.branches:
             v0 = _project_support(state.amps, state.dims, 0, br.supports[0])
             v1 = _project_support(state.amps, state.dims, 1, br.supports[1])
-            acc.record_residual(float(np.linalg.norm(v0 - v1)))
-        diagnostics = Diagnostics(
-            path="schmidt",
-            seed=None,
-            tolerances=tol,
-            n_independence_residual=acc.n_independence,
-            min_accepted_edge=None,
-            max_rejected_edge=None,
-            degenerate_subsystems=(0, 1) if degenerate else (),
-            non_unique=degenerate,
-            weights=tuple(float(w) for w in dec.weights),
-        )
+            acc.residuals.append(float(np.linalg.norm(v0 - v1)))
+        path, seed, degenerate = "schmidt", None, (0, 1) if non_unique else ()
     else:
         seed_seq = np.random.SeedSequence(seed)
-        branches, path, degenerate_subsystems = _decompose_multipartite(
-            state, tol, seed_seq, acc
-        )
+        branches, path, degenerate = _decompose_multipartite(state, tol, seed_seq, acc)
         dec = BranchDecomposition.from_branches(state, branches)
-        diagnostics = Diagnostics(
-            path=path,
-            seed=seed,
-            tolerances=tol,
-            n_independence_residual=acc.n_independence,
-            min_accepted_edge=acc.min_accepted_edge,
-            max_rejected_edge=acc.max_rejected_edge,
-            degenerate_subsystems=degenerate_subsystems,
-            non_unique=False,
-            weights=tuple(float(w) for w in dec.weights),
-        )
+        non_unique = False
+    accepted = [g.min_accepted_edge for g in acc.graphs if g.min_accepted_edge is not None]
+    rejected = [g.max_rejected_edge for g in acc.graphs if g.max_rejected_edge is not None]
+    diagnostics = Diagnostics(
+        path=path,
+        seed=seed,
+        tolerances=tol,
+        n_independence_residual=max(acc.residuals, default=0.0),
+        min_accepted_edge=min(accepted, default=None),
+        max_rejected_edge=max(rejected, default=None),
+        degenerate_subsystems=degenerate,
+        non_unique=non_unique,
+        weights=tuple(float(w) for w in dec.weights),
+    )
     report = verify_lo(dec, tol)
     if not report.passed:
         raise InternalConsistencyError(

@@ -32,6 +32,15 @@ def _complex_pairs(vec: np.ndarray) -> list:
     return [[float(x.real), float(x.imag)] for x in vec]
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; Python's json reads true/false as bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_dims(dims) -> bool:
+    return isinstance(dims, list) and bool(dims) and all(_is_int(d) and d >= 1 for d in dims)
+
+
 def _pairs_to_complex(pairs, what: str) -> np.ndarray:
     # fast path: an (n, 2) array of JSON numbers.  Booleans must be looked
     # for by type, because numpy reads [true, 0] as the integers [1, 0].
@@ -113,9 +122,7 @@ class StateFile:
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version!r}")
         dims = document.get("dims")
-        if not isinstance(dims, list) or not dims or not all(
-            isinstance(d, int) and d >= 1 for d in dims
-        ):
+        if not _is_dims(dims):
             raise ValueError("dims must be a list of positive integers")
         amps = document.get("amps")
         if not isinstance(amps, list):
@@ -211,6 +218,10 @@ def parse_report(text: str) -> dict:
     for key in ("dims", "branch_count", "weights", "branches"):
         if key not in document:
             raise ValueError(f"report is missing the {key!r} field")
+    if not _is_dims(document["dims"]):
+        raise ValueError("report dims must be a list of positive integers")
+    if not _is_int(document["branch_count"]):
+        raise ValueError("branch_count must be an integer")
     if not isinstance(document["branches"], list) or not document["branches"]:
         raise ValueError("report must contain at least one branch")
     if len(document["branches"]) != document["branch_count"]:

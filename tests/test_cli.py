@@ -130,6 +130,16 @@ class TestDecompose:
         assert main(["decompose", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: amps[5]")
 
+    def test_boolean_dimension_is_input_error(self, tmp_path, capsys):
+        # json reads true as a bool, and a bool is an int: [true, 2, 2] must not read as 1x2x2
+        document = json.loads(StateFile.from_state(ghz_state()).to_json())
+        document["dims"] = [True, 2, 2]
+        document["amps"] = document["amps"][:4]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        assert main(["decompose", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: dims must be")
+
     def test_json_byte_identical_across_runs(self, ghz_file, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -242,6 +252,26 @@ class TestVerify:
         proc = run_cli("verify", str(ghz_file), str(report))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: branch 0")
+
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("dims", [True, 2, 2]), ("branch_count", True)],
+        ids=["dims", "branch_count"],
+    )
+    def test_boolean_report_integer_is_input_error(self, tmp_path, capsys, field, value):
+        # each boolean equals the integer it replaces, so only a type check can catch it
+        state = tmp_path / "state.json"
+        report = tmp_path / "report.json"
+        assert main(["generate", "--kind", "product", "--dims", "1,2,2", "-o", str(state)]) == 0
+        assert main(["decompose", str(state), "--format", "json", "-o", str(report)]) == 0
+        document = json.loads(report.read_text())
+        assert document[field] == value
+        document[field] = value
+        report.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main(["verify", str(state), str(report)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCompare:

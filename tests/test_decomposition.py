@@ -16,8 +16,13 @@ from lodecomp.catalog import (
     z_state,
 )
 from lodecomp.decomposition import (
+    _component_masks,
     _correlation_family,
+    _DiagnosticsAccumulator,
+    _extract_component_branches,
+    _local_frame,
     _merge_coupled,
+    _n_independence_residuals,
     _pair_states,
     Branch,
     BranchDecomposition,
@@ -38,15 +43,35 @@ from lodecomp.tolerances import DEFAULT_TOLERANCES
 from util import (
     assert_same_decomposition,
     is_coarse_graining_of,
+    reference_branch_sort_key,
+    reference_component_residuals,
+    reference_compress_vector,
     reference_correlation_family,
     reference_merge_coupled,
     reference_projector_identity,
     support_projectors,
 )
 
+import states as bench_states  # noqa: E402  (bench/, put on the path by util)
+
 
 def computational_blocks(dim):
     return [np.eye(dim)[:, [k]] for k in range(dim)]
+
+
+def nested_state():
+    """Two shifted three-qubit single-excitation states, weights 0.6 and 0.4, on 4x4x4."""
+    dims = (4, 4, 4)
+    amps = np.zeros(64, dtype=complex)
+    for k in range(3):
+        multi = [0, 0, 0]
+        multi[k] = 1
+        amps[flat_index(dims, multi)] = np.sqrt(0.6 / 3)
+    for k in range(3):
+        multi = [2, 2, 2]
+        multi[k] = 3
+        amps[flat_index(dims, multi)] = np.sqrt(0.4 / 3)
+    return StateTensor(dims, amps)
 
 
 class TestMaximalGolden:
@@ -82,17 +107,7 @@ class TestMaximalGolden:
     def test_nested_branches_with_entangled_interiors(self):
         # two shifted three-qubit single-excitation states: the decomposition
         # must stop at the two branches even though their supports are 2-dim
-        dims = (4, 4, 4)
-        amps = np.zeros(64, dtype=complex)
-        for k in range(3):
-            multi = [0, 0, 0]
-            multi[k] = 1
-            amps[flat_index(dims, multi)] = np.sqrt(0.6 / 3)
-        for k in range(3):
-            multi = [2, 2, 2]
-            multi[k] = 3
-            amps[flat_index(dims, multi)] = np.sqrt(0.4 / 3)
-        result = maximal_decomposition(StateTensor(dims, amps))
+        result = maximal_decomposition(nested_state())
         assert result.decomposition.n_branches == 2
         assert np.allclose(result.decomposition.weights, [0.6, 0.4], atol=1e-9)
         assert all(b.support_ranks == (2, 2, 2) for b in result.decomposition.branches)
@@ -113,6 +128,35 @@ class TestCanonicalOrder:
         d = maximal_decomposition(z_state((0.5, 0.3, 0.2))).decomposition
         shuffled = BranchDecomposition.from_branches(d.state, d.branches[::-1])
         assert np.allclose(shuffled.weights, d.weights)
+
+    def test_lazy_tie_order_matches_full_key(self):
+        # the projector key is computed only inside runs of equal rounded
+        # weight; the order, stability included, must be the full key's
+        rng = np.random.default_rng(0)
+        ghz4 = maximal_decomposition(ghz_state(3, 4)).decomposition
+        dressed = maximal_decomposition(dress_state(ghz_state(3, 4), seed=1)).decomposition
+        z = maximal_decomposition(z_state((0.4, 0.3, 0.3))).decomposition
+        u, x = (maximal_decomposition(s).decomposition for s in (u_state(), x_state()))
+        cases = [
+            (ghz4.state, list(ghz4.branches)),
+            (dressed.state, list(dressed.branches)),
+            (z.state, list(z.branches)),
+            (u.state, list(u.branches)),
+            (x.state, list(x.branches)),
+            # equal full keys, where only stability decides the order
+            (ghz4.state, list(ghz4.branches) * 2 + [ghz4.branches[0]]),
+            # weights 1e-14 apart round equal, so the projector key decides
+            (ghz4.state, [
+                Branch(b.weight + 1e-14 * i, b.vector, b.supports)
+                for i, b in enumerate(dressed.branches)
+            ]),
+        ]
+        for state, branches in cases:
+            for _ in range(8):
+                shuffled = [branches[i] for i in rng.permutation(len(branches))]
+                got = BranchDecomposition.from_branches(state, shuffled).branches
+                want = sorted(shuffled, key=reference_branch_sort_key)
+                assert [id(b) for b in got] == [id(b) for b in want]
 
 
 class TestVerify:
@@ -259,6 +303,97 @@ class TestGraphAgainstReference:
                         rejected.append(want)
             if rejected:
                 assert abs(graph.max_rejected_edge - max(rejected)) <= 1e-12
+
+
+def frame_states():
+    """Three-or-more-party states for the rotated-frame checks: the catalog,
+    dressed states, every workload of the benchmark, and rank-deficient
+    dressed states, whose frames need a support complement."""
+    out = [s for s in catalog_and_dressed_states() if s.n_subsystems >= 3]
+    out.append(nested_state())
+    for workload in sorted(bench_states.WORKLOADS):
+        out += [StateTensor(c.dims, c.amps) for c in bench_states.make_cases(workload, 21)[:2]]
+    for seed in range(2):
+        out += [
+            dress_state(z_state((0.5, 0.3, 0.2), dims=(5, 6, 4)), seed=seed),
+            dress_state(z_state((0.5, 0.5), dims=(3, 4, 3)), seed=seed),
+        ]
+    return out
+
+
+def frame_partitions(state):
+    """The partitions the pipeline would assemble: eigenvector lines, or SBD blocks."""
+    spectra = [local_spectrum(state, n) for n in range(state.n_subsystems)]
+    if any(s.is_support_degenerate for s in spectra):
+        return [sbd_refine(state, n) for n in range(state.n_subsystems)]
+    return [[s.eigenvectors[:, [k]] for k in range(s.support_rank)] for s in spectra]
+
+
+def turned_partition(state, n, theta):
+    """Eigenvector lines, with lines 0 and 1 on subsystem n turned by theta in their plane."""
+    partitions = frame_partitions(state)
+    e0, e1 = partitions[n][0][:, 0], partitions[n][1][:, 0]
+    partitions[n][0] = (np.cos(theta) * e0 + np.sin(theta) * e1)[:, None]
+    partitions[n][1] = (np.cos(theta) * e1 - np.sin(theta) * e0)[:, None]
+    return partitions
+
+
+class TestRotatedFrameAgainstReference:
+    """Residuals and refinement sub-states read off one rotated frame, against
+    the full-vector projections they replaced."""
+
+    def test_residuals_and_sub_states_match_reference(self):
+        with_complement = sliced = 0
+        for state in frame_states():
+            partitions = frame_partitions(state)
+            frame = _local_frame(state, partitions, DEFAULT_TOLERANCES.t_supp)
+            with_complement += any(r < d for r, d in zip(frame.ranks, state.dims))
+            graph = build_correlation_graph(state, partitions, frame=frame)
+            masks = _component_masks(frame, graph.components)
+            residuals = _n_independence_residuals(frame, masks)
+            reference = reference_component_residuals(state, graph)
+            assert np.max(np.abs(residuals - reference)) <= 1e-14, (state.dims, reference)
+            extracted = _extract_component_branches(
+                state, partitions, DEFAULT_TOLERANCES, _DiagnosticsAccumulator(), None
+            )
+            for branch, sub_amps in extracted:
+                sliced += min(branch.support_ranks) >= 2
+                want = reference_compress_vector(branch.vector, state.dims, branch.supports)
+                assert np.max(np.abs(sub_amps - want)) <= 1e-14, state.dims
+        assert with_complement >= 4 and sliced >= 4
+
+    def test_rank_deficient_branches(self):
+        state = dress_state(z_state((0.5, 0.3, 0.2), dims=(5, 6, 4)), seed=3)
+        result = maximal_decomposition(state)
+        assert result.decomposition.n_branches == 3
+        assert np.allclose(result.decomposition.weights, [0.5, 0.3, 0.2], atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (5, 6, 4)])
+    def test_near_threshold_sweep(self, dims):
+        # turning two eigenvector lines on subsystem 0 by theta makes the
+        # extraction subsystem-dependent by about theta; from theta ~ 1e-5 the
+        # turned lines also join both components, which makes it consistent again
+        # residual ~ theta sqrt(w_0 + w_1), so the steps around theta_c put the
+        # reference 1e-11 and 1e-10 either side of t_nindep
+        t_nindep = DEFAULT_TOLERANCES.t_nindep
+        theta_c = t_nindep / np.sqrt(0.8)
+        state = dress_state(z_state((0.5, 0.3, 0.2), dims=dims), seed=4)
+        outcomes = []
+        steps = theta_c * (1 + np.array([-1e-2, -1e-3, 1e-3, 1e-2]))
+        for theta in np.concatenate([np.logspace(-12, -3, 46), steps]):
+            partitions = turned_partition(state, 0, theta)
+            graph = build_correlation_graph(state, partitions)
+            reference = float(reference_component_residuals(state, graph).max())
+            try:
+                assemble_branches(state, partitions)
+                raised = False
+            except InternalConsistencyError:
+                raised = True
+            if abs(reference - t_nindep) > 1e-12:
+                assert raised == (reference > t_nindep), (theta, reference)
+            outcomes.append(raised)
+        assert not outcomes[0] and any(outcomes) and not outcomes[45]
+        assert outcomes[-4:] == [False, False, True, True]
 
 
 class TestTrivial:

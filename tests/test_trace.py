@@ -1,0 +1,34 @@
+"""The benchmark's per-layer trace must keep seeing the layers it times.
+
+``bench/tracer.py`` rebinds package functions by name; a refactor that
+renames one, or stops calling it through its module, would silently zero a
+per-layer span in the benchmark's traced run.
+"""
+
+import importlib
+
+from lodecomp.catalog import dress_state, z_state
+from lodecomp.decomposition import maximal_decomposition
+
+import util  # noqa: F401  (puts bench/ on the path)
+import tracer  # noqa: E402
+
+
+def test_trace_targets_resolve():
+    for module_name, attr in tracer.TARGETS:
+        target = importlib.import_module(module_name)
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), (module_name, attr)
+
+
+def test_traced_decomposition_records_layer_spans():
+    state = dress_state(z_state((0.5, 0.3, 0.2)), seed=3)
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        maximal_decomposition(state)
+    finally:
+        recorder.uninstall()
+    names = {name for name, _, _ in recorder.take()}
+    assert {"build_correlation_graph", "verify_lo", "local_spectrum"} <= names

@@ -1,11 +1,19 @@
 """Shared helpers for the test suite."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from lodecomp.decomposition import _UnionFind
+from lodecomp.decomposition import _projector_key, _UnionFind
 from lodecomp.tensor import apply_matrix_at, partial_trace
 
 PROJ_ATOL = 1e-8
+
+# the benchmark's state builders and tracer, importable as ``states`` and ``tracer``
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
 
 
 def support_projectors(branch):
@@ -142,3 +150,48 @@ def reference_merge_coupled(parts, family, t_edge):
                 if float(np.linalg.norm(cross)) > t_edge:
                     uf.union(a, b)
     return [np.hstack([parts[i] for i in grp]) for grp in uf.groups()]
+
+
+def reference_branch_sort_key(branch):
+    """The canonical branch order's full key, computed for every branch.
+
+    ``BranchDecomposition.from_branches`` computes the projector part only
+    within runs of equal rounded weight; a stable sort on this key is its
+    reference.
+    """
+    return (-round(branch.weight, 12), _projector_key(branch.supports[0]))
+
+
+def reference_component_residuals(state, graph):
+    """Per component of ``graph``: the largest ||P_a^c psi - P_b^c psi|| over
+    subsystem pairs, from one full-vector projection per subsystem.
+
+    This is the projection loop that the rotated-frame residual in
+    ``decomposition._n_independence_residuals`` replaced, kept as its
+    reference.
+    """
+    dims = state.dims
+    out = []
+    for comp in graph.components:
+        vectors = []
+        for n in range(len(dims)):
+            basis = np.hstack([graph.nodes[i].basis for i in comp if graph.nodes[i].subsystem == n])
+            vectors.append(apply_matrix_at(state.amps, dims, n, basis @ basis.conj().T))
+        out.append(max(
+            float(np.linalg.norm(vectors[a] - vectors[b]))
+            for a in range(len(dims))
+            for b in range(a + 1, len(dims))
+        ))
+    return np.array(out)
+
+
+def reference_compress_vector(vec, dims, bases):
+    """(B_0^H x ... x B_{N-1}^H) vec, one subsystem at a time.
+
+    This is how ``_refine_branch`` built its sub-state before it became a
+    slice of the rotated frame, kept as its reference.
+    """
+    arr = vec.reshape(dims)
+    for basis in bases:
+        arr = np.tensordot(arr, basis.conj(), axes=([0], [0]))
+    return arr.reshape(-1)
