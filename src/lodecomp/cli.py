@@ -21,6 +21,7 @@ from .fileio import (
     read_report,
     report_document,
     report_to_json,
+    summary_mismatches,
 )
 from .oracle import oracle_verify_maximality_small
 from .tolerances import DEFAULT_TOLERANCES
@@ -174,6 +175,7 @@ def cmd_verify(args) -> int:
             f"report dims {document['dims']} do not match state dims {list(state.dims)}"
         )
     decomposition, problems = branches_from_report(document, state)
+    problems += summary_mismatches(document)
     ok = not problems
     lines = list(problems)
     if decomposition is None:

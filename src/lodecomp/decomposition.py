@@ -4,18 +4,14 @@ A branch decomposition splits a state into a weighted sum of orthonormal
 branch vectors whose per-subsystem reduced states occupy mutually
 orthogonal subspaces, so a local measurement on any single subsystem
 reveals the branch.  This module houses the data model, verification,
-the coarse/fine-graining algebra, and the construction of the finest
-(maximal) such decomposition:
-
-* fast path: when every local spectrum is non-degenerate, local
-  eigenvectors become graph nodes, joined when their joint projection of
-  the state is nonzero; connected components are the branches;
-* robust path: degenerate spectra are handled by first splitting each
-  local support into the finest subspace partition that block-diagonalizes
-  the family of pairwise correlation operators (a randomized simultaneous
-  block diagonalization), then running the same component assembly over
-  blocks, and finally re-refining each multi-dimensional branch until a
-  fixpoint.
+the coarse/fine-graining algebra, and the one construction path of the
+finest (maximal) such decomposition.  Each local support is split along
+the eigenvalue clusters of its reduced state: a singleton cluster into
+its eigenvector, a larger one into the finest blocks of the two-subsystem
+reduced states compressed onto it (a randomized simultaneous block
+diagonalization).  The blocks become graph nodes, joined when their joint
+projection of the state is nonzero; connected components are the
+branches, and each multi-dimensional branch is re-refined to a fixpoint.
 
 Assembly rotates each (sub)state once into a full local frame on every
 subsystem (its partition blocks plus an orthonormal complement of the
@@ -588,7 +584,7 @@ def build_correlation_graph(
 
 
 # ---------------------------------------------------------------------------
-# randomized simultaneous block diagonalization of the correlation family
+# randomized simultaneous block diagonalization inside eigenvalue clusters
 
 
 def _pair_states(state: StateTensor, n: int | None = None) -> dict:
@@ -603,55 +599,36 @@ def _pair_states(state: StateTensor, n: int | None = None) -> dict:
     }
 
 
-def _correlation_family(state: StateTensor, spec: SpectralData, pairs: dict) -> np.ndarray:
-    """Hermitian correlation operators on a subsystem's support, stacked (M, r, r).
-
-    For subsystem n = ``spec.subsystem``, every other subsystem m and local
-    basis pair a <= b, the operator with entries ``rho_nm[(x,a),(y,b)]`` is
-    block-diagonal with respect to any locally orthogonal decomposition's
-    subsystem-n subspaces, as are its Hermitian and anti-Hermitian parts.
-    Member 0 is the local density operator, which is diagonal in its own
-    eigenbasis; then, for each m in ascending order, the Hermitian and the
-    anti-Hermitian part of each (a, b) in row-major upper-triangle order.
-    All members are compressed onto the support basis (r columns), and
-    those with Frobenius norm at or below 1e-14 are dropped.  ``pairs``
-    holds rho_nm for every m, as :func:`_pair_states` builds it.
-    """
-    n = spec.subsystem
-    support = spec.support_basis
-    members = [np.diag(spec.eigenvalues[: spec.support_rank]).astype(np.complex128)[None]]
-    for m in range(state.n_subsystems):
-        if m == n:
-            continue
-        if n < m:
-            rho4 = pairs[n, m]
-        else:
-            rho4 = pairs[m, n].transpose(1, 0, 3, 2)
-        upper_a, upper_b = np.triu_indices(rho4.shape[1])
-        blocks = rho4[:, upper_a, :, upper_b]  # blocks[p] = rho4[:, a_p, :, b_p]
-        adjoint = blocks.conj().swapaxes(1, 2)
-        parts = np.stack([(blocks + adjoint) / 2.0, (blocks - adjoint) / 2.0j], axis=1)
-        compressed = support.conj().T @ parts.reshape(-1, *blocks.shape[1:]) @ support
-        members.append(compressed[np.linalg.norm(compressed, axis=(1, 2)) > 1e-14])
-    return np.concatenate(members)
+def _pair_slices(n: int, pairs: dict):
+    """The slices F = rho_nm[(., a), (., b)] of subsystem n's pair states,
+    stacked (sum_m d_m^2, d_n, d_n) over m ascending and (a, b) row-major,
+    and the index where each m's group starts."""
+    slices = [
+        rho4.transpose(1, 3, 0, 2) if n == a else rho4.transpose(0, 2, 1, 3)
+        for (a, m), rho4 in sorted(pairs.items())
+        if n in (a, m)
+    ]
+    starts = np.cumsum([0] + [s.shape[0] ** 2 for s in slices[:-1]])
+    return np.concatenate([s.reshape(-1, *s.shape[2:]) for s in slices]), starts
 
 
-def _merge_coupled(parts, family: np.ndarray, t_edge: float):
-    """Re-merge candidate parts coupled by any family member's cross block.
+def _merge_coupled(parts, family: np.ndarray, starts, t_edge: float):
+    """Re-merge candidate parts coupled through some other subsystem m.
 
-    Parts a < b merge when some member F has ||B_b^H F B_a||_F > t_edge.
-    With the parts stacked as C = (B_1 ... B_p), every cross block of every
-    member is a block of C^H F C, so one batched product over the family
-    gives them all: |C^H F C|^2 is block-summed over the part boundaries on
-    both axes, maximized over the members, and read off the strictly lower
-    triangle.  The members are Hermitian, so block (a, b) is the adjoint of
-    block (b, a) and the triangle holds every pair once.
+    Parts a < b merge when ||(B_b^H x I) rho_nm (B_a x I)||_F > t_edge, whose
+    square sums ||B_b^H F B_a||_F^2 over m's group of slices F.  With the
+    parts stacked as C = (B_1 ... B_p), every such cross block is a block of
+    C^H F C, so one batched product gives them all: |C^H F C|^2 is summed
+    over each group and over the part boundaries on both axes, maximized
+    over the groups and read off the strictly lower triangle (rho_nm is
+    Hermitian, so each pair appears there once).  The norm does not depend
+    on m's local basis, and it bounds every single slice's cross block.
     """
     stacked = np.hstack(parts)
-    starts = np.cumsum([0] + [p.shape[1] for p in parts[:-1]])
+    bounds = np.cumsum([0] + [p.shape[1] for p in parts[:-1]])
     cross = stacked.conj().T @ family @ stacked
-    power = cross.real**2 + cross.imag**2
-    power = np.add.reduceat(np.add.reduceat(power, starts, axis=1), starts, axis=2)
+    power = np.add.reduceat(cross.real**2 + cross.imag**2, starts, axis=0)
+    power = np.add.reduceat(np.add.reduceat(power, bounds, axis=1), bounds, axis=2)
     coupled = np.tril(np.sqrt(power.max(axis=0)) > t_edge, -1)
     uf = _UnionFind(len(parts))
     for b, a in zip(*np.nonzero(coupled)):
@@ -659,50 +636,55 @@ def _merge_coupled(parts, family: np.ndarray, t_edge: float):
     return [np.hstack([parts[i] for i in grp]) for grp in uf.groups()]
 
 
-def _sbd_partition(
-    state: StateTensor, spec: SpectralData, tol: Tolerances, rng, pairs: dict | None = None
-) -> list:
-    support = spec.support_basis
-    rank = support.shape[1]
-    if rank == 1:
-        return [support]
-    if pairs is None:
-        pairs = _pair_states(state, spec.subsystem)
-    family = _correlation_family(state, spec, pairs)
-    parts = [np.eye(rank, dtype=np.complex128)]
+def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: int) -> list:
+    """SBD blocks of one eigenvalue cluster, in the cluster's coordinates;
+    ``family`` holds the pair slices compressed onto the cluster."""
+    size = family.shape[1]
+    parts = [np.eye(size, dtype=np.complex128)]
     stable = 0
-    rounds = 0
-    while stable < tol.sbd_stable_rounds:
-        rounds += 1
-        if rounds > 50 * rank:
-            raise InternalConsistencyError(
-                f"block-diagonalization failed to stabilize on subsystem {spec.subsystem}"
-            )
-        count_before = len(parts)
-        coeffs = rng.standard_normal(len(family))
+    for _ in range(50 * size):
+        # X = (sum_k z_k F_k + h.c.) / 2, z_k complex normal: Tr_m[(I x H_m) rho_nm]
+        # for a random Hermitian H_m on every other subsystem m
+        coeffs = rng.standard_normal(2 * len(family)).view(np.complex128)
         combined = np.tensordot(coeffs, family, axes=1)
+        combined = (combined + combined.conj().T) / 2.0
         candidates = []
         for basis in parts:
-            if basis.shape[1] == 1:
-                candidates.append(basis)
-                continue
-            compressed = basis.conj().T @ combined @ basis
-            vals, vecs = np.linalg.eigh(compressed)
-            order = np.argsort(vals)[::-1]
-            vals, vecs = vals[order], vecs[:, order]
-            for cluster in cluster_eigenvalues(vals, tol.t_deg):
-                candidates.append(basis @ vecs[:, list(cluster)])
-        # merge-back keeps the search sound: a split that any family member
+            vals, vecs = np.linalg.eigh(basis.conj().T @ combined @ basis)
+            candidates += [basis @ vecs[:, c] for c in cluster_eigenvalues(-vals, tol.t_deg)]
+        # merge-back keeps the search sound: a split that any pair state
         # couples across is undone, and since cross-block norms can only
         # shrink under sub-splitting, merges never cross boundaries of the
         # previous partition -- the loop refines monotonically.
-        parts = _merge_coupled(candidates, family, tol.t_edge)
-        if len(parts) == count_before:
-            stable += 1
-        else:
-            stable = 0
-    parts.sort(key=_projector_key)
-    return [support @ basis for basis in parts]
+        count_before, parts = len(parts), _merge_coupled(candidates, family, starts, tol.t_edge)
+        stable = stable + 1 if len(parts) == count_before else 0
+        if stable >= tol.sbd_stable_rounds:
+            return sorted(parts, key=_projector_key)
+    raise InternalConsistencyError(
+        f"block-diagonalization failed to stabilize on subsystem {subsystem}"
+    )
+
+
+def _sbd_partition(
+    state: StateTensor, spec: SpectralData, tol: Tolerances, seed_seq, pairs: dict | None = None
+) -> list:
+    """A subsystem's support split cluster by cluster: a singleton
+    in-support eigenvalue cluster is its eigenvector column, a larger one
+    its SBD blocks.  The pair slices and the generator (spawned from
+    ``seed_seq``) are made only when some cluster has more than one member."""
+    n = spec.subsystem
+    if spec.is_support_degenerate:
+        family, starts = _pair_slices(n, pairs or _pair_states(state, n))
+        rng = np.random.default_rng(seed_seq.spawn(1)[0])
+    out = []
+    for cluster in spec.clusters:
+        basis = spec.eigenvectors[:, [i for i in cluster if i < spec.support_rank]]
+        if basis.shape[1] == 1:
+            out.append(basis)
+        elif basis.shape[1] > 1:
+            compressed = basis.conj().T @ family @ basis
+            out += [basis @ p for p in _split_cluster(compressed, starts, tol, rng, n)]
+    return out
 
 
 def sbd_refine(
@@ -714,27 +696,27 @@ def sbd_refine(
     """Finest partition of a subsystem's support that the state's pairwise
     correlations cannot distinguish further.
 
-    Draws random Hermitian combinations of the correlation family, splits
-    the current subspaces along their eigenvalue clusters, merges back
-    parts a < b whenever some family member F has ||B_b^H F B_a||_F above
-    ``tol.t_edge`` (all cross blocks from one batched product over the
-    stacked parts), and stops after the configured number of consecutive
-    stable rounds.  Deterministic for a fixed seed.
+    The blocks refine rho_n's in-support eigenvalue clusters: a singleton
+    cluster is its eigenvector, so a support whose local state has two
+    distinct eigenvalues comes back as at least two blocks.  A larger
+    cluster is split along the eigenvalue clusters of random draws
+    X = Tr_m[(I x H_m) rho_nm], H_m Hermitian, compressed onto it; parts
+    a < b merge back whenever ||(B_b^H x I) rho_nm (B_a x I)||_F exceeds
+    ``tol.t_edge`` for some m, and the search stops after the configured
+    number of consecutive stable rounds.  Deterministic for a fixed seed.
 
     Returns
     -------
     list of numpy.ndarray
-        Orthonormal bases (columns) of the partition, in a deterministic
-        order.
+        Orthonormal bases (columns) of the partition, cluster by cluster in
+        descending eigenvalue order.
     """
     if state.n_subsystems == 2:
-        raise UnsupportedOperationError(
-            "correlation-family refinement needs at least three subsystems"
-        )
+        raise UnsupportedOperationError("pair-state refinement needs at least three subsystems")
     if not 0 <= n < state.n_subsystems:
         raise ValueError(f"subsystem index {n} out of range")
     spec = local_spectrum(state, n, tol.t_deg, tol.t_supp)
-    return _sbd_partition(state, spec, tol, np.random.default_rng(seed))
+    return _sbd_partition(state, spec, tol, np.random.SeedSequence(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -884,20 +866,10 @@ def _decompose_multipartite(state, tol, seed_seq, acc):
         local_spectrum(state, n, tol.t_deg, tol.t_supp) for n in range(state.n_subsystems)
     ]
     degenerate = tuple(n for n, s in enumerate(spectra) if s.is_support_degenerate)
-    if not degenerate:
-        partitions = [
-            [s.eigenvectors[:, [k]] for k in range(s.support_rank)] for s in spectra
-        ]
-        path = "eigenvector-graph"
-    else:
-        pairs = _pair_states(state)
-        partitions = []
-        for spec in spectra:
-            rng = np.random.default_rng(seed_seq.spawn(1)[0])
-            partitions.append(_sbd_partition(state, spec, tol, rng, pairs))
-        path = "block-sbd"
+    pairs = _pair_states(state) if degenerate else None
+    partitions = [_sbd_partition(state, spec, tol, seed_seq, pairs) for spec in spectra]
     branches = _assemble_and_refine(state, partitions, tol, seed_seq, acc, spectra)
-    return branches, path, degenerate
+    return branches, "block-sbd" if degenerate else "eigenvector-graph", degenerate
 
 
 def _decompose_bipartite(state, tol):
@@ -947,10 +919,9 @@ def maximal_decomposition(
     For two subsystems this is a Schmidt decomposition (one branch per
     retained singular value); degenerate coefficients make the choice
     non-unique, which is flagged in the diagnostics rather than resolved.
-    For three or more subsystems the decomposition is unique.  When every
-    local spectrum is non-degenerate the eigenvector correlation graph is
-    used directly; otherwise local supports are first partitioned by the
-    randomized block-diagonalization of the correlation family.
+    For three or more subsystems the decomposition is unique and built as
+    the module docstring describes; the diagnostics' path reads "block-sbd"
+    when some eigenvalue cluster has several members, else "eigenvector-graph".
 
     Raises
     ------

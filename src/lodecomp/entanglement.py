@@ -41,10 +41,10 @@ def shannon_entropy(weights, base: float = 2.0) -> float:
 class EntropyReport:
     """Branch weights and their entropy, plus degeneracy flags.
 
-    ``degenerate_spectrum`` is set when some local spectrum needed the
-    block-diagonalization path; ``non_unique`` only ever fires for two
-    subsystems, where degenerate coefficients make the decomposition
-    non-unique (the entropy is still well defined).
+    ``degenerate_spectrum`` is set when some local spectrum has a
+    degenerate in-support eigenvalue cluster; ``non_unique`` only ever
+    fires for two subsystems, where degenerate coefficients make the
+    decomposition non-unique (the entropy is still well defined).
     """
 
     weights: tuple
@@ -58,18 +58,19 @@ class EntropyReport:
         return self.entropy_bits * math.log(2.0)
 
 
-def entropy_report(result) -> EntropyReport:
-    """Branch weights of a maximal decomposition result, and their entropy.
-
-    The recovered weights sum to 1 only up to roundoff; the entropy is
-    taken of the renormalized vector so that a single branch gives
-    exactly 0 bits.
-    """
-    weights = tuple(float(w) for w in result.decomposition.weights)
+def weight_entropy(weights) -> float:
+    """Entropy in bits of branch weights renormalized to sum to 1, which
+    they do only up to roundoff; so a single branch gives exactly 0 bits."""
     total = sum(weights)
+    return shannon_entropy([w / total for w in weights])
+
+
+def entropy_report(result) -> EntropyReport:
+    """Branch weights of a maximal decomposition result, and their entropy."""
+    weights = tuple(float(w) for w in result.decomposition.weights)
     return EntropyReport(
         weights=weights,
-        entropy_bits=shannon_entropy([w / total for w in weights]),
+        entropy_bits=weight_entropy(weights),
         branch_count=len(weights),
         degenerate_spectrum=bool(result.diagnostics.degenerate_subsystems),
         non_unique=result.diagnostics.non_unique,

@@ -17,15 +17,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decomposition import Branch, BranchDecomposition, DecompositionResult
-from .entanglement import EntropyReport
+from .entanglement import EntropyReport, weight_entropy
 from .tensor import StateTensor, apply_matrix_at
 
 SCHEMA_VERSION = 1
+ENTROPY_ATOL = 1e-12  # decompose writes entropy_bits bit-exact
 
 
 def _complex_pairs(vec: np.ndarray) -> list:
@@ -35,6 +37,11 @@ def _complex_pairs(vec: np.ndarray) -> list:
 def _is_int(value) -> bool:
     """A JSON integer; Python's json reads true/false as bools, which are ints."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number (not a boolean) within the float range."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 def _is_dims(dims) -> bool:
@@ -215,16 +222,24 @@ def parse_report(text: str) -> dict:
         raise ValueError("report must be a JSON object")
     if document.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {document.get('schema_version')!r}")
-    for key in ("dims", "branch_count", "weights", "branches"):
+    for key in ("dims", "branch_count", "weights", "entropy_bits", "branches"):
         if key not in document:
             raise ValueError(f"report is missing the {key!r} field")
     if not _is_dims(document["dims"]):
         raise ValueError("report dims must be a list of positive integers")
-    if not _is_int(document["branch_count"]):
+    count = document["branch_count"]
+    if not _is_int(count):
         raise ValueError("branch_count must be an integer")
+    weights = document["weights"]
+    if not (
+        isinstance(weights, list) and len(weights) == count and all(map(_is_finite_number, weights))
+    ):
+        raise ValueError(f"weights must be a list of branch_count = {count} finite numbers")
+    if not _is_finite_number(document["entropy_bits"]):
+        raise ValueError("entropy_bits must be a finite number")
     if not isinstance(document["branches"], list) or not document["branches"]:
         raise ValueError("report must contain at least one branch")
-    if len(document["branches"]) != document["branch_count"]:
+    if len(document["branches"]) != count:
         raise ValueError("branch_count does not match the branch list")
     return document
 
@@ -256,11 +271,7 @@ def branches_from_report(document: dict, state: StateTensor, atol: float = 1e-9)
         if not isinstance(entry, dict):
             raise ValueError(f"branch {j} must be an object")
         reported = entry.get("weight")
-        if (
-            isinstance(reported, bool)
-            or not isinstance(reported, (int, float))
-            or not math.isfinite(reported)
-        ):
+        if not _is_finite_number(reported):
             raise ValueError(f"branch {j} weight must be a finite number")
         supports = []
         raw = entry.get("supports")
@@ -271,15 +282,12 @@ def branches_from_report(document: dict, state: StateTensor, atol: float = 1e-9)
                 raise ValueError(f"branch {j} subsystem {n} support is empty")
             if not all(isinstance(col, list) for col in columns):
                 raise ValueError(f"branch {j} support {n} columns must be lists of [re, im] pairs")
+            if any(len(col) != dims[n] for col in columns):
+                raise ValueError(f"branch {j} support {n} columns must have dimension {dims[n]}")
             basis = np.stack(
                 [_pairs_to_complex(col, f"branch {j} support {n}") for col in columns],
                 axis=1,
             )
-            if basis.shape[0] != dims[n]:
-                raise ValueError(
-                    f"branch {j} support {n} has dimension {basis.shape[0]}, "
-                    f"expected {dims[n]}"
-                )
             supports.append(basis)
         projector = supports[0] @ supports[0].conj().T
         vec = apply_matrix_at(state.amps, dims, 0, projector)
@@ -296,3 +304,18 @@ def branches_from_report(document: dict, state: StateTensor, atol: float = 1e-9)
     if not branches:
         return None, problems
     return BranchDecomposition(state, branches), problems
+
+
+def summary_mismatches(document: dict) -> list:
+    """Where a report's ``weights`` and ``entropy_bits`` disagree with its
+    branch weights, once :func:`branches_from_report` has checked those."""
+    weights = [entry["weight"] for entry in document["branches"]]
+    problems = [
+        f"weights[{j}] {listed!r} is not branch {j}'s weight {weights[j]!r}"
+        for j, listed in enumerate(document["weights"])
+        if listed != weights[j]
+    ]
+    entropy = weight_entropy(weights) if min(weights) >= 0 and sum(weights) > 0 else math.nan
+    if not abs(entropy - document["entropy_bits"]) <= ENTROPY_ATOL:
+        problems.append(f"entropy_bits is not the branch weights' entropy {entropy!r}")
+    return problems

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from lodecomp.catalog import ghz_state
+from lodecomp.catalog import dress_state, ghz_state, z_state
 from lodecomp.cli import main
 from lodecomp.entanglement import e_lo
 from lodecomp.fileio import StateFile
@@ -240,8 +240,9 @@ class TestVerify:
             lambda doc: doc["branches"].__setitem__(0, [doc["branches"][0]["weight"]]),
             lambda doc: doc["branches"][0]["supports"][1].__setitem__(0, 0.5),
             lambda doc: doc["branches"][0]["supports"][1][0][0].__setitem__(0, float("nan")),
+            lambda doc: doc["branches"][0]["supports"][1].append([[1.0, 0.0]]),
         ],
-        ids=["weight_null", "branch_as_list", "column_as_number", "entry_nan"],
+        ids=["weight_null", "branch_as_list", "column_as_number", "entry_nan", "short_column"],
     )
     def test_malformed_report_entry_is_input_error(self, ghz_file, tmp_path, mutate):
         report = tmp_path / "report.json"
@@ -272,6 +273,74 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(state), str(report)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def drop_last_branch(doc):
+    del doc["branches"][-1], doc["weights"][-1]
+    doc["branch_count"] -= 1
+
+
+def rescale_weight(doc):
+    doc["branches"][1]["weight"] *= 1.5
+    doc["weights"][1] *= 1.5
+
+
+def swap_subsystem_supports(doc):
+    supports = doc["branches"][0]["supports"]
+    supports[0], supports[1] = supports[1], supports[0]
+
+
+# (mutation, exit code) pairs: every report is a genuine one edited, and
+# each edit must fail verification (1) or parsing (2), never pass (0) or
+# crash (3)
+REPORT_MUTATIONS = {
+    "entropy_zero": (lambda doc: doc.update(entropy_bits=0.0), 1),
+    "weights_halved": (lambda doc: doc.update(weights=[w / 2 for w in doc["weights"]]), 1),
+    "weights_number": (lambda doc: doc.update(weights=5), 2),
+    "weights_short": (lambda doc: doc["weights"].pop(), 2),
+    "entropy_missing": (lambda doc: doc.pop("entropy_bits"), 2),
+    "branch_weight_huge_integer": (lambda doc: doc["branches"][0].update(weight=10**400), 2),
+    "rescale_weight": (rescale_weight, 1),
+    "drop_branch": (drop_last_branch, 1),
+    "permute_column_entries": (lambda doc: doc["branches"][0]["supports"][1][0].reverse(), 1),
+    "non_orthonormal_support": (
+        lambda doc: doc["branches"][0]["supports"][2].__setitem__(
+            0, [[2 * re, 2 * im] for re, im in doc["branches"][0]["supports"][2][0]]
+        ),
+        1,
+    ),
+    "swap_subsystem_supports": (swap_subsystem_supports, 1),
+}
+
+
+class TestTamperedReports:
+    @pytest.fixture(scope="class")
+    def genuine(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("tampered")
+        state = work / "state.json"
+        StateFile.from_state(dress_state(z_state((0.5, 0.3, 0.2)), seed=3)).write(state)
+        report = work / "report.json"
+        assert main(["decompose", str(state), "--format", "json", "-o", str(report)]) == 0
+        return state, json.loads(report.read_text())
+
+    def test_genuine_report_passes(self, genuine, tmp_path, capsys):
+        state, document = genuine
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(document))
+        assert main(["verify", str(state), str(report)]) == 0
+        assert capsys.readouterr().out.strip().endswith("PASS")
+
+    @pytest.mark.parametrize("name", sorted(REPORT_MUTATIONS))
+    def test_mutation_is_rejected(self, genuine, tmp_path, capsys, name):
+        state, document = genuine
+        mutate, code = REPORT_MUTATIONS[name]
+        document = json.loads(json.dumps(document))
+        mutate(document)
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(document))
+        assert main(["verify", str(state), str(report)]) == code
+        out, err = capsys.readouterr()
+        assert out.strip().endswith("FAIL") if code == 1 else err.startswith("error: ")
 
 
 class TestCompare:

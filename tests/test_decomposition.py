@@ -17,13 +17,15 @@ from lodecomp.catalog import (
 )
 from lodecomp.decomposition import (
     _component_masks,
-    _correlation_family,
     _DiagnosticsAccumulator,
     _extract_component_branches,
     _local_frame,
     _merge_coupled,
     _n_independence_residuals,
+    _pair_slices,
     _pair_states,
+    _sbd_partition,
+    _split_cluster,
     Branch,
     BranchDecomposition,
     assemble_branches,
@@ -36,8 +38,15 @@ from lodecomp.decomposition import (
     verify_lo,
 )
 from lodecomp.errors import InternalConsistencyError, UnsupportedOperationError
+from lodecomp.oracle import oracle_verify_maximality_small
 from lodecomp.spectral import local_spectrum
-from lodecomp.tensor import LocalProjector, StateTensor, flat_index, joint_projection_norm
+from lodecomp.tensor import (
+    LocalProjector,
+    StateTensor,
+    flat_index,
+    joint_projection_norm,
+    partial_trace,
+)
 from lodecomp.tolerances import DEFAULT_TOLERANCES
 
 from util import (
@@ -72,6 +81,19 @@ def nested_state():
         multi[k] = 3
         amps[flat_index(dims, multi)] = np.sqrt(0.4 / 3)
     return StateTensor(dims, amps)
+
+
+def light_branch_state(eps, dressing):
+    """sqrt(1 - eps)|000> + sqrt(eps / 2)(|111> + |222>) on 3x3x3, and the
+    local unitaries that dress it (identities when ``dressing`` is None)."""
+    amps = np.zeros((3, 3, 3), dtype=np.complex128)
+    amps[0, 0, 0] = np.sqrt(1 - eps)
+    amps[1, 1, 1] = amps[2, 2, 2] = np.sqrt(eps / 2)
+    state = StateTensor((3, 3, 3), amps.reshape(-1))
+    if dressing is None:
+        return state, [np.eye(3)] * 3
+    rng = np.random.default_rng(dressing)  # the draws dress_state makes
+    return dress_state(state, seed=dressing), [haar_unitary(3, rng) for _ in range(3)]
 
 
 class TestMaximalGolden:
@@ -157,6 +179,33 @@ class TestCanonicalOrder:
                 got = BranchDecomposition.from_branches(state, shuffled).branches
                 want = sorted(shuffled, key=reference_branch_sort_key)
                 assert [id(b) for b in got] == [id(b) for b in want]
+
+
+class TestLightBranches:
+    """Two branches of weight eps/2 share one cluster at the absolute t_deg
+    in the full state, and split only once refinement renormalizes their
+    branch.  Their projectors are accurate to about eps/gap, so they are
+    checked at 1e-7, not at machine precision."""
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-6])
+    @pytest.mark.parametrize("dressing", [None, 0, 1, 2])
+    def test_light_branches_split(self, eps, dressing):
+        state, unitaries = light_branch_state(eps, dressing)
+        exact = [[u[:, [i]] @ u[:, [i]].conj().T for u in unitaries] for i in range(3)]
+        for seed in range(5):
+            d = maximal_decomposition(state, seed=seed).decomposition
+            assert d.n_branches == 3
+            assert np.max(np.abs(d.weights - [1 - eps, eps / 2, eps / 2])) <= 1e-12
+            matched = []
+            for branch in d.branches:
+                errors = [
+                    max(np.max(np.abs(p - q)) for p, q in zip(support_projectors(branch), level))
+                    for level in exact
+                ]
+                assert min(errors) <= 1e-7
+                matched.append(int(np.argmin(errors)))
+            assert sorted(matched) == [0, 1, 2]
+            assert oracle_verify_maximality_small(d).verdict != "fail"
 
 
 class TestVerify:
@@ -322,11 +371,8 @@ def frame_states():
 
 
 def frame_partitions(state):
-    """The partitions the pipeline would assemble: eigenvector lines, or SBD blocks."""
-    spectra = [local_spectrum(state, n) for n in range(state.n_subsystems)]
-    if any(s.is_support_degenerate for s in spectra):
-        return [sbd_refine(state, n) for n in range(state.n_subsystems)]
-    return [[s.eigenvectors[:, [k]] for k in range(s.support_rank)] for s in spectra]
+    """The partitions the pipeline would assemble: eigenvector lines and SBD blocks."""
+    return [sbd_refine(state, n) for n in range(state.n_subsystems)]
 
 
 def turned_partition(state, n, theta):
@@ -640,41 +686,145 @@ def planted_merge_case(seed):
 
 
 class TestBatchedSbdAgainstReference:
-    """The batched family and merge test against the loops they replaced."""
+    """The batched pair slices and merge test against the loops they replaced."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_merge_groups_match_loop(self, seed):
         parts, family, t_edge, expected = planted_merge_case(seed)
-        got = _merge_coupled(parts, family, t_edge)
+        got = _merge_coupled(parts, family, np.arange(len(family)), t_edge)
         want = reference_merge_coupled(parts, list(family), t_edge)
         assert len(got) == len(want) == len(expected)
         for g, w, grp in zip(got, want, expected):
             assert np.array_equal(g, w)
             assert np.array_equal(g, np.hstack([parts[i] for i in grp]))
 
-    def test_family_matches_loop(self):
-        states = [s for s in catalog_and_dressed_states() if s.n_subsystems > 2]
-        states += [two_ring_state(0.7, seed=1), dress_state(ghz_state(3, 4), seed=5)]
-        # a 1e-13 admixture puts members between the 1e-14 cut and rounding
-        noise = random_state((3, 3, 3), seed=8).amps
-        states.append(StateTensor((3, 3, 3), ghz_state(3, 3).amps + 1e-13 * noise))
-        for state in states:
+    def test_merge_coarsens_the_correlation_family_merge(self):
+        # the pair-state norm bounds every old member's cross block, so it
+        # merges whatever the per-member test merged.  Candidates are random
+        # splits of each cluster with more than one member, and random
+        # splits inside each of its SBD blocks, which must stay apart
+        rng = np.random.default_rng(12)
+        tol = DEFAULT_TOLERANCES
+        checked = kept_apart = 0
+        for state in sbd_states():
             pairs = _pair_states(state)
             for n in range(state.n_subsystems):
                 spec = local_spectrum(state, n)
-                got = _correlation_family(state, spec, pairs)
-                want = reference_correlation_family(state, n, spec.support_basis)
-                assert got.shape[0] == len(want), (state.dims, n)
-                for member, ref in zip(got, want):
-                    assert np.max(np.abs(member - ref)) <= 1e-14
+                family, starts = _pair_slices(n, pairs)
+                for cluster in spec.clusters:
+                    basis = spec.eigenvectors[:, [i for i in cluster if i < spec.support_rank]]
+                    if basis.shape[1] < 2:
+                        continue
+                    members = reference_correlation_family(state, n, basis)
+                    compressed = basis.conj().T @ family @ basis
+                    blocks = _split_cluster(compressed, starts, tol, rng, n)
+                    candidates = [random_split(rng, np.eye(basis.shape[1]))]
+                    for _ in range(2):
+                        candidates.append([p for b in blocks for p in random_split(rng, b)])
+                    for parts in candidates:
+                        got = _merge_coupled(parts, compressed, starts, tol.t_edge)
+                        want = reference_merge_coupled(parts, members, tol.t_edge)
+                        got, want = part_groups(parts, got), part_groups(parts, want)
+                        assert all(any(set(w) <= set(g) for g in got) for w in want)
+                        checked += 1
+                        kept_apart += len(got) > 1
+        assert checked > 100 and kept_apart > 30
 
-    def test_family_for_one_subsystem_matches_all_pairs(self):
+    @pytest.mark.parametrize("scale", [0.5, 1.5])
+    def test_merge_independent_of_the_other_local_basis(self, scale):
+        # a rho_nm block-diagonal over two parts of n, plus a cross block of
+        # Frobenius norm scale * t_edge, merges or not alike under any
+        # unitary on m
+        t_edge = DEFAULT_TOLERANCES.t_edge
+        d_n, d_m = 4, 3
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            frame = haar_unitary(d_n, rng)
+            parts = [frame[:, :2], frame[:, 2:]]
+            rho = np.zeros((d_n, d_m, d_n, d_m), dtype=np.complex128)
+            for part in parts:
+                g = rng.standard_normal((2 * d_m,) * 2) + 1j * rng.standard_normal((2 * d_m,) * 2)
+                g = (g @ g.conj().T).reshape(2, d_m, 2, d_m)
+                g /= 2 * np.einsum("aiai->", g).real  # unit trace over both parts
+                rho += np.einsum("xa,aibj,yb->xiyj", part, g, part.conj())
+            k = rng.standard_normal((2, d_m, 2, d_m)) + 1j * rng.standard_normal((2, d_m, 2, d_m))
+            k *= scale * t_edge / np.linalg.norm(k)
+            cross = np.einsum("xa,aibj,yb->xiyj", parts[1], k, parts[0].conj())
+            rho += cross + cross.conj().transpose(2, 3, 0, 1)
+            u = haar_unitary(d_m, rng)
+            turned = np.einsum("ia,xayb,jb->xiyj", u, rho, u.conj())
+            for r in (rho, turned):
+                family, starts = _pair_slices(0, {(0, 1): r})
+                merged = _merge_coupled(parts, family, starts, t_edge)
+                assert len(merged) == (1 if scale > 1 else 2)
+
+    def test_slices_match_loop(self):
+        for state in sbd_states():
+            pairs = _pair_states(state)
+            for n in range(state.n_subsystems):
+                family, starts = _pair_slices(n, pairs)
+                others = [m for m in range(state.n_subsystems) if m != n]
+                sizes = [state.dims[m] ** 2 for m in others]
+                assert list(starts) == list(np.cumsum([0] + sizes[:-1]))
+                for m, start in zip(others, starts):
+                    d_n, d_m = state.dims[n], state.dims[m]
+                    rho = partial_trace(state, [n, m]).matrix
+                    if n < m:
+                        rho4 = rho.reshape(d_n, d_m, d_n, d_m)
+                    else:
+                        rho4 = rho.reshape(d_m, d_n, d_m, d_n).transpose(1, 0, 3, 2)
+                    for a in range(d_m):
+                        for b in range(d_m):
+                            assert np.array_equal(family[start + a * d_m + b], rho4[:, a, :, b])
+
+    def test_slices_for_one_subsystem_match_all_pairs(self):
         state = dress_state(ghz_state(4, 3), seed=2)
-        spec = local_spectrum(state, 2)
-        a = _correlation_family(state, spec, _pair_states(state))
-        b = _correlation_family(state, spec, _pair_states(state, 2))
-        assert np.array_equal(a, b)
+        for n in range(4):
+            a, starts_a = _pair_slices(n, _pair_states(state))
+            b, starts_b = _pair_slices(n, _pair_states(state, n))
+            assert np.array_equal(a, b) and np.array_equal(starts_a, starts_b)
+
+    def test_non_degenerate_partition_is_the_eigenvector_columns(self):
+        checked = 0
+        for state in frame_states():
+            for n in range(state.n_subsystems):
+                spec = local_spectrum(state, n)
+                if spec.is_support_degenerate:
+                    continue
+                parts = _sbd_partition(state, spec, DEFAULT_TOLERANCES, np.random.SeedSequence(0))
+                assert len(parts) == spec.support_rank
+                for k, part in enumerate(parts):
+                    assert np.array_equal(part, spec.eigenvectors[:, [k]])
+                checked += 1
+        assert checked > 30
+
+
+def sbd_states():
+    """States whose clusters SBD splits: the catalog, dressed states, two-ring
+    states and a GHZ state with a 1e-13 admixture near the slices' noise."""
+    states = [s for s in catalog_and_dressed_states() if s.n_subsystems > 2]
+    states += [two_ring_state(0.7, seed=1), dress_state(ghz_state(3, 4), seed=5)]
+    noise = random_state((3, 3, 3), seed=8).amps
+    states.append(StateTensor((3, 3, 3), ghz_state(3, 3).amps + 1e-13 * noise))
+    return states
+
+
+def random_split(rng, basis):
+    """The columns of ``basis``, turned by a Haar unitary and cut into parts."""
+    size = basis.shape[1]
+    frame = basis @ haar_unitary(size, rng)
+    n_parts = int(rng.integers(1, size + 1))
+    cuts = np.sort(rng.choice(np.arange(1, size), n_parts - 1, replace=False))
+    return np.split(frame, cuts, axis=1)
+
+
+def part_groups(parts, merged):
+    """Which parts each merged block spans, as index tuples."""
+    return [
+        tuple(i for i, part in enumerate(parts) if np.linalg.norm(block.conj().T @ part) > 0.5)
+        for block in merged
+    ]
 
 
 # SBD takes each block as an eigenvalue cluster of a random combination X of
@@ -730,11 +880,19 @@ class TestSbdMetamorphic:
     @settings(max_examples=8, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6))
     def test_forced_sbd_finds_eigenvector_lines(self, dressing, seed):
+        # sbd_refine returns these lines without SBD, so SBD is forced on
+        # the whole support as one cluster
         state = dress_state(z_state((0.45, 0.3, 0.15, 0.1), dims=(4, 4, 4)), seed=dressing)
+        pairs = _pair_states(state)
+        rng = np.random.default_rng(seed)
         for n in range(3):
             spec = local_spectrum(state, n)
             assert not spec.is_support_degenerate
-            parts = sbd_refine(state, n, seed=seed)
+            family, starts = _pair_slices(n, pairs)
+            support = spec.support_basis
+            compressed = support.conj().T @ family @ support
+            blocks = _split_cluster(compressed, starts, DEFAULT_TOLERANCES, rng, n)
+            parts = [support @ block for block in blocks]
             assert len(parts) == spec.support_rank == 4
             lines = [np.outer(v, v.conj()) for v in spec.support_basis.T]
             for part in parts:

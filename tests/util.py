@@ -101,14 +101,15 @@ def reference_projector_identity(d):
 
 
 def reference_correlation_family(state, n, support):
-    """The SBD correlation family of subsystem ``n``, one member at a time.
+    """The correlation family SBD once merged over, one member at a time.
 
-    This is the (m, a, b) loop that the batched gather in
-    ``decomposition._correlation_family`` replaced, kept as its reference:
-    the local density operator, then for every other subsystem m and every
+    The local density operator, then for every other subsystem m and every
     local basis pair a <= b the Hermitian and anti-Hermitian parts of
     ``rho_nm[(., a), (., b)]``, each compressed onto ``support`` and kept
-    when its Frobenius norm exceeds 1e-14.
+    when its Frobenius norm exceeds 1e-14.  SBD now merges on the pair-state
+    norm over m's slices, which bounds every member's cross block on an
+    eigenvalue cluster; with ``reference_merge_coupled`` this is the finer
+    merge that the pair-state merge must coarsen.
     """
     dims = state.dims
     d_n = dims[n]
@@ -135,11 +136,12 @@ def reference_correlation_family(state, n, support):
 
 
 def reference_merge_coupled(parts, family, t_edge):
-    """The SBD merge test, one member and one part pair at a time.
+    """The per-member merge test, one member and one part pair at a time.
 
+    Parts a < b merge when some member F has ||B_b^H F B_a||_F > t_edge.
     This is the triple loop that the batched contraction in
-    ``decomposition._merge_coupled`` replaced, kept as its reference: parts
-    a < b merge when some member F has ||B_b^H F B_a||_F > t_edge.
+    ``decomposition._merge_coupled`` replaced: with one member per group,
+    the pair-state merge must give exactly these groups.
     """
     uf = _UnionFind(len(parts))
     for fam in family:
