@@ -5,19 +5,22 @@ branch vectors whose per-subsystem reduced states occupy mutually
 orthogonal subspaces, so a local measurement on any single subsystem
 reveals the branch.  This module houses the data model, verification,
 the coarse/fine-graining algebra, and the one construction path of the
-finest (maximal) such decomposition.  Each local support is split along
-the eigenvalue clusters of its reduced state: a singleton cluster into
-its eigenvector, a larger one into the finest blocks of the two-subsystem
-reduced states compressed onto it (a randomized simultaneous block
-diagonalization).  The blocks become graph nodes, joined when their joint
-projection of the state is nonzero; connected components are the
-branches, and each multi-dimensional branch is re-refined to a fixpoint.
+finest (maximal) such decomposition, in one pass.  Each local support is
+split along the eigenvalue clusters of its reduced state: a singleton
+cluster into its eigenvector, a larger one into the finest blocks of its
+two-subsystem reduced states, taken in the eigenbases and divided by the
+cluster's weight (a randomized simultaneous block diagonalization at the
+cluster's own scale).  The blocks become graph nodes, joined when their
+joint projection of the state is nonzero; connected components are the
+branches.  None splits again: for N >= 3, branch i's support projector
+P_n^i is a polynomial in w_i rho_n^i = Tr_m[(I x P_m^i) rho_nm], in the
+span of the pair slices, so every block lies inside one branch.
 
-Assembly rotates each (sub)state once into a full local frame on every
+Assembly rotates the state once into a full local frame on every
 subsystem (its partition blocks plus an orthonormal complement of the
-support).  Every graph edge, every n-independence residual and every
-refinement sub-state is read off that one rotated vector: N rotations per
-(sub)state, with no projection per node pair, component or subsystem.
+support).  Every graph edge and every n-independence residual is read off
+that one rotated vector: N rotations in all, with no projection per node
+pair, component or subsystem.
 
 All functions are pure and deterministic given their seed.
 """
@@ -447,9 +450,8 @@ class _LocalFrame:
     U_n = (Q_n | C_n): Q_n stacks subsystem n's blocks in node order, its
     first ``ranks[n]`` columns, with block k starting at column
     ``starts[n][k]``, and C_n is an orthonormal complement of their span.
-    ``unitaries`` holds the U_n, ``rotated`` is
-    psi' = (U_0^H x ... x U_{N-1}^H) psi, shaped ``dims``, and
-    ``marginals[n, m]`` (n < m) is the (d_n, d_m) marginal of |psi'|^2,
+    ``unitaries`` holds the U_n, and ``marginals[n, m]`` (n < m) is the
+    (d_n, d_m) marginal of |psi'|^2, psi' = (U_0^H x ... x U_{N-1}^H) psi,
     summed over the complete bases of all other subsystems.
     """
 
@@ -457,7 +459,6 @@ class _LocalFrame:
     starts: tuple
     ranks: tuple
     unitaries: tuple
-    rotated: np.ndarray
     marginals: dict
 
 
@@ -512,7 +513,7 @@ def _local_frame(state: StateTensor, blocks, t_supp: float, spectra=None) -> _Lo
             rest = rest.sum(axis=1)
         tail = tail.sum(axis=0)
     nodes, starts, ranks, unitaries = map(tuple, (nodes, starts, ranks, unitaries))
-    return _LocalFrame(nodes, starts, ranks, unitaries, rotated.reshape(dims), marginals)
+    return _LocalFrame(nodes, starts, ranks, unitaries, marginals)
 
 
 def build_correlation_graph(
@@ -599,6 +600,17 @@ def _pair_states(state: StateTensor, n: int | None = None) -> dict:
     }
 
 
+def _eigenframe_pair_states(state: StateTensor, spectra, n: int | None = None) -> dict:
+    """:func:`_pair_states` of psi rotated by V_k^H on the subsystem k of
+    each given spectrum, V_k its eigenbasis.  Read from amplitudes, a
+    cluster of weight w gets a relative error of about eps / sqrt(w), not
+    the eps / w of the full pair states compressed onto it."""
+    amps = state.amps
+    for spec in spectra:
+        amps = apply_matrix_at(amps, state.dims, spec.subsystem, spec.eigenvectors.conj().T)
+    return _pair_states(StateTensor(state.dims, amps), n)
+
+
 def _pair_slices(n: int, pairs: dict):
     """The slices F = rho_nm[(., a), (., b)] of subsystem n's pair states,
     stacked (sum_m d_m^2, d_n, d_n) over m ascending and (a, b) row-major,
@@ -638,7 +650,7 @@ def _merge_coupled(parts, family: np.ndarray, starts, t_edge: float):
 
 def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: int) -> list:
     """SBD blocks of one eigenvalue cluster, in the cluster's coordinates;
-    ``family`` holds the pair slices compressed onto the cluster."""
+    ``family`` holds the cluster's unit-trace pair slices."""
     size = family.shape[1]
     parts = [np.eye(size, dtype=np.complex128)]
     stable = 0
@@ -665,25 +677,26 @@ def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: 
     )
 
 
-def _sbd_partition(
-    state: StateTensor, spec: SpectralData, tol: Tolerances, seed_seq, pairs: dict | None = None
-) -> list:
+def _sbd_partition(spec: SpectralData, tol: Tolerances, rng, pairs: dict | None) -> list:
     """A subsystem's support split cluster by cluster: a singleton
     in-support eigenvalue cluster is its eigenvector column, a larger one
-    its SBD blocks.  The pair slices and the generator (spawned from
-    ``seed_seq``) are made only when some cluster has more than one member."""
+    its SBD blocks.  ``pairs`` (read only then) has subsystem n in its
+    eigenbasis, so a cluster's slices are a basic slice over its run of
+    indices.  They are divided by the cluster's weight, the sum of its
+    in-support eigenvalues, so ``t_deg`` and ``t_edge`` judge the SBD
+    relative to the cluster."""
     n = spec.subsystem
     if spec.is_support_degenerate:
-        family, starts = _pair_slices(n, pairs or _pair_states(state, n))
-        rng = np.random.default_rng(seed_seq.spawn(1)[0])
+        family, starts = _pair_slices(n, pairs)
     out = []
     for cluster in spec.clusters:
-        basis = spec.eigenvectors[:, [i for i in cluster if i < spec.support_rank]]
-        if basis.shape[1] == 1:
+        lo, hi = cluster[0], min(cluster[-1] + 1, spec.support_rank)
+        basis = spec.eigenvectors[:, lo:hi]
+        if hi - lo == 1:
             out.append(basis)
-        elif basis.shape[1] > 1:
-            compressed = basis.conj().T @ family @ basis
-            out += [basis @ p for p in _split_cluster(compressed, starts, tol, rng, n)]
+        elif hi - lo > 1:
+            slices = family[:, lo:hi, lo:hi] / spec.eigenvalues[lo:hi].sum()
+            out += [basis @ p for p in _split_cluster(slices, starts, tol, rng, n)]
     return out
 
 
@@ -699,11 +712,12 @@ def sbd_refine(
     The blocks refine rho_n's in-support eigenvalue clusters: a singleton
     cluster is its eigenvector, so a support whose local state has two
     distinct eigenvalues comes back as at least two blocks.  A larger
-    cluster is split along the eigenvalue clusters of random draws
-    X = Tr_m[(I x H_m) rho_nm], H_m Hermitian, compressed onto it; parts
-    a < b merge back whenever ||(B_b^H x I) rho_nm (B_a x I)||_F exceeds
-    ``tol.t_edge`` for some m, and the search stops after the configured
-    number of consecutive stable rounds.  Deterministic for a fixed seed.
+    cluster of weight w is split along the eigenvalue clusters of random
+    draws X = Tr_m[(I x H_m) rho_nm] / w, H_m Hermitian, restricted to it;
+    parts a < b merge back whenever ||(B_b^H x I) rho_nm (B_a x I)||_F / w
+    exceeds ``tol.t_edge`` for some m, and the search stops after the
+    configured number of consecutive stable rounds.  Deterministic for a
+    fixed seed.
 
     Returns
     -------
@@ -716,30 +730,18 @@ def sbd_refine(
     if not 0 <= n < state.n_subsystems:
         raise ValueError(f"subsystem index {n} out of range")
     spec = local_spectrum(state, n, tol.t_deg, tol.t_supp)
-    return _sbd_partition(state, spec, tol, np.random.SeedSequence(seed))
+    pairs = _eigenframe_pair_states(state, [spec], n) if spec.is_support_degenerate else None
+    return _sbd_partition(spec, tol, np.random.default_rng(seed), pairs)
 
 
 # ---------------------------------------------------------------------------
 # assembly of branches from block partitions
 
 
-class _DiagnosticsAccumulator:
-    def __init__(self):
-        self.residuals = []  # every n-independence residual
-        self.graphs = []  # every (sub)state's correlation graph
-
-
-def _expand_vector(vec: np.ndarray, ranks, bases) -> np.ndarray:
-    arr = vec.reshape(ranks)
-    for basis in bases:
-        arr = np.tensordot(arr, basis, axes=([0], [1]))
-    return arr.reshape(-1)
-
-
 def _component_masks(frame: _LocalFrame, components) -> list:
     """masks[n][c, x] is True where frame column x on subsystem n lies in one
     of component c's blocks; complement columns lie in none."""
-    masks = [np.zeros((len(components), d), dtype=bool) for d in frame.rotated.shape]
+    masks = [np.zeros((len(components), u.shape[0]), dtype=bool) for u in frame.unitaries]
     for c, comp in enumerate(components):
         for i in comp:
             node = frame.nodes[i]
@@ -774,102 +776,69 @@ def _n_independence_residuals(frame: _LocalFrame, masks) -> np.ndarray:
     return np.sqrt(worst)
 
 
-def _extract_component_branches(state, partitions, tol, acc, spectra):
+def _extract_component_branches(state, partitions, tol, spectra=None):
     """Branches from the correlation graph's components, read off one frame.
 
     The state is rotated once (:func:`_local_frame`) and the frame serves
-    the graph, the n-independence check and the refinement sub-states.
-    Component c's branch must not depend on which subsystem's projector
-    P_n^c extracts it: the largest ||P_a^c psi - P_b^c psi|| (see
-    :func:`_n_independence_residuals`) must stay within ``t_nindep``.  The
-    branch vector is P_0^c psi, from one stacked projector product for all
-    components.
+    both the graph and the n-independence check.  Component c's branch must
+    not depend on which subsystem's projector P_n^c extracts it: the largest
+    ||P_a^c psi - P_b^c psi|| (see :func:`_n_independence_residuals`) must
+    stay within ``t_nindep``.  The branch vector is P_0^c psi, from one
+    stacked projector product for all components.
 
-    Returns (branch, sub_amps) pairs.  sub_amps is the branch in its own
-    support bases, (B_0^H x ... x B_{N-1}^H) P_0^c psi / sqrt(w), which is
-    the slice psi'[c_0, ..., c_{N-1}] / sqrt(w): B_0^H P_0^c = B_0^H, and
-    B_n is U_n restricted to c's columns.
+    Returns the branches, the graph and the largest residual.
     """
     frame = _local_frame(state, partitions, tol.t_supp, spectra)
     graph = build_correlation_graph(state, partitions, tol.t_edge, tol.t_supp, frame=frame)
-    acc.graphs.append(graph)
     masks = _component_masks(frame, graph.components)
     residual = float(_n_independence_residuals(frame, masks).max())
-    acc.residuals.append(residual)
     if residual > tol.t_nindep:
         raise InternalConsistencyError(
             f"branch extraction is subsystem-dependent (residual {residual:.3e}); "
             "the block partition is inconsistent with the state"
         )
-    columns = [[m[c] for m in masks] for c in range(len(graph.components))]
-    bases = [tuple(u[:, cols] for u, cols in zip(frame.unitaries, c_cols)) for c_cols in columns]
+    bases = [
+        tuple(u[:, m[c]] for u, m in zip(frame.unitaries, masks))
+        for c in range(len(graph.components))
+    ]
     projectors = np.concatenate([b[0] @ b[0].conj().T for b in bases])
     vectors = apply_matrix_at(state.amps, state.dims, 0, projectors).reshape(len(bases), -1)
-    out = []
-    for vec, supports, cols in zip(vectors, bases, columns):
+    branches = []
+    for vec, supports in zip(vectors, bases):
         weight = float(np.vdot(vec, vec).real)
         if weight > tol.w_min:
-            sub_amps = frame.rotated[np.ix_(*cols)].reshape(-1) / math.sqrt(weight)
-            out.append((Branch(weight, vec / math.sqrt(weight), supports), sub_amps))
-    return out
-
-
-def _refine_branch(branch, sub_amps, tol, seed_seq, acc):
-    ranks = branch.support_ranks
-    if min(ranks) < 2:
-        return [branch]
-    sub_branches, _, _ = _decompose_multipartite(StateTensor(ranks, sub_amps), tol, seed_seq, acc)
-    if len(sub_branches) == 1:
-        return [branch]
-    out = []
-    for sb in sub_branches:
-        vec = _expand_vector(sb.vector, ranks, branch.supports)
-        supports = tuple(b @ s for b, s in zip(branch.supports, sb.supports))
-        out.append(Branch(branch.weight * sb.weight, vec, supports))
-    return out
-
-
-def _assemble_and_refine(state, partitions, tol, seed_seq, acc, spectra=None):
-    extracted = _extract_component_branches(state, partitions, tol, acc, spectra)
-    if len(extracted) == 1:
-        # the restriction to a single branch is the problem itself;
-        # re-running it cannot reveal anything new
-        return [extracted[0][0]]
-    refined = (_refine_branch(br, sub_amps, tol, seed_seq, acc) for br, sub_amps in extracted)
-    return [branch for group in refined for branch in group]
+            branches.append(Branch(weight, vec / math.sqrt(weight), supports))
+    return branches, graph, residual
 
 
 def assemble_branches(
     state: StateTensor,
     partitions,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    seed: int = 0,
 ) -> BranchDecomposition:
     """Assemble a decomposition from per-subsystem support partitions.
 
     Builds the block correlation graph, turns its connected components
-    into branches, checks that the extracted branch vector is independent
-    of which subsystem's projector produced it, and then re-refines every
-    multi-dimensional branch (restricted to its own supports) until no
-    branch splits further.  A sub-split of one branch stays orthogonal to
-    all sibling branches' subspaces, so the refinement is sound.
+    into branches and checks that each extracted branch vector is
+    independent of which subsystem's projector produced it.  The branches
+    are exactly as fine as the partitions: nothing is refined further.
     """
     if state.n_subsystems == 2:
         raise UnsupportedOperationError("block assembly needs at least three subsystems")
-    acc = _DiagnosticsAccumulator()
-    branches = _assemble_and_refine(state, partitions, tol, np.random.SeedSequence(seed), acc)
+    branches, _, _ = _extract_component_branches(state, partitions, tol)
     return BranchDecomposition.from_branches(state, branches)
 
 
-def _decompose_multipartite(state, tol, seed_seq, acc):
+def _decompose_multipartite(state, tol, seed):
     spectra = [
         local_spectrum(state, n, tol.t_deg, tol.t_supp) for n in range(state.n_subsystems)
     ]
     degenerate = tuple(n for n, s in enumerate(spectra) if s.is_support_degenerate)
-    pairs = _pair_states(state) if degenerate else None
-    partitions = [_sbd_partition(state, spec, tol, seed_seq, pairs) for spec in spectra]
-    branches = _assemble_and_refine(state, partitions, tol, seed_seq, acc, spectra)
-    return branches, "block-sbd" if degenerate else "eigenvector-graph", degenerate
+    pairs = _eigenframe_pair_states(state, spectra) if degenerate else None
+    rng = np.random.default_rng(seed)
+    partitions = [_sbd_partition(spec, tol, rng, pairs) for spec in spectra]
+    branches, graph, residual = _extract_component_branches(state, partitions, tol, spectra)
+    return branches, graph, residual, degenerate
 
 
 def _decompose_bipartite(state, tol):
@@ -930,29 +899,27 @@ def maximal_decomposition(
         indicates a tolerance breakdown; a bad decomposition is never
         returned silently.
     """
-    acc = _DiagnosticsAccumulator()
     if state.n_subsystems == 2:
         branches, non_unique = _decompose_bipartite(state, tol)
         dec = BranchDecomposition.from_branches(state, branches)
-        for br in dec.branches:
-            v0 = _project_support(state.amps, state.dims, 0, br.supports[0])
-            v1 = _project_support(state.amps, state.dims, 1, br.supports[1])
-            acc.residuals.append(float(np.linalg.norm(v0 - v1)))
-        path, seed, degenerate = "schmidt", None, (0, 1) if non_unique else ()
+        residual = max(
+            float(np.linalg.norm(_project_support(state.amps, state.dims, 0, b.supports[0])
+                                 - _project_support(state.amps, state.dims, 1, b.supports[1])))
+            for b in dec.branches
+        )
+        graph, path, seed, degenerate = None, "schmidt", None, (0, 1) if non_unique else ()
     else:
-        seed_seq = np.random.SeedSequence(seed)
-        branches, path, degenerate = _decompose_multipartite(state, tol, seed_seq, acc)
+        branches, graph, residual, degenerate = _decompose_multipartite(state, tol, seed)
         dec = BranchDecomposition.from_branches(state, branches)
+        path = "block-sbd" if degenerate else "eigenvector-graph"
         non_unique = False
-    accepted = [g.min_accepted_edge for g in acc.graphs if g.min_accepted_edge is not None]
-    rejected = [g.max_rejected_edge for g in acc.graphs if g.max_rejected_edge is not None]
     diagnostics = Diagnostics(
         path=path,
         seed=seed,
         tolerances=tol,
-        n_independence_residual=max(acc.residuals, default=0.0),
-        min_accepted_edge=min(accepted, default=None),
-        max_rejected_edge=max(rejected, default=None),
+        n_independence_residual=residual,
+        min_accepted_edge=graph.min_accepted_edge if graph else None,
+        max_rejected_edge=graph.max_rejected_edge if graph else None,
         degenerate_subsystems=degenerate,
         non_unique=non_unique,
         weights=tuple(float(w) for w in dec.weights),

@@ -130,6 +130,16 @@ class TestDecompose:
         assert main(["decompose", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: amps[5]")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("flag", ["--tol-deg", "--tol-supp", "--tol-edge"])
+    def test_invalid_tolerance_is_input_error(self, tmp_path, capsys, flag, value):
+        # --tol-edge -1 used to link every block into one branch and exit 0;
+        # nan and inf used to exit 3
+        path = tmp_path / "z.json"
+        path.write_text(StateFile.from_state(z_state((0.5, 0.3, 0.2))).to_json())
+        assert main(["decompose", str(path), f"{flag}={value}"]) == 2
+        assert "must be a finite number > 0" in capsys.readouterr().err
+
     def test_boolean_dimension_is_input_error(self, tmp_path, capsys):
         # json reads true as a bool, and a bool is an int: [true, 2, 2] must not read as 1x2x2
         document = json.loads(StateFile.from_state(ghz_state()).to_json())

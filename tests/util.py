@@ -188,10 +188,9 @@ def reference_component_residuals(state, graph):
 
 
 def reference_compress_vector(vec, dims, bases):
-    """(B_0^H x ... x B_{N-1}^H) vec, one subsystem at a time.
-
-    This is how ``_refine_branch`` built its sub-state before it became a
-    slice of the rotated frame, kept as its reference.
+    """(B_0^H x ... x B_{N-1}^H) vec, one subsystem at a time: a branch
+    vector restricted to its own support bases, whose maximal decomposition
+    must be that one branch.
     """
     arr = vec.reshape(dims)
     for basis in bases:
