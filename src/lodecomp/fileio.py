@@ -30,8 +30,11 @@ SCHEMA_VERSION = 1
 ENTROPY_ATOL = 1e-12  # decompose writes entropy_bits bit-exact
 
 
-def _complex_pairs(vec: np.ndarray) -> list:
-    return [[float(x.real), float(x.imag)] for x in vec]
+def _complex_pairs(values: np.ndarray) -> list:
+    """[re, im] pairs of Python floats, nested as ``values`` is: a vector gives
+    a list of pairs, a matrix a list of rows of pairs."""
+    pairs = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    return pairs.reshape(*np.shape(values), 2).tolist()
 
 
 def _is_int(value) -> bool:
@@ -48,22 +51,28 @@ def _is_dims(dims) -> bool:
     return isinstance(dims, list) and bool(dims) and all(_is_int(d) and d >= 1 for d in dims)
 
 
-def _pairs_to_complex(pairs, what: str) -> np.ndarray:
-    # fast path: an (n, 2) array of JSON numbers.  Booleans must be looked
-    # for by type, because numpy reads [true, 0] as the integers [1, 0].
+def _float_pairs(pairs: list):
+    """Fast path of :func:`_pairs_to_complex`: a list of [re, im] lists of
+    JSON numbers as a complex vector, or None when any entry is anything
+    else.  Types are checked exactly, because numpy reads [true, 0] as the
+    numbers [1, 0]; an integer beyond the float range, or a non-finite
+    number, also gives None."""
+    if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+        return None
+    flat = list(itertools.chain.from_iterable(pairs))
+    if set(map(type, flat)) - {float, int}:
+        return None
     try:
-        arr = np.asarray(pairs)
-    except ValueError:  # ragged nesting
-        arr = None
-    if (
-        arr is not None
-        and arr.dtype.kind in "iuf"
-        and arr.shape == (len(pairs), 2)
-        and bool not in map(type, itertools.chain.from_iterable(pairs))
-    ):
-        out = np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128).reshape(-1)
-        if np.isfinite(out).all():
-            return out
+        out = np.fromiter(flat, dtype=np.float64, count=len(flat)).view(np.complex128)
+    except OverflowError:
+        return None
+    return out if np.isfinite(out).all() else None
+
+
+def _pairs_to_complex(pairs, what: str) -> np.ndarray:
+    out = _float_pairs(pairs)
+    if out is not None:
+        return out
     # the per-index loop names the first bad entry
     out = np.empty(len(pairs), dtype=np.complex128)
     for k, pair in enumerate(pairs):
@@ -84,6 +93,53 @@ def _pairs_to_complex(pairs, what: str) -> np.ndarray:
 
 def _dump(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+# The bulk of a document (amplitudes, support columns) is rendered apart from
+# the rest, exactly as _dump would render it, and spliced into _dump's text of
+# the rest in place of this string.
+_SPLICE = "\x00splice\x00"
+_QUOTED_SPLICE = json.dumps(_SPLICE)
+
+
+def _pairs_text(value, depth: int, levels: int = 0):
+    """``value`` as _dump renders it ``depth`` lists and objects deep, when it
+    is a non-empty list of [re, im] pairs of finite floats, or (``levels`` > 0)
+    of such lists nested ``levels`` deep; None when it is anything else."""
+    if type(value) is not list or not value:
+        return None
+    outer = "\n" + "  " * (depth + 1)
+    if levels:
+        items = [_pairs_text(item, depth + 1, levels - 1) for item in value]
+        if None in items:
+            return None
+    else:
+        if set(map(type, value)) - {list} or set(map(len, value)) - {2}:
+            return None
+        inner = outer + "  "
+        repr_ = float.__repr__  # what json writes for a float; TypeError on a non-float
+        try:
+            items = [f"[{inner}{repr_(re)},{inner}{repr_(im)}{outer}]" for re, im in value]
+        except TypeError:
+            return None
+        # repr spells non-finite floats inf and nan, json Infinity and NaN
+        if any("n" in item for item in items):
+            return None
+    return f"[{outer}{(',' + outer).join(items)}\n{'  ' * depth}]"
+
+
+def _splice(skeleton: dict, texts: list, document) -> str:
+    """``_dump(document)``, given ``skeleton``, the document with each of
+    ``texts`` (in document order) replaced by _SPLICE.  A string of the
+    document that _dump writes as the spliced string falls back to
+    ``_dump(document)``."""
+    parts = _dump(skeleton).split(_QUOTED_SPLICE)
+    if len(parts) != len(texts) + 1:
+        return _dump(document)
+    out = [parts[0]]
+    for text, part in zip(texts, parts[1:]):
+        out += (text, part)
+    return "".join(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +171,10 @@ class StateFile:
             document["name"] = self.name
         if self.metadata is not None:
             document["metadata"] = self.metadata
-        return _dump(document)
+        text = _pairs_text(document["amps"], 1)
+        if text is None:
+            return _dump(document)
+        return _splice({**document, "amps": _SPLICE}, [text], document)
 
     @classmethod
     def from_json(cls, text: str) -> "StateFile":
@@ -170,10 +229,7 @@ def report_document(
         branches.append(
             {
                 "weight": branch.weight,
-                "supports": [
-                    [_complex_pairs(basis[:, k]) for k in range(basis.shape[1])]
-                    for basis in branch.supports
-                ],
+                "supports": [_complex_pairs(basis.T) for basis in branch.supports],
             }
         )
     tolerances = diagnostics.tolerances
@@ -209,7 +265,28 @@ def report_document(
 
 
 def report_to_json(document: dict) -> str:
-    return _dump(document)
+    """``json.dumps(document, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    The support columns, the bulk of a report, are written from
+    ``float.__repr__`` joins, and only the rest goes through ``json.dumps``,
+    whose indented output is pure Python.  A document that is not exactly
+    the report's shape (branch objects whose ``supports`` are lists of
+    non-empty lists of columns of [re, im] pairs of finite floats) is
+    written by ``json.dumps`` whole.
+    """
+    branches = document.get("branches") if type(document) is dict else None
+    if type(branches) is not list or not all(
+        type(entry) is dict and "supports" in entry for entry in branches
+    ):
+        return _dump(document)
+    texts = [_pairs_text(entry["supports"], 3, levels=2) for entry in branches]
+    if None in texts:
+        return _dump(document)
+    skeleton = {
+        **document,
+        "branches": [{**entry, "supports": _SPLICE} for entry in branches],
+    }
+    return _splice(skeleton, texts, document)
 
 
 def parse_report(text: str) -> dict:
@@ -265,8 +342,7 @@ def branches_from_report(document: dict, state: StateTensor, atol: float = 1e-9)
         and the list of mismatch descriptions, empty when clean.
     """
     dims = state.dims
-    branches = []
-    problems = []
+    parsed = []  # (reported weight, supports) per branch
     for j, entry in enumerate(document["branches"]):
         if not isinstance(entry, dict):
             raise ValueError(f"branch {j} must be an object")
@@ -284,13 +360,27 @@ def branches_from_report(document: dict, state: StateTensor, atol: float = 1e-9)
                 raise ValueError(f"branch {j} support {n} columns must be lists of [re, im] pairs")
             if any(len(col) != dims[n] for col in columns):
                 raise ValueError(f"branch {j} support {n} columns must have dimension {dims[n]}")
-            basis = np.stack(
-                [_pairs_to_complex(col, f"branch {j} support {n}") for col in columns],
-                axis=1,
-            )
-            supports.append(basis)
-        projector = supports[0] @ supports[0].conj().T
-        vec = apply_matrix_at(state.amps, dims, 0, projector)
+            flat = _float_pairs(list(itertools.chain.from_iterable(columns)))
+            if flat is None:  # column by column, to name the bad entry
+                what = f"branch {j} support {n}"
+                flat = np.concatenate([_pairs_to_complex(col, what) for col in columns])
+            supports.append(flat.reshape(len(columns), dims[n]).T)
+        parsed.append((reported, supports))
+    if not parsed:
+        return None, []
+
+    # every branch's projection onto its subsystem-0 support, from the
+    # stacked (k d_0, d_0) projectors in one product, as verify_lo does
+    ranks = [supports[0].shape[1] for _, supports in parsed]
+    q = np.zeros((len(parsed), dims[0], max(ranks)), dtype=np.complex128)
+    for i, (_, supports) in enumerate(parsed):
+        q[i, :, : ranks[i]] = supports[0]
+    projectors = (q @ q.conj().swapaxes(1, 2)).reshape(-1, dims[0])
+    projected = apply_matrix_at(state.amps, dims, 0, projectors).reshape(len(parsed), -1)
+
+    branches = []
+    problems = []
+    for j, ((reported, supports), vec) in enumerate(zip(parsed, projected)):
         weight = float(np.vdot(vec, vec).real)
         if weight <= 1e-12:
             problems.append(f"branch {j}: reported supports carry no weight in the state")

@@ -61,7 +61,13 @@ class StateTensor:
             raise ValueError(
                 f"amplitude vector has length {arr.size}, expected prod(dims) = {expected}"
             )
-        norm = float(np.linalg.norm(arr))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(arr))
+        if not math.isfinite(norm):
+            # the squared norm overflows: divide by the largest real or
+            # imaginary part first (the largest modulus can overflow too)
+            arr = arr / np.abs(arr.view(np.float64)).max()
+            norm = float(np.linalg.norm(arr))
         if norm <= NORM_ATOL:
             raise ValueError("cannot normalize a zero amplitude vector")
         arr = arr / norm

@@ -4,10 +4,12 @@ import sys
 
 import pytest
 
+from lodecomp import cli
 from lodecomp.catalog import dress_state, ghz_state, z_state
 from lodecomp.cli import main
 from lodecomp.entanglement import e_lo
 from lodecomp.fileio import StateFile
+from lodecomp.tolerances import DEFAULT_TOLERANCES
 
 
 def run_cli(*argv, **kwargs):
@@ -149,6 +151,20 @@ class TestDecompose:
         bad.write_text(json.dumps(document))
         assert main(["decompose", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: dims must be")
+
+    def test_amplitudes_whose_squares_overflow(self, tmp_path, capsys):
+        # a valid Bell state: its squared norm overflows, which used to exit 2
+        # with "a decomposition needs at least one branch"
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"schema_version":1,"dims":[2,2],"amps":[[1e300,0],[0,0],[0,0],[1e300,0]]}'
+        )
+        report = tmp_path / "report.json"
+        assert main(["decompose", str(path), "--format", "json", "-o", str(report)]) == 0
+        assert capsys.readouterr().err == ""
+        document = json.loads(report.read_text())
+        assert document["branch_count"] == 2
+        assert document["entropy_bits"] == pytest.approx(1.0, abs=1e-12)
 
     def test_json_byte_identical_across_runs(self, ghz_file, tmp_path):
         a = tmp_path / "a.json"
@@ -368,3 +384,47 @@ class TestCompare:
         proc = run_cli("compare", str(ghz_file), str(z_file))
         assert proc.returncode == 0
         assert "identical weight multisets: no" in proc.stdout
+
+
+class TestParserReuse:
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_flags_do_not_carry_over_between_parses(self):
+        parser = cli._parser()
+        first = parser.parse_args(
+            ["decompose", "s.json", "--tol-deg", "0.001", "--seed", "4", "--format", "csv"]
+        )
+        assert (first.tol_deg, first.seed, first.format) == (0.001, 4, "csv")
+        verify = parser.parse_args(["verify", "s.json", "r.json"])
+        assert verify.func is cli.cmd_verify
+        assert verify.tol_deg == DEFAULT_TOLERANCES.t_deg
+        assert verify.oracle is False
+        assert not hasattr(verify, "seed") and not hasattr(verify, "format")
+        again = parser.parse_args(["decompose", "s.json"])
+        assert vars(again) == vars(cli.build_parser().parse_args(["decompose", "s.json"]))
+
+    def test_successive_main_calls_see_only_their_own_flags(self, tmp_path, capsys):
+        state = tmp_path / "ghz.json"
+        assert main(["generate", "--kind", "ghz", "--d", "3", "-o", str(state)]) == 0
+        tuned = tmp_path / "tuned.json"
+        plain = tmp_path / "plain.json"
+        assert main([
+            "decompose", str(state), "--tol-deg", "0.001", "--seed", "4",
+            "--format", "json", "-o", str(tuned),
+        ]) == 0
+        assert main(["verify", str(state), str(tuned), "--oracle"]) == 0
+        assert "maximality:" in capsys.readouterr().out
+        assert main(["verify", str(state), str(tuned)]) == 0
+        assert "maximality:" not in capsys.readouterr().out
+        assert main(["decompose", str(state), "--format", "json", "-o", str(plain)]) == 0
+        diagnostics = json.loads(plain.read_text())["diagnostics"]
+        assert diagnostics["tolerances"]["t_deg"] == DEFAULT_TOLERANCES.t_deg
+        assert diagnostics["seed"] == 0
+        assert json.loads(tuned.read_text())["diagnostics"]["tolerances"]["t_deg"] == 0.001
+        # a usage error leaves the parser as it was
+        with pytest.raises(SystemExit):
+            main(["decompose"])
+        assert main(["decompose", str(state), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("branch,weight\n")

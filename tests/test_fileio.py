@@ -1,20 +1,40 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lodecomp.catalog import ghz_state, random_state, z_state
+from lodecomp.catalog import (
+    dress_state,
+    ghz_state,
+    product_state,
+    random_state,
+    u_state,
+    v_state,
+    w_state,
+    x_state,
+    z_state,
+)
 from lodecomp.decomposition import maximal_decomposition, verify_lo
 from lodecomp.entanglement import e_lo
 from lodecomp.fileio import (
+    _SPLICE,
     SCHEMA_VERSION,
     StateFile,
+    _float_pairs,
+    _pairs_text,
+    _pairs_to_complex,
     branches_from_report,
     parse_report,
     read_report,
     report_document,
     report_to_json,
 )
+
+import util  # noqa: F401  (puts bench/ on the path)
+import states  # noqa: E402
 
 
 def sample_report(state):
@@ -201,4 +221,246 @@ class TestBranchesFromReport:
         document = sample_report(state)
         document["branches"][0]["supports"][1] = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]
         with pytest.raises(ValueError, match="dimension"):
+            branches_from_report(document, state)
+
+
+def dumps(document) -> str:
+    """What the writers must produce, byte for byte."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+CATALOG = {
+    "ghz": ghz_state(),
+    "ghz-3x3": ghz_state(3, 3),
+    "w": w_state(),
+    "z": z_state((0.5, 0.3, 0.2)),
+    "u": u_state(),
+    "v": v_state(),
+    "x": x_state(),
+    "product": product_state((2, 3, 2), split=1, seed=2),
+    "random": random_state((2, 3, 2), seed=4),
+}
+
+
+def catalog_states():
+    for name, state in CATALOG.items():
+        yield name, state
+        yield f"{name}-dressed", dress_state(state, seed=3)
+
+
+def workload_states():
+    for workload in sorted(states.WORKLOADS):
+        for k, case in enumerate(states.make_cases(workload, 0)):
+            yield f"{workload}-{k}", StateFile.from_json(states.state_json(case)).to_state()
+
+
+def reference_state_document(state_file):
+    # StateFile.to_json's document, with amplitudes converted one at a time
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        "dims": [int(d) for d in state_file.dims],
+        "amps": [[float(x.real), float(x.imag)] for x in state_file.amps],
+    }
+    if state_file.name is not None:
+        document["name"] = state_file.name
+    if state_file.metadata is not None:
+        document["metadata"] = state_file.metadata
+    return document
+
+
+# JSON-like values with the floats and strings a bulk writer can get wrong
+special_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e16, 1e-7])
+finite_floats = st.one_of(special_floats, st.floats(allow_nan=False, allow_infinity=False))
+pair_floats = st.one_of(finite_floats, finite_floats.map(np.float64))
+odd_numbers = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)]),
+)
+texts = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(
+        [_SPLICE, "\x00", '"quoted"', "na\u00efve \u4e2d\u6587", "\\u0000splice\\u0000"]
+    ),
+)
+json_values = st.recursive(
+    st.one_of(pair_floats, odd_numbers, texts),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(texts, children, max_size=3),
+    max_leaves=8,
+)
+good_pairs = st.lists(pair_floats, min_size=2, max_size=2)
+bad_pairs = st.one_of(
+    st.lists(st.one_of(pair_floats, odd_numbers), min_size=2, max_size=2),
+    st.lists(pair_floats, max_size=3),
+    json_values,
+)
+
+
+def report_shaped(pairs):
+    """Report-like documents whose support columns hold ``pairs``."""
+    columns = st.lists(pairs, min_size=1, max_size=3)
+    supports = st.lists(st.lists(columns, min_size=1, max_size=2), min_size=1, max_size=3)
+    branch = st.fixed_dictionaries(
+        {"weight": pair_floats, "supports": supports}, optional={"note": json_values}
+    )
+    return st.fixed_dictionaries(
+        {
+            "schema_version": st.just(SCHEMA_VERSION),
+            "name": st.none() | texts,
+            "weights": st.lists(pair_floats, max_size=3),
+            "branches": st.lists(branch, min_size=1, max_size=3),
+            "diagnostics": json_values,
+        },
+        optional={"extra": json_values},
+    )
+
+
+def malformed_reports():
+    """Documents that are anything but the report's shape, somewhere."""
+    column = st.lists(st.one_of(good_pairs, bad_pairs), max_size=3) | json_values
+    support = st.lists(column, max_size=2) | json_values
+    supports = st.lists(support, max_size=3) | json_values
+    branch = st.fixed_dictionaries(
+        {"weight": json_values}, optional={"supports": supports, "note": json_values}
+    ) | json_values
+    return st.fixed_dictionaries(
+        {"name": texts},
+        optional={"branches": st.lists(branch, max_size=3) | json_values, "extra": json_values},
+    )
+
+
+class TestBulkWriter:
+    @pytest.mark.parametrize("name, state", list(catalog_states()) + list(workload_states()))
+    def test_report_bytes_equal_json_dumps(self, name, state):
+        document = report_document(
+            maximal_decomposition(state), e_lo(state), name=name
+        )
+        # the bulk path is the one taken, not the fallback
+        assert all(
+            _pairs_text(entry["supports"], 3, levels=2) is not None
+            for entry in document["branches"]
+        )
+        assert report_to_json(document) == dumps(document)
+
+    @pytest.mark.parametrize("name, state", list(catalog_states()) + list(workload_states()))
+    def test_state_file_bytes_equal_json_dumps(self, name, state):
+        state_file = StateFile.from_state(state, name=name, metadata={"seed": 3, "x": [-0.0]})
+        assert state_file.to_json() == dumps(reference_state_document(state_file))
+
+    @given(report_shaped(good_pairs))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_report_shaped_documents(self, document):
+        assert report_to_json(document) == dumps(document)
+
+    @given(report_shaped(st.one_of(good_pairs, bad_pairs)))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_report_shaped_documents_with_odd_pairs(self, document):
+        assert report_to_json(document) == dumps(document)
+
+    @given(malformed_reports())
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_malformed_documents(self, document):
+        assert report_to_json(document) == dumps(document)
+
+    @given(
+        st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), min_size=1, max_size=6),
+        st.none() | texts,
+        st.none() | st.dictionaries(texts, json_values, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_state_files(self, amps, name, metadata):
+        state_file = StateFile((len(amps), 1), np.array(amps, dtype=np.complex128), name, metadata)
+        assert state_file.to_json() == dumps(reference_state_document(state_file))
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            [True, 0.5], [1, 0.5], [None, 0.5], ["0.5", 0.5], [np.float64(0.1), -0.0],
+            [math.nan, 0.5], [0.5, -math.inf], [0.5], [0.5, 0.5, 0.5], (0.5, 0.5), [],
+        ],
+    )
+    def test_one_odd_pair_in_a_report(self, pair):
+        document = sample_report(z_state((0.5, 0.3, 0.2)))
+        document["branches"][1]["supports"][2][0][1] = pair
+        assert report_to_json(document) == dumps(document)
+
+    def test_splice_string_in_a_name_falls_back(self):
+        document = sample_report(ghz_state())
+        document["name"] = _SPLICE
+        assert report_to_json(document) == dumps(document)
+        state_file = StateFile.from_state(ghz_state(), name=_SPLICE)
+        assert state_file.to_json() == dumps(reference_state_document(state_file))
+
+
+def reference_pairs_to_complex(pairs, what):
+    """The per-index parse: every amplitude read by complex(re, im)."""
+    out = np.empty(len(pairs), dtype=np.complex128)
+    for k, pair in enumerate(pairs):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ValueError(f"{what}[{k}] must be a [re, im] pair")
+        re, im = pair
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
+            raise ValueError(f"{what}[{k}] must contain two numbers")
+        try:
+            out[k] = complex(re, im)
+        except OverflowError:
+            raise ValueError(f"{what}[{k}] must contain two finite numbers") from None
+    nonfinite = np.flatnonzero(~np.isfinite(out))
+    if nonfinite.size:
+        raise ValueError(f"{what}[{nonfinite[0]}] must contain two finite numbers")
+    return out
+
+
+def outcome(parse, pairs):
+    try:
+        return parse(pairs, "amps").tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+json_numbers = st.one_of(
+    finite_floats,
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.sampled_from([2**53 + 1, -(2**63) - 1, 10**308, 2**1023 * 3 // 2]),
+)
+json_scalars = st.one_of(
+    json_numbers,
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**309)]),
+)
+
+
+class TestAmplitudeParser:
+    @given(st.lists(st.lists(json_numbers, min_size=2, max_size=2), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_fast_path_bits_equal_complex(self, pairs):
+        fast = _float_pairs(pairs)
+        want = reference_pairs_to_complex(pairs, "amps")
+        assert fast is not None
+        assert fast.tobytes() == want.tobytes()
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(json_numbers, min_size=2, max_size=2),
+                st.lists(json_scalars, min_size=2, max_size=2),
+                st.lists(json_scalars, max_size=3),
+                st.tuples(json_numbers, json_numbers),
+                json_scalars,
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_and_messages_as_the_per_index_parse(self, pairs):
+        assert outcome(_pairs_to_complex, pairs) == outcome(reference_pairs_to_complex, pairs)
+
+    def test_support_defect_names_its_column_entry(self):
+        state = ghz_state()
+        document = sample_report(state)
+        document["branches"][0]["supports"][1].append([[1.0, 0.0], [0.0, True]])
+        with pytest.raises(ValueError, match=r"^branch 0 support 1\[1\] must contain two numbers$"):
             branches_from_report(document, state)

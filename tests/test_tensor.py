@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,27 @@ class TestStateTensor:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             StateTensor((2, 2), [np.nan, 0, 0, 0])
+
+    def test_normalizes_amplitudes_whose_squares_overflow(self):
+        # |1e300|^2 overflows: this Bell state used to normalize to zero, with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bell = StateTensor((2, 2), [1e300, 0, 0, 1e300])
+        assert np.allclose(bell.amps, [2**-0.5, 0, 0, 2**-0.5], rtol=0, atol=1e-15)
+        # parts near the float maximum, whose modulus overflows as well
+        edge = StateTensor((2, 2), [1.5e308 + 1.5e308j, 0, -1e308, 0])
+        want = np.array([1.5 + 1.5j, 0, -1, 0]) / np.sqrt(5.5)
+        assert np.allclose(edge.amps, want, rtol=0, atol=1e-15)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.floats(min_value=-10, max_value=150))
+    @settings(max_examples=60, deadline=None)
+    def test_normalization_bits_unchanged_below_overflow(self, seed, exponent):
+        # every state whose norm is finite is divided by it, as before the overflow guard
+        rng = np.random.default_rng(seed)
+        amps = (rng.standard_normal(12) + 1j * rng.standard_normal(12)) * 10.0**exponent
+        state = StateTensor((2, 3, 2), amps)
+        assert state.amps.tobytes() == (amps / float(np.linalg.norm(amps))).tobytes()
 
     def test_amps_read_only(self):
         st_ = StateTensor((2, 2), [1, 0, 0, 0])

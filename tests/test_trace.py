@@ -6,8 +6,11 @@ per-layer span in the benchmark's traced run.  The traced run also calls
 the SBD and assembly layers directly, and those calls must keep working.
 """
 
+import contextlib
 import importlib
+import io
 
+from lodecomp import cli
 from lodecomp.catalog import dress_state, z_state
 from lodecomp.decomposition import assemble_branches, maximal_decomposition, sbd_refine
 from lodecomp.fileio import StateFile
@@ -35,6 +38,27 @@ def test_traced_decomposition_records_layer_spans():
         recorder.uninstall()
     names = {name for name, _, _ in recorder.take()}
     assert {"build_correlation_graph", "verify_lo", "local_spectrum"} <= names
+
+
+def test_traced_round_trip_records_file_io_spans(tmp_path):
+    # the benchmark's fileio.* metrics are read off these spans of its
+    # in-process decompose -> verify round trip
+    state = tmp_path / "state.json"
+    report = tmp_path / "report.json"
+    state.write_text(states.state_json(states.make_cases("nondegenerate", 5)[0]))
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        assert cli.main(["decompose", str(state), "--format", "json", "-o", str(report)]) == 0
+        decompose = {name for name, _, _ in recorder.take()}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", str(state), str(report)]) == 0
+        verify = {name for name, _, _ in recorder.take()}
+    finally:
+        recorder.uninstall()
+    written = {"StateFile.read", "maximal_decomposition", "report_document", "report_to_json"}
+    assert written <= decompose
+    assert {"StateFile.read", "parse_report", "branches_from_report"} <= verify
 
 
 def test_bench_direct_layer_calls(tmp_path):
