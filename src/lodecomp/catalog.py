@@ -202,9 +202,10 @@ def generate(spec: StateSpec) -> StateTensor:
     Raises ValueError for parameters that do not fit the kind.
     """
     kind = spec.kind
+    # subsystem count of ghz, w and z; an explicit 0 is given, not missing
+    n = spec.n_subsystems if spec.n_subsystems is not None else (len(spec.dims or ()) or 3)
     if kind == "ghz":
         _require(spec, {"n_subsystems", "dims"})
-        n = spec.n_subsystems or (len(spec.dims) if spec.dims else 3)
         dim = 2
         if spec.dims is not None:
             if len(set(spec.dims)) != 1 or len(spec.dims) != n:
@@ -213,7 +214,6 @@ def generate(spec: StateSpec) -> StateTensor:
         return ghz_state(n, dim)
     if kind == "w":
         _require(spec, {"n_subsystems", "dims"})
-        n = spec.n_subsystems or (len(spec.dims) if spec.dims else 3)
         if spec.dims is not None and spec.dims != (2,) * n:
             raise ValueError("w is defined on qubits only")
         return w_state(n)
@@ -221,7 +221,6 @@ def generate(spec: StateSpec) -> StateTensor:
         _require(spec, {"n_subsystems", "dims", "weights"})
         if spec.weights is None:
             raise ValueError("z requires weights")
-        n = spec.n_subsystems or (len(spec.dims) if spec.dims else 3)
         if spec.dims is not None and len(spec.dims) != n:
             raise ValueError("dims length must match n_subsystems")
         return z_state(spec.weights, n, spec.dims)
@@ -238,7 +237,7 @@ def generate(spec: StateSpec) -> StateTensor:
         _require(spec, {"dims", "split", "seed"})
         if spec.dims is None:
             raise ValueError("product requires dims")
-        return product_state(spec.dims, spec.split or 1, spec.seed or 0)
+        return product_state(spec.dims, 1 if spec.split is None else spec.split, spec.seed or 0)
     if kind == "random":
         _require(spec, {"dims", "seed"})
         if spec.dims is None:

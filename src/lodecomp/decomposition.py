@@ -197,10 +197,7 @@ class VerificationReport:
     @property
     def worst(self):
         """The failed check with the largest residual, or None if all passed."""
-        failed = [c for c in self.checks if not c.passed]
-        if not failed:
-            return None
-        return max(failed, key=lambda c: c.residual)
+        return max((c for c in self.checks if not c.passed), key=lambda c: c.residual, default=None)
 
     def summary(self) -> str:
         lines = []
@@ -624,24 +621,27 @@ def _pair_slices(n: int, pairs: dict):
     return np.concatenate([s.reshape(-1, *s.shape[2:]) for s in slices]), starts
 
 
-def _merge_coupled(parts, family: np.ndarray, starts, t_edge: float):
+def _merge_coupled(parts, layout: np.ndarray, starts, t_edge: float):
     """Re-merge candidate parts coupled through some other subsystem m.
 
     Parts a < b merge when ||(B_b^H x I) rho_nm (B_a x I)||_F > t_edge, whose
     square sums ||B_b^H F B_a||_F^2 over m's group of slices F.  With the
     parts stacked as C = (B_1 ... B_p), every such cross block is a block of
-    C^H F C, so one batched product gives them all: |C^H F C|^2 is summed
-    over each group and over the part boundaries on both axes, maximized
-    over the groups and read off the strictly lower triangle (rho_nm is
-    Hermitian, so each pair appears there once).  The norm does not depend
-    on m's local basis, and it bounds every single slice's cross block.
+    C^H F C, and two products over ``layout`` = (F_1 | ... | F_L) give them
+    all: C^H layout, read as (p L, s), times C holds C^H F_k C at [:, k, :].
+    |C^H F C|^2 is summed over each group and over the part boundaries on
+    both axes, maximized over the groups and read off the strictly lower
+    triangle (rho_nm is Hermitian, so each pair appears there once).  The
+    norm does not depend on m's local basis, and it bounds every single
+    slice's cross block.
     """
     stacked = np.hstack(parts)
-    bounds = np.cumsum([0] + [p.shape[1] for p in parts[:-1]])
-    cross = stacked.conj().T @ family @ stacked
-    power = np.add.reduceat(cross.real**2 + cross.imag**2, starts, axis=0)
-    power = np.add.reduceat(np.add.reduceat(power, bounds, axis=1), bounds, axis=2)
-    coupled = np.tril(np.sqrt(power.max(axis=0)) > t_edge, -1)
+    bounds = list(itertools.accumulate((p.shape[1] for p in parts[:-1]), initial=0))
+    cross = (stacked.conj().T @ layout).reshape(-1, len(layout)) @ stacked
+    power = (cross.real**2 + cross.imag**2).reshape(len(cross.T), -1, len(cross.T))
+    power = np.add.reduceat(power, starts, axis=1)
+    power = np.add.reduceat(np.add.reduceat(power, bounds, axis=0), bounds, axis=2)
+    coupled = np.tril(np.sqrt(power.max(axis=1)) > t_edge, -1)
     uf = _UnionFind(len(parts))
     for b, a in zip(*np.nonzero(coupled)):
         uf.union(int(a), int(b))
@@ -651,14 +651,15 @@ def _merge_coupled(parts, family: np.ndarray, starts, t_edge: float):
 def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: int) -> list:
     """SBD blocks of one eigenvalue cluster, in the cluster's coordinates;
     ``family`` holds the cluster's unit-trace pair slices."""
-    size = family.shape[1]
+    count, size = family.shape[:2]
+    layout = family.transpose(1, 0, 2).reshape(size, -1)  # (F_1 | ... | F_L)
     parts = [np.eye(size, dtype=np.complex128)]
     stable = 0
     for _ in range(50 * size):
         # X = (sum_k z_k F_k + h.c.) / 2, z_k complex normal: Tr_m[(I x H_m) rho_nm]
         # for a random Hermitian H_m on every other subsystem m
-        coeffs = rng.standard_normal(2 * len(family)).view(np.complex128)
-        combined = np.tensordot(coeffs, family, axes=1)
+        coeffs = rng.standard_normal(2 * count).view(np.complex128)
+        combined = (coeffs @ family.reshape(count, -1)).reshape(size, size)
         combined = (combined + combined.conj().T) / 2.0
         candidates = []
         for basis in parts:
@@ -668,10 +669,10 @@ def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: 
         # couples across is undone, and since cross-block norms can only
         # shrink under sub-splitting, merges never cross boundaries of the
         # previous partition -- the loop refines monotonically.
-        count_before, parts = len(parts), _merge_coupled(candidates, family, starts, tol.t_edge)
+        count_before, parts = len(parts), _merge_coupled(candidates, layout, starts, tol.t_edge)
         stable = stable + 1 if len(parts) == count_before else 0
         if stable >= tol.sbd_stable_rounds:
-            return sorted(parts, key=_projector_key)
+            return parts if len(parts) == 1 else sorted(parts, key=_projector_key)
     raise InternalConsistencyError(
         f"block-diagonalization failed to stabilize on subsystem {subsystem}"
     )

@@ -206,6 +206,25 @@ class TestGenerate:
         )
         assert np.array_equal(generate(spec).amps, dress_state(ghz_state(), seed=4).amps)
 
+    @pytest.mark.parametrize("kind, extra", [("ghz", {}), ("w", {}), ("z", {"weights": (1.0,)})])
+    def test_explicit_zero_subsystems_rejected(self, kind, extra):
+        # 0 is a given count, not a missing one: it must not become 3
+        with pytest.raises(ValueError, match="subsystems"):
+            generate(StateSpec(kind=kind, n_subsystems=0, **extra))
+        with pytest.raises(ValueError):
+            generate(StateSpec(kind=kind, n_subsystems=0, dims=(2, 2, 2), **extra))
+
+    def test_explicit_zero_split_rejected(self):
+        with pytest.raises(ValueError, match="split"):
+            generate(StateSpec(kind="product", dims=(2, 2, 2), split=0))
+
+    def test_counts_not_given_keep_their_defaults(self):
+        assert generate(StateSpec(kind="ghz")).dims == (2, 2, 2)
+        assert generate(StateSpec(kind="ghz", dims=(3, 3, 3, 3))).dims == (3, 3, 3, 3)
+        assert generate(StateSpec(kind="w", dims=(2, 2))).dims == (2, 2)
+        spec = StateSpec(kind="product", dims=(2, 2, 3), seed=6)
+        assert np.array_equal(generate(spec).amps, product_state((2, 2, 3), split=1, seed=6).amps)
+
     def test_product_from_spec(self):
         spec = StateSpec(kind="product", dims=(2, 2, 3), split=2, seed=6)
         assert np.array_equal(generate(spec).amps, product_state((2, 2, 3), split=2, seed=6).amps)

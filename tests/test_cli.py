@@ -67,6 +67,19 @@ class TestGenerate:
         assert proc.returncode == 2
         assert "error" in proc.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("--kind", "ghz", "--n", "0"),
+        ("--kind", "w", "--n", "0"),
+        ("--kind", "z", "--n", "0", "--weights", "1"),
+        ("--kind", "product", "--dims", "2,2,2", "--split", "0"),
+    ])
+    def test_explicit_zero_is_input_error(self, tmp_path, capsys, args):
+        # an explicit 0 reaches validation: it is not read as "not given"
+        path = tmp_path / "state.json"
+        assert main(["generate", *args, "-o", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_dressing_without_base_is_input_error(self, tmp_path):
         proc = run_cli("generate", "--kind", "random_local_dressing")
         assert proc.returncode == 2

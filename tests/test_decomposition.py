@@ -15,6 +15,7 @@ from lodecomp.catalog import (
     x_state,
     z_state,
 )
+from lodecomp import decomposition
 from lodecomp.decomposition import (
     _component_masks,
     _eigenframe_pair_states,
@@ -46,7 +47,7 @@ from lodecomp.tensor import (
     joint_projection_norm,
     partial_trace,
 )
-from lodecomp.tolerances import DEFAULT_TOLERANCES
+from lodecomp.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 from util import (
     assert_same_decomposition,
@@ -321,6 +322,8 @@ class TestVerify:
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert "weight_sum" in failed or "reconstruction" in failed
+        assert not report.worst.passed
+        assert report.worst.residual == max(c.residual for c in report.checks if not c.passed)
 
     def test_detects_overlapping_supports(self):
         ghz = ghz_state()
@@ -716,6 +719,19 @@ def two_ring_state(p, seed):
     return dress_state(StateTensor((8, 8, 8), core.reshape(-1)), seed=seed)
 
 
+def side_by_side(family):
+    """A stack of slices as ``_merge_coupled`` takes it: (F_1 | ... | F_L)."""
+    return np.hstack(list(family))
+
+
+def reference_merge_on_layout(parts, layout, starts, t_edge):
+    """``reference_merge_coupled`` behind ``_merge_coupled``'s signature, with
+    one member per slice of the layout and ``starts`` unused."""
+    size = len(layout)
+    members = [layout[:, k:k + size] for k in range(0, layout.shape[1], size)]
+    return reference_merge_coupled(parts, members, t_edge)
+
+
 def planted_merge_case(seed):
     """Random parts of a rank-r space and a Hermitian family that couples
     them as known, with some cross blocks planted at t_edge (1 +- 1e-6).
@@ -775,11 +791,29 @@ def planted_merge_case(seed):
 class TestBatchedSbdAgainstReference:
     """The batched pair slices and merge test against the loops they replaced."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_merge_groups_match_loop(self, seed):
+    @settings(max_examples=90, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["spanning", "padded", "single"]),
+    )
+    def test_merge_groups_match_loop(self, seed, shape):
+        # "padded" embeds the parts and the family in a larger space whose
+        # extra coordinates the parts leave out (p < s): those rows and
+        # columns of the family are random and must not count.  "single"
+        # hands all the parts over as one part, which must come back whole
         parts, family, t_edge, expected = planted_merge_case(seed)
-        got = _merge_coupled(parts, family, np.arange(len(family)), t_edge)
+        if shape == "padded":
+            rng = np.random.default_rng(seed)
+            rank, extra = family.shape[1], int(rng.integers(1, 4))
+            parts = [np.vstack([p, np.zeros((extra, p.shape[1]))]) for p in parts]
+            full = (len(family), rank + extra, rank + extra)
+            noise = rng.standard_normal(full) + 1j * rng.standard_normal(full)
+            padded = noise + noise.conj().transpose(0, 2, 1)
+            padded[:, :rank, :rank] = family
+            family = padded
+        elif shape == "single":
+            parts, expected = [np.hstack(parts)], [(0,)]
+        got = _merge_coupled(parts, side_by_side(family), np.arange(len(family)), t_edge)
         want = reference_merge_coupled(parts, list(family), t_edge)
         assert len(got) == len(want) == len(expected)
         for g, w, grp in zip(got, want, expected):
@@ -810,7 +844,7 @@ class TestBatchedSbdAgainstReference:
                     for _ in range(2):
                         candidates.append([p for b in blocks for p in random_split(rng, b)])
                     for parts in candidates:
-                        got = _merge_coupled(parts, compressed, starts, tol.t_edge)
+                        got = _merge_coupled(parts, side_by_side(compressed), starts, tol.t_edge)
                         want = reference_merge_coupled(parts, members, tol.t_edge)
                         got, want = part_groups(parts, got), part_groups(parts, want)
                         assert all(any(set(w) <= set(g) for g in got) for w in want)
@@ -843,7 +877,7 @@ class TestBatchedSbdAgainstReference:
             turned = np.einsum("ia,xayb,jb->xiyj", u, rho, u.conj())
             for r in (rho, turned):
                 family, starts = _pair_slices(0, {(0, 1): r})
-                merged = _merge_coupled(parts, family, starts, t_edge)
+                merged = _merge_coupled(parts, side_by_side(family), starts, t_edge)
                 assert len(merged) == (1 if scale > 1 else 2)
 
     def test_slices_match_loop(self):
@@ -906,6 +940,76 @@ class TestBatchedSbdAgainstReference:
                     assert np.array_equal(part, spec.eigenvectors[:, [k]])
                 checked += 1
         assert checked > 30
+
+
+class TestSbdMergePinned:
+    """The merge's two products over the side-by-side slices change neither
+    SBD's rounds nor its bits: with the per-member reference merge in its
+    place, SBD returns the same blocks bit for bit and leaves the generator
+    in the same state."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_blocks_and_generator_match_reference_merge(self, seed, monkeypatch):
+        pinned = sbd_states() + [two_ring_state(p, d) for p, d in ((0.62, 2), (0.75, 9))]
+        pinned += [StateTensor(c.dims, c.amps) for c in bench_states.make_cases("degenerate", 11)]
+        calls, layouts = [], []
+
+        def reference(parts, layout, starts, t_edge):
+            # the layout must be the cluster's slices side by side, built
+            # here independently, so the reference does not trust it
+            assert any(np.array_equal(layout, want) for want in layouts)
+            calls.append(len(parts))
+            return reference_merge_on_layout(parts, layout, starts, t_edge)
+
+        tol = DEFAULT_TOLERANCES
+        for state in pinned:
+            for n in range(state.n_subsystems):
+                spec = local_spectrum(state, n, tol.t_deg, tol.t_supp)
+                pairs = _eigenframe_pair_states(state, [spec], n)
+                family, _ = _pair_slices(n, pairs)
+                spans = [(c[0], min(c[-1] + 1, spec.support_rank)) for c in spec.clusters]
+                layouts[:] = [
+                    side_by_side(family[:, lo:hi, lo:hi] / spec.eigenvalues[lo:hi].sum())
+                    for lo, hi in spans
+                    if hi - lo > 1
+                ]
+                runs = []
+                for merge in (_merge_coupled, reference):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(decomposition, "_merge_coupled", merge)
+                        rng = np.random.default_rng(seed)
+                        parts = _sbd_partition(spec, tol, rng, pairs)
+                        runs.append((sbd_refine(state, n, tol, seed), parts, rng.bit_generator.state))
+                (blocks, parts, end), (ref_blocks, ref_parts, ref_end) = runs
+                assert end == ref_end
+                for got, want in ((blocks, ref_blocks), (parts, ref_parts)):
+                    assert len(got) == len(want)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert len(calls) > 300 and max(calls) == 4
+
+    @pytest.mark.parametrize("rounds", [1, 3, 5])
+    def test_irreducible_cluster_takes_the_stable_rounds(self, rounds, monkeypatch):
+        # subsystem 0 holds two qubits, each maximally entangled with one
+        # other party: rho_0 is I/4, one cluster, and the pair slices of
+        # (0, 1) and (0, 2) generate all of M_4, so every round's split is
+        # merged back and the search stops after the stable rounds
+        core = np.zeros((4, 2, 2))
+        for a in range(2):
+            for b in range(2):
+                core[2 * a + b, a, b] = 0.5
+        state = dress_state(StateTensor((4, 2, 2), core.reshape(-1)), seed=3)
+        calls = []
+
+        def counting(parts, layout, starts, t_edge):
+            calls.append(len(parts))
+            return _merge_coupled(parts, layout, starts, t_edge)
+
+        monkeypatch.setattr(decomposition, "_merge_coupled", counting)
+        for seed in range(3):
+            calls.clear()
+            blocks = sbd_refine(state, 0, Tolerances(sbd_stable_rounds=rounds), seed)
+            assert len(blocks) == 1 and blocks[0].shape == (4, 4)
+            assert calls == [4] * rounds
 
 
 def sbd_states():
