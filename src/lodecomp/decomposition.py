@@ -34,11 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalConsistencyError, UnsupportedOperationError
-from .spectral import SpectralData, cluster_eigenvalues, local_spectrum, schmidt_decompose
+from .spectral import SpectralData, local_spectrum, schmidt_decompose
 from .tensor import StateTensor, apply_matrix_at, partial_trace
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 VERIFY_ATOL = 1e-9
+_SBD_BATCH_ENTRIES = 1 << 20  # cap on one SBD batch's cross-block entries, rounds x layout
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +221,9 @@ def verify_lo(d: BranchDecomposition, tol: Tolerances = DEFAULT_TOLERANCES) -> V
     projector B_n^i B_n^i^H, and psi for the state.  Both support checks
     read the Gram matrix Q_n^H Q_n of the stacked supports
     Q_n = (B_n^1 ... B_n^k): ``support_orthonormality`` is the largest
-    spectral norm eps_s of a diagonal block less the identity, and
-    ``local_orthogonality`` the largest spectral norm eps_o of an
-    off-diagonal block.
+    Frobenius norm eps_s of a diagonal block less the identity, and
+    ``local_orthogonality`` the largest Frobenius norm eps_o of an
+    off-diagonal block; the bounds below need only spectral norms, no larger.
 
     ``projector_identity`` is checked per (subsystem, branch): r is the
     largest ||P_n^i psi - sqrt(w_i) v_i||, from one batched product per
@@ -269,7 +270,7 @@ def verify_lo(d: BranchDecomposition, tol: Tolerances = DEFAULT_TOLERANCES) -> V
     for n in range(state.n_subsystems):
         # Q[i] = (B_n^i | 0): supports zero-padded to a common rank, so one
         # batched product serves all branches; the padding adds zero rows and
-        # columns to the Gram blocks, which leaves their spectral norms alone
+        # columns to the Gram blocks, which leaves their norms alone
         ranks = np.array([br.supports[n].shape[1] for br in d.branches])
         rank = int(ranks.max())
         q = np.zeros((k, dims[n], rank), dtype=np.complex128)
@@ -279,7 +280,7 @@ def verify_lo(d: BranchDecomposition, tol: Tolerances = DEFAULT_TOLERANCES) -> V
         blocks = np.matmul(qh[:, None], q[None])
         in_rank = np.arange(rank) < ranks[:, None]
         blocks[np.arange(k), np.arange(k)] -= in_rank[:, :, None] * np.eye(rank)
-        norms = np.linalg.norm(blocks, ord=2, axis=(-2, -1))
+        norms = np.linalg.norm(blocks, axis=(-2, -1))
         sup_dev = max(sup_dev, float(norms.diagonal().max()))
         if k > 1:
             overlap = max(overlap, float(norms[~np.eye(k, dtype=bool)].max()))
@@ -391,28 +392,13 @@ def common_fine_graining(
 # correlation graph
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, a):
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:  # path compression
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def groups(self):
-        byroot = {}
-        for a in range(len(self.parent)):
-            byroot.setdefault(self.find(a), []).append(a)
-        return [tuple(byroot[r]) for r in sorted(byroot)]
+def _component_roots(linked: np.ndarray) -> np.ndarray:
+    """Each node's first node in its connected component, for a symmetric
+    adjacency matrix or a stack: the closure squared until it stops growing."""
+    reach = (linked | np.eye(linked.shape[-1], dtype=bool)).astype(np.float32)
+    while not np.array_equal(wider := np.minimum(reach @ reach, 1), reach):
+        reach = wider
+    return reach.argmax(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,12 +549,13 @@ def build_correlation_graph(
         rows = np.add.reduceat(marginal[: frame.ranks[n]], frame.starts[n], axis=0)
         joint = np.add.reduceat(rows[:, : frame.ranks[m]], frame.starts[m], axis=1)
         weights[offsets[n]:offsets[n + 1], offsets[m]:offsets[m + 1]] = joint
-    edges = [(int(a), int(b), float(weights[a, b])) for a, b in zip(*np.nonzero(weights > t_edge))]
+    linked = weights > t_edge
+    edges = [(int(a), int(b), float(weights[a, b])) for a, b in zip(*np.nonzero(linked))]
     rejected = weights[weights <= t_edge]
-    uf = _UnionFind(len(frame.nodes))
-    for a, b, _ in edges:
-        uf.union(a, b)
-    components = tuple(uf.groups())
+    groups = {}
+    for a, root in enumerate(_component_roots(linked | linked.T).tolist()):
+        groups.setdefault(root, []).append(a)  # in order of first nodes
+    components = tuple(map(tuple, groups.values()))
     for comp in components:
         touched = {frame.nodes[i].subsystem for i in comp}
         if touched != set(range(state.n_subsystems)):
@@ -621,56 +608,71 @@ def _pair_slices(n: int, pairs: dict):
     return np.concatenate([s.reshape(-1, *s.shape[2:]) for s in slices]), starts
 
 
-def _merge_coupled(parts, layout: np.ndarray, starts, t_edge: float):
-    """Re-merge candidate parts coupled through some other subsystem m.
+def _merge_coupled(frames: np.ndarray, labels: np.ndarray, layout: np.ndarray, starts, t_edge):
+    """Re-merge candidate parts coupled through some other subsystem m, for
+    a batch of rounds: round r's candidate c is the columns x of the
+    orthonormal C = ``frames[r]`` with ``labels[r, x]`` = c.
 
     Parts a < b merge when ||(B_b^H x I) rho_nm (B_a x I)||_F > t_edge, whose
-    square sums ||B_b^H F B_a||_F^2 over m's group of slices F.  With the
-    parts stacked as C = (B_1 ... B_p), every such cross block is a block of
-    C^H F C, and two products over ``layout`` = (F_1 | ... | F_L) give them
-    all: C^H layout, read as (p L, s), times C holds C^H F_k C at [:, k, :].
-    |C^H F C|^2 is summed over each group and over the part boundaries on
-    both axes, maximized over the groups and read off the strictly lower
-    triangle (rho_nm is Hermitian, so each pair appears there once).  The
-    norm does not depend on m's local basis, and it bounds every single
-    slice's cross block.
+    square sums ||B_b^H F B_a||_F^2, a block of C^H F C, over m's group of
+    slices F.  Two products over ``layout`` = (F_1 | ... | F_L) give them
+    all: C^H layout, read as (s L, s), times C.  |C^H F C|^2 is summed over
+    each group and over the candidates' columns, maximized over the groups
+    and read off the strictly lower triangle (rho_nm is Hermitian).  The norm
+    does not depend on m's local basis and bounds every single slice's cross
+    block.  Returns each column's merged part, numbered by first candidate.
     """
-    stacked = np.hstack(parts)
-    bounds = list(itertools.accumulate((p.shape[1] for p in parts[:-1]), initial=0))
-    cross = (stacked.conj().T @ layout).reshape(-1, len(layout)) @ stacked
-    power = (cross.real**2 + cross.imag**2).reshape(len(cross.T), -1, len(cross.T))
-    power = np.add.reduceat(power, starts, axis=1)
-    power = np.add.reduceat(np.add.reduceat(power, bounds, axis=0), bounds, axis=2)
-    coupled = np.tril(np.sqrt(power.max(axis=1)) > t_edge, -1)
-    uf = _UnionFind(len(parts))
-    for b, a in zip(*np.nonzero(coupled)):
-        uf.union(int(a), int(b))
-    return [np.hstack([parts[i] for i in grp]) for grp in uf.groups()]
+    rounds, size = labels.shape
+    cross = frames.conj().swapaxes(1, 2).reshape(-1, len(layout)) @ layout
+    cross = cross.reshape(rounds, -1, len(layout)) @ frames
+    power = (cross.real**2 + cross.imag**2).reshape(rounds, size, -1, size)
+    power = np.add.reduceat(power, starts, axis=2).swapaxes(1, 2)
+    member = (labels[:, :, None] == np.arange(size)).astype(np.float64)
+    power = (member.swapaxes(1, 2)[:, None] @ power @ member[:, None]).max(axis=1)
+    linked = (np.sqrt(power) > t_edge) & (np.arange(size)[:, None] > np.arange(size))
+    roots = _component_roots(linked | linked.swapaxes(1, 2))
+    rows = np.arange(rounds)[:, None]
+    return (np.cumsum(roots == np.arange(size), axis=1) - 1)[rows, roots[rows, labels]]
 
 
 def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: int) -> list:
     """SBD blocks of one eigenvalue cluster, in the cluster's coordinates;
-    ``family`` holds the cluster's unit-trace pair slices."""
+    ``family`` holds the cluster's unit-trace pair slices.  The rounds still
+    needed are judged in one batch on the current parts (a stable round only
+    turns their bases); the first that changes the part count is kept and
+    later draws wait, so each round draws what it would one at a time."""
     count, size = family.shape[:2]
     layout = family.transpose(1, 0, 2).reshape(size, -1)  # (F_1 | ... | F_L)
     parts = [np.eye(size, dtype=np.complex128)]
-    stable = 0
-    for _ in range(50 * size):
+    drawn = np.empty((0, count), dtype=np.complex128)  # for rounds not yet judged
+    stable, left, most = 0, 50 * size, max(1, _SBD_BATCH_ENTRIES // layout.size)
+    while left:
+        rounds = min(tol.sbd_stable_rounds - stable, left, most)
+        fresh = rng.standard_normal(2 * count * (rounds - len(drawn))).view(np.complex128)
+        drawn = np.concatenate([drawn, fresh.reshape(-1, count)])
         # X = (sum_k z_k F_k + h.c.) / 2, z_k complex normal: Tr_m[(I x H_m) rho_nm]
         # for a random Hermitian H_m on every other subsystem m
-        coeffs = rng.standard_normal(2 * count).view(np.complex128)
-        combined = (coeffs @ family.reshape(count, -1)).reshape(size, size)
-        combined = (combined + combined.conj().T) / 2.0
-        candidates = []
+        combined = (drawn @ family.reshape(count, -1)).reshape(rounds, size, size)
+        combined = (combined + combined.conj().swapaxes(1, 2)) / 2.0
+        frames, firsts = [], []
         for basis in parts:
             vals, vecs = np.linalg.eigh(basis.conj().T @ combined @ basis)
-            candidates += [basis @ vecs[:, c] for c in cluster_eigenvalues(-vals, tol.t_deg)]
+            frames.append(basis @ vecs)
+            firsts += [np.ones((rounds, 1), dtype=bool), vals[:, 1:] - vals[:, :-1] > tol.t_deg]
+        frames = np.concatenate(frames, axis=2)
+        labels = np.cumsum(np.concatenate(firsts, axis=1), axis=1) - 1
         # merge-back keeps the search sound: a split that any pair state
         # couples across is undone, and since cross-block norms can only
         # shrink under sub-splitting, merges never cross boundaries of the
         # previous partition -- the loop refines monotonically.
-        count_before, parts = len(parts), _merge_coupled(candidates, layout, starts, tol.t_edge)
-        stable = stable + 1 if len(parts) == count_before else 0
+        groups = _merge_coupled(frames, labels, layout, starts, tol.t_edge)
+        changed = np.flatnonzero(groups.max(axis=1) + 1 != len(parts))
+        if changed.size:
+            r = changed[0]
+            parts = [frames[r][:, groups[r] == g] for g in range(groups[r].max() + 1)]
+            drawn, stable, left = drawn[r + 1:], 0, left - r - 1
+            continue
+        drawn, stable, left = drawn[:0], stable + rounds, left - rounds
         if stable >= tol.sbd_stable_rounds:
             return parts if len(parts) == 1 else sorted(parts, key=_projector_key)
     raise InternalConsistencyError(

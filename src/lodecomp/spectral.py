@@ -41,15 +41,11 @@ def cluster_eigenvalues(values, t_deg: float = DEFAULT_TOLERANCES.t_deg):
         Index groups, in order.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.size and np.any(np.diff(values) > 1e-15):
+    steps = np.diff(values)
+    if (steps > 1e-15).any():
         raise ValueError("values must be sorted in descending order")
-    clusters = []
-    for i in range(values.size):
-        if i > 0 and values[i - 1] - values[i] <= t_deg:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
+    cuts = [0, *(np.flatnonzero(~(-steps <= t_deg)) + 1).tolist(), values.size]
+    return [list(range(a, b)) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 @dataclass(frozen=True, eq=False)

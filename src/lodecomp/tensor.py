@@ -260,10 +260,10 @@ def partial_trace(state: StateTensor, keep) -> DensityOperator:
     if len(keep) == state.n_subsystems:
         raise ValueError("keep-set must be a strict subset of the subsystems")
     traced = [n for n in range(state.n_subsystems) if n not in keep]
-    arr = state.as_array()
-    rho = np.tensordot(arr, arr.conj(), axes=(traced, traced))
     dim = math.prod(state.dims[n] for n in keep)
-    return DensityOperator(keep, rho.reshape(dim, dim))
+    # one transpose, one product: np.dot keeps tensordot's bits (matmul not always)
+    kept = state.as_array().transpose(keep + traced).reshape(dim, -1)
+    return DensityOperator(keep, np.dot(kept, kept.conj().T))
 
 
 def apply_local_projector(state: StateTensor, proj: LocalProjector):

@@ -17,7 +17,9 @@ from lodecomp.catalog import (
 )
 from lodecomp import decomposition
 from lodecomp.decomposition import (
+    VERIFY_ATOL,
     _component_masks,
+    _component_roots,
     _eigenframe_pair_states,
     _local_frame,
     _merge_coupled,
@@ -57,8 +59,11 @@ from util import (
     reference_compress_vector,
     reference_correlation_family,
     reference_merge_coupled,
+    reference_merge_groups,
     reference_projector_identity,
+    reference_split_cluster,
     support_projectors,
+    UnionFind,
 )
 
 import states as bench_states  # noqa: E402  (bench/, put on the path by util)
@@ -424,6 +429,56 @@ class TestVerifyAgainstReference:
         assert outcomes[0] and not outcomes[-1]
 
 
+def spectral_support_residuals(d):
+    """``support_orthonormality`` and ``local_orthogonality`` as spectral
+    norms of the Gram blocks B_n^i^H B_n^j (less the identity when i = j),
+    one block at a time: the norms that ``verify_lo`` took before it took
+    Frobenius norms."""
+    sup_dev = overlap = 0.0
+    for n in range(d.state.n_subsystems):
+        for i, bi in enumerate(d.branches):
+            for j, bj in enumerate(d.branches):
+                block = bi.supports[n].conj().T @ bj.supports[n]
+                if i == j:
+                    sup_dev = max(sup_dev, np.linalg.norm(block - np.eye(len(block)), 2))
+                else:
+                    overlap = max(overlap, np.linalg.norm(block, 2))
+    return sup_dev, overlap
+
+
+class TestSupportChecksFrobenius:
+    """The support checks' Frobenius block norms are never below the
+    spectral norms they replaced, so they fail whatever those failed."""
+
+    def test_at_least_the_spectral_norms_on_perturbed_supports(self):
+        rng = np.random.default_rng(7)
+        checked = failed = 0
+        for state in catalog_and_dressed_states()[:12]:
+            d = maximal_decomposition(state).decomposition
+            for scale in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+                branches = []
+                for br in d.branches:
+                    supports = []
+                    for b in br.supports:
+                        noise = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+                        supports.append(b + scale * noise)
+                    branches.append(Branch(br.weight, br.vector, supports))
+                perturbed = BranchDecomposition(d.state, branches)
+                checks = {c.name: c for c in verify_lo(perturbed).checks}
+                sup_dev, overlap = spectral_support_residuals(perturbed)
+                frob_sup = checks["support_orthonormality"].residual
+                frob_overlap = checks["local_orthogonality"].residual
+                # up to the rounding of two product orders
+                assert frob_sup >= sup_dev * (1 - 1e-12) - 1e-15
+                assert frob_overlap >= overlap * (1 - 1e-12) - 1e-15
+                if max(sup_dev, overlap) > VERIFY_ATOL:
+                    assert not (checks["support_orthonormality"].passed
+                                and checks["local_orthogonality"].passed)
+                    failed += 1
+                checked += 1
+        assert checked == 60 and failed >= 12
+
+
 class TestGraphAgainstReference:
     def test_edge_weights_are_joint_projections(self):
         for state in catalog_and_dressed_states():
@@ -623,6 +678,39 @@ class TestCommonFineGraining:
             common_fine_graining(fake, good)
 
 
+class TestComponentRoots:
+    """The closure labelling of the graph and of the SBD merge against a
+    union-find over the same edges."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=3),
+        st.floats(min_value=0.0, max_value=0.3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_union_find(self, size, stack, density, seed):
+        rng = np.random.default_rng(seed)
+        linked = np.triu(rng.random((stack, size, size)) < density, 1)
+        roots = _component_roots(linked | linked.swapaxes(1, 2))
+        for one, got in zip(linked, roots):
+            uf = UnionFind(size)
+            for a, b in zip(*np.nonzero(one)):
+                uf.union(int(a), int(b))
+            assert got.tolist() == [uf.find(a) for a in range(size)]
+
+    def test_graph_components_match_union_find(self):
+        checked = 0
+        for state in frame_states():
+            graph = build_correlation_graph(state, frame_partitions(state))
+            uf = UnionFind(len(graph.nodes))
+            for a, b, _ in graph.edges:
+                uf.union(a, b)
+            assert list(graph.components) == uf.groups()
+            checked += len(graph.components) > 1
+        assert checked > 10
+
+
 class TestCorrelationGraph:
     def test_ghz_components(self):
         ghz = ghz_state()
@@ -724,12 +812,31 @@ def side_by_side(family):
     return np.hstack(list(family))
 
 
-def reference_merge_on_layout(parts, layout, starts, t_edge):
-    """``reference_merge_coupled`` behind ``_merge_coupled``'s signature, with
-    one member per slice of the layout and ``starts`` unused."""
+def merge_round(parts, layout, starts, t_edge):
+    """One round of ``_merge_coupled`` on a list of parts: the merged parts,
+    each the hstack of its members in order."""
+    frame = np.hstack(parts)
+    labels = np.repeat(np.arange(len(parts)), [p.shape[1] for p in parts])
+    groups = _merge_coupled(frame[None], labels[None], layout, starts, t_edge)[0]
+    return [frame[:, groups == g] for g in range(groups.max() + 1)]
+
+
+def reference_batch_merge(frames, labels, layout, starts, t_edge, calls=None):
+    """``reference_merge_coupled`` behind ``_merge_coupled``'s signature: one
+    round at a time, one member per slice of the layout, ``starts`` unused.
+    Appends each round's candidate count to ``calls`` when given."""
     size = len(layout)
     members = [layout[:, k:k + size] for k in range(0, layout.shape[1], size)]
-    return reference_merge_coupled(parts, members, t_edge)
+    out = []
+    for frame, label in zip(frames, labels):
+        parts = [frame[:, label == c] for c in range(label.max() + 1)]
+        if calls is not None:
+            calls.append(len(parts))
+        part_of = np.empty(len(parts), dtype=int)
+        for g, grp in enumerate(reference_merge_groups(parts, members, t_edge)):
+            part_of[list(grp)] = g
+        out.append(part_of[label])
+    return np.array(out)
 
 
 def planted_merge_case(seed):
@@ -813,7 +920,7 @@ class TestBatchedSbdAgainstReference:
             family = padded
         elif shape == "single":
             parts, expected = [np.hstack(parts)], [(0,)]
-        got = _merge_coupled(parts, side_by_side(family), np.arange(len(family)), t_edge)
+        got = merge_round(parts, side_by_side(family), np.arange(len(family)), t_edge)
         want = reference_merge_coupled(parts, list(family), t_edge)
         assert len(got) == len(want) == len(expected)
         for g, w, grp in zip(got, want, expected):
@@ -844,7 +951,7 @@ class TestBatchedSbdAgainstReference:
                     for _ in range(2):
                         candidates.append([p for b in blocks for p in random_split(rng, b)])
                     for parts in candidates:
-                        got = _merge_coupled(parts, side_by_side(compressed), starts, tol.t_edge)
+                        got = merge_round(parts, side_by_side(compressed), starts, tol.t_edge)
                         want = reference_merge_coupled(parts, members, tol.t_edge)
                         got, want = part_groups(parts, got), part_groups(parts, want)
                         assert all(any(set(w) <= set(g) for g in got) for w in want)
@@ -877,7 +984,7 @@ class TestBatchedSbdAgainstReference:
             turned = np.einsum("ia,xayb,jb->xiyj", u, rho, u.conj())
             for r in (rho, turned):
                 family, starts = _pair_slices(0, {(0, 1): r})
-                merged = _merge_coupled(parts, side_by_side(family), starts, t_edge)
+                merged = merge_round(parts, side_by_side(family), starts, t_edge)
                 assert len(merged) == (1 if scale > 1 else 2)
 
     def test_slices_match_loop(self):
@@ -943,10 +1050,10 @@ class TestBatchedSbdAgainstReference:
 
 
 class TestSbdMergePinned:
-    """The merge's two products over the side-by-side slices change neither
-    SBD's rounds nor its bits: with the per-member reference merge in its
-    place, SBD returns the same blocks bit for bit and leaves the generator
-    in the same state."""
+    """The batched merge test changes neither SBD's rounds nor its bits: with
+    the per-member reference merge in its place, one round at a time, SBD
+    returns the same blocks bit for bit and leaves the generator in the same
+    state."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_blocks_and_generator_match_reference_merge(self, seed, monkeypatch):
@@ -954,12 +1061,11 @@ class TestSbdMergePinned:
         pinned += [StateTensor(c.dims, c.amps) for c in bench_states.make_cases("degenerate", 11)]
         calls, layouts = [], []
 
-        def reference(parts, layout, starts, t_edge):
+        def reference(frames, labels, layout, starts, t_edge):
             # the layout must be the cluster's slices side by side, built
             # here independently, so the reference does not trust it
             assert any(np.array_equal(layout, want) for want in layouts)
-            calls.append(len(parts))
-            return reference_merge_on_layout(parts, layout, starts, t_edge)
+            return reference_batch_merge(frames, labels, layout, starts, t_edge, calls)
 
         tol = DEFAULT_TOLERANCES
         for state in pinned:
@@ -992,24 +1098,165 @@ class TestSbdMergePinned:
         # subsystem 0 holds two qubits, each maximally entangled with one
         # other party: rho_0 is I/4, one cluster, and the pair slices of
         # (0, 1) and (0, 2) generate all of M_4, so every round's split is
-        # merged back and the search stops after the stable rounds
-        core = np.zeros((4, 2, 2))
-        for a in range(2):
-            for b in range(2):
-                core[2 * a + b, a, b] = 0.5
-        state = dress_state(StateTensor((4, 2, 2), core.reshape(-1)), seed=3)
+        # merged back and the search stops after one batch of the stable
+        # rounds, each on four candidates
         calls = []
 
-        def counting(parts, layout, starts, t_edge):
-            calls.append(len(parts))
-            return _merge_coupled(parts, layout, starts, t_edge)
+        def counting(frames, labels, layout, starts, t_edge):
+            calls.append((labels.max(axis=1) + 1).tolist())
+            return _merge_coupled(frames, labels, layout, starts, t_edge)
 
         monkeypatch.setattr(decomposition, "_merge_coupled", counting)
         for seed in range(3):
             calls.clear()
-            blocks = sbd_refine(state, 0, Tolerances(sbd_stable_rounds=rounds), seed)
+            blocks = sbd_refine(irreducible_state(), 0, Tolerances(sbd_stable_rounds=rounds), seed)
             assert len(blocks) == 1 and blocks[0].shape == (4, 4)
-            assert calls == [4] * rounds
+            assert calls == [[4] * rounds]
+
+
+def irreducible_state():
+    """Two qubits on subsystem 0, each in a Bell pair with one other party,
+    dressed: one 4-dim cluster that SBD cannot split."""
+    core = np.zeros((4, 2, 2))
+    for a in range(2):
+        for b in range(2):
+            core[2 * a + b, a, b] = 0.5
+    return dress_state(StateTensor((4, 2, 2), core.reshape(-1)), seed=3)
+
+
+def cluster_inputs(state, tol=DEFAULT_TOLERANCES):
+    """(subsystem, unit-trace slices, group starts) of every cluster that
+    ``maximal_decomposition`` hands to ``_split_cluster``."""
+    spectra = [local_spectrum(state, n, tol.t_deg, tol.t_supp) for n in range(state.n_subsystems)]
+    pairs = _eigenframe_pair_states(state, spectra)
+    out = []
+    for spec in spectra:
+        family, starts = _pair_slices(spec.subsystem, pairs)
+        for c in spec.clusters:
+            lo, hi = c[0], min(c[-1] + 1, spec.support_rank)
+            if hi - lo > 1:
+                slices = family[:, lo:hi, lo:hi] / spec.eigenvalues[lo:hi].sum()
+                out.append((spec.subsystem, slices, starts))
+    return out
+
+
+class ScriptedGenerator:
+    """Stands in for a numpy Generator: ``standard_normal`` hands out the
+    next entries of a fixed script, and every request is recorded."""
+
+    def __init__(self, script):
+        self.script, self.used, self.requests = np.asarray(script, dtype=np.float64), 0, []
+
+    def standard_normal(self, size):
+        self.requests.append(size)
+        self.used += size
+        assert self.used <= len(self.script)
+        return self.script[self.used - size:self.used].copy()
+
+
+class TestSbdBatchedAgainstSequential:
+    """The batched rounds against the one-round-at-a-time loop they replaced
+    (``reference_split_cluster``): the same draws, stopping rule, round cap
+    and generator state, and the same blocks up to rounding."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_blocks_and_generator_as_sequential(self, seed):
+        states = sbd_states() + [two_ring_state(p, d) for p, d in ((0.62, 2), (0.75, 9))]
+        for workload_seed in (0, 1, 2, 3, 4, 11):
+            cases = bench_states.make_cases("degenerate", workload_seed)
+            states += [StateTensor(c.dims, c.amps) for c in cases]
+        tol = DEFAULT_TOLERANCES
+        checked = split = 0
+        for state in states:
+            for n, slices, starts in cluster_inputs(state):
+                runs = []
+                for split_cluster in (_split_cluster, reference_split_cluster):
+                    rng = np.random.default_rng(seed)
+                    blocks = split_cluster(slices, starts, tol, rng, n)
+                    runs.append((blocks, rng.bit_generator.state))
+                (blocks, end), (want, want_end) = runs
+                assert end == want_end and len(blocks) == len(want)
+                for b, w in zip(blocks, want):
+                    assert np.max(np.abs(b @ b.conj().T - w @ w.conj().T)) <= 1e-12
+                checked += 1
+                split += len(blocks) > 1
+        assert checked >= 200 and split >= 20
+
+    def test_unsplit_cluster_keeps_the_eigenvectors(self):
+        # a cluster that no round splits comes back as the identity on the
+        # cluster, so its support columns are rho_n's eigenvectors and the
+        # degenerate workload's branches do not depend on the seed at all
+        for c in bench_states.make_cases("degenerate", 5):
+            state = StateTensor(c.dims, c.amps)
+            results = [maximal_decomposition(state, seed=seed).decomposition for seed in range(5)]
+            for d in results[1:]:
+                assert np.array_equal(d.weights, results[0].weights)
+                for b, b0 in zip(d.branches, results[0].branches):
+                    assert all(np.array_equal(x, y) for x, y in zip(b.supports, b0.supports))
+            for n in range(state.n_subsystems):
+                spec = local_spectrum(state, n)
+                columns = np.hstack([b.supports[n] for b in results[0].branches])
+                assert np.array_equal(columns, spec.support_basis)
+
+    def test_split_in_second_round_of_a_batch(self):
+        # round 1 draws zero coefficients, so X = 0 has one eigenvalue
+        # cluster and nothing splits; round 2 splits a two-ring cluster that
+        # holds both rings (forced: SBD on the whole support).  The batch
+        # keeps round 2, and round 3's draw waits for the next batch
+        state = two_ring_state(0.7, seed=1)
+        spec = local_spectrum(state, 0)
+        family, starts = _pair_slices(0, _pair_states(state))
+        support = spec.support_basis
+        slices = support.conj().T @ family @ support
+        count = len(slices)
+        draws = np.random.default_rng(5).standard_normal(2 * count * 40)
+        draws[: 2 * count] = 0.0
+        scripted = ScriptedGenerator(draws)
+        blocks = _split_cluster(slices, starts, DEFAULT_TOLERANCES, scripted, 0)
+        sequential = ScriptedGenerator(draws)
+        want = reference_split_cluster(slices, starts, DEFAULT_TOLERANCES, sequential, 0)
+        assert len(blocks) == len(want) > 1 and scripted.used == sequential.used
+        assert scripted.requests[:2] == [2 * count * 3, 2 * count * 2]
+        for b, w in zip(blocks, want):
+            assert np.max(np.abs(b @ b.conj().T - w @ w.conj().T)) <= 1e-12
+
+    def test_unreachable_stable_rounds_raise_with_capped_batches(self):
+        # 10**6 stable rounds never come within the cap of 50 rounds per
+        # dimension: both loops raise after drawing exactly that many rounds,
+        # and the batched one draws them in one batch of the rounds left, not
+        # of the 10**6 rounds it asks for
+        (n, slices, starts), = cluster_inputs(irreducible_state())[:1]
+        tol = Tolerances(sbd_stable_rounds=10**6)
+        count, size = slices.shape[:2]
+        draws = np.random.default_rng(0).standard_normal(2 * count * 50 * size)
+        ends = []
+        for split in (_split_cluster, reference_split_cluster):
+            scripted = ScriptedGenerator(draws)
+            with pytest.raises(InternalConsistencyError, match="failed to stabilize"):
+                split(slices, starts, tol, scripted, n)
+            ends.append(scripted.used)
+            if split is _split_cluster:
+                assert scripted.requests == [len(draws)]
+        assert ends == [len(draws)] * 2
+
+    @pytest.mark.parametrize("stable_rounds", [1, 3, 7])
+    def test_batches_capped_below_the_stable_rounds(self, stable_rounds, monkeypatch):
+        # with room for two rounds per batch, a search carries its stable
+        # count across batches and still draws what the sequential loop draws
+        tol = Tolerances(sbd_stable_rounds=stable_rounds)
+        states = [two_ring_state(0.7, seed=1), dress_state(ghz_state(3, 4), seed=5)]
+        for state in states + [irreducible_state()]:
+            for n, slices, starts in cluster_inputs(state):
+                # the layout holds as many entries as the slices
+                monkeypatch.setattr(decomposition, "_SBD_BATCH_ENTRIES", 2 * slices.size)
+                runs = []
+                for split in (_split_cluster, reference_split_cluster):
+                    rng = np.random.default_rng(4)
+                    runs.append((split(slices, starts, tol, rng, n), rng.bit_generator.state))
+                (blocks, end), (want, want_end) = runs
+                assert end == want_end and len(blocks) == len(want)
+                for b, w in zip(blocks, want):
+                    assert np.max(np.abs(b @ b.conj().T - w @ w.conj().T)) <= 1e-12
 
 
 def sbd_states():

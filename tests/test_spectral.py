@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lodecomp.catalog import ghz_state, random_state, u_state, w_state
 from lodecomp.spectral import (
@@ -35,6 +37,53 @@ class TestClustering:
         # a gap exactly at t_deg merges; just above stays split
         assert len(cluster_eigenvalues([0.5, 0.5 - 1e-8], 1e-8)) == 1
         assert len(cluster_eigenvalues([0.5, 0.5 - 1.1e-8], 1e-8)) == 2
+
+
+def reference_cluster_eigenvalues(values, t_deg):
+    """The per-value loop that ``cluster_eigenvalues`` replaced."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size and np.any(np.diff(values) > 1e-15):
+        raise ValueError("values must be sorted in descending order")
+    clusters = []
+    for i in range(values.size):
+        if i > 0 and values[i - 1] - values[i] <= t_deg:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return clusters
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+# gaps near t_deg on both sides, exact ties, and steps up that the sortedness
+# check must catch (above 1e-15) or let pass (at most 1e-15)
+GAPS = st.one_of(
+    st.floats(min_value=0, max_value=3e-8),
+    st.sampled_from([0.0, 1e-8, 1e-8 * (1 + 1e-15), 0.1, -1e-15, -1e-14, -0.2]),
+)
+
+
+class TestClusteringAgainstLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.lists(GAPS, max_size=12),
+        st.sampled_from([1e-8, 1e-12, 0.05]),
+    )
+    def test_same_clusters_and_errors(self, start, gaps, t_deg):
+        values = start - np.concatenate([[0.0], np.cumsum(gaps)]) if gaps else np.array([start])
+        got = outcome(cluster_eigenvalues, values, t_deg)
+        assert got == outcome(reference_cluster_eigenvalues, values, t_deg)
+        assert got == outcome(cluster_eigenvalues, values.tolist(), t_deg)
+
+    def test_empty_and_nan(self):
+        for values in ([], [0.5, float("nan"), 0.1], [float("nan")] * 3):
+            assert cluster_eigenvalues(values, 1e-8) == reference_cluster_eigenvalues(values, 1e-8)
 
 
 class TestFixPhases:

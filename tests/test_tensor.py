@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -19,6 +20,20 @@ from lodecomp.tensor import (
     partial_trace,
     permute_subsystems,
     tensor_compose,
+)
+
+import util  # noqa: F401  (puts bench/ on the path)
+import states as bench_states  # noqa: E402
+from lodecomp.catalog import (  # noqa: E402
+    dress_state,
+    ghz_state,
+    product_state,
+    random_state,
+    u_state,
+    v_state,
+    w_state,
+    x_state,
+    z_state,
 )
 
 
@@ -217,6 +232,58 @@ class TestPartialTrace:
         rho = partial_trace(state, [2]).matrix
         purity = float(np.trace(rho @ rho).real)
         assert 1 / 3 - 1e-12 <= purity <= 1 + 1e-12
+
+
+def reference_partial_trace(state, keep):
+    """The tensordot over all traced axes that ``partial_trace`` replaced."""
+    keep = sorted(keep)
+    traced = [n for n in range(state.n_subsystems) if n not in keep]
+    arr = state.as_array()
+    dim = math.prod(state.dims[n] for n in keep)
+    return np.tensordot(arr, arr.conj(), axes=(traced, traced)).reshape(dim, dim)
+
+
+def keep_sets(n_subsystems):
+    """Every single subsystem and every pair."""
+    singles = [[n] for n in range(n_subsystems)]
+    return singles + [[a, b] for a in range(n_subsystems) for b in range(a + 1, n_subsystems)]
+
+
+class TestPartialTraceBits:
+    """One transpose and one product give the tensordot's bits, so every
+    spectrum and pair state downstream is unchanged."""
+
+    def test_workload_and_catalog_states(self):
+        cases = [
+            StateTensor(c.dims, c.amps)
+            for workload in ("nondegenerate", "degenerate", "many-qubits")
+            for seed in range(3)
+            for c in bench_states.make_cases(workload, seed)
+        ]
+        catalog = [ghz_state(), ghz_state(3, 4), ghz_state(10, 2), w_state(), w_state(5), u_state()]
+        catalog += [v_state(), x_state(), z_state((0.5, 0.3, 0.2)), product_state((2, 3, 2))]
+        cases += catalog + [dress_state(state, seed=4) for state in catalog]
+        checked = 0
+        for state in cases:
+            for keep in keep_sets(state.n_subsystems):
+                want = reference_partial_trace(state, keep)
+                assert np.array_equal(partial_trace(state, keep).matrix, want)
+                checked += 1
+        assert checked > 500
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.data(),
+    )
+    def test_random_states_and_keep_sets(self, dims, seed, data):
+        state = random_state(tuple(dims), seed=seed)
+        keep = data.draw(
+            st.sets(st.integers(0, len(dims) - 1), min_size=1, max_size=len(dims) - 1)
+        )
+        want = reference_partial_trace(state, keep)
+        assert np.array_equal(partial_trace(state, keep).matrix, want)
 
 
 class TestDensityOperator:

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 
-from lodecomp.decomposition import _projector_key, _UnionFind
+from lodecomp.decomposition import _projector_key
+from lodecomp.errors import InternalConsistencyError
+from lodecomp.spectral import cluster_eigenvalues
 from lodecomp.tensor import apply_matrix_at, partial_trace
 
 PROJ_ATOL = 1e-8
@@ -14,6 +16,29 @@ PROJ_ATOL = 1e-8
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
+
+
+class UnionFind:
+    """Disjoint sets over range(size), each rooted at its smallest member."""
+
+    def __init__(self, size):
+        self.parent = list(range(size))
+
+    def find(self, a):
+        while self.parent[a] != a:
+            a = self.parent[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        self.parent[max(ra, rb)] = min(ra, rb)
+
+    def groups(self):
+        """The sets as index tuples, in order of their smallest members."""
+        byroot = {}
+        for a in range(len(self.parent)):
+            byroot.setdefault(self.find(a), []).append(a)
+        return [tuple(byroot[r]) for r in sorted(byroot)]
 
 
 def support_projectors(branch):
@@ -135,6 +160,19 @@ def reference_correlation_family(state, n, support):
     return members
 
 
+def reference_merge_groups(parts, family, t_edge):
+    """The part groups of ``reference_merge_coupled``, as index tuples."""
+    uf = UnionFind(len(parts))
+    for fam in family:
+        for a in range(len(parts)):
+            fa = fam @ parts[a]
+            for b in range(a + 1, len(parts)):
+                cross = parts[b].conj().T @ fa
+                if float(np.linalg.norm(cross)) > t_edge:
+                    uf.union(a, b)
+    return uf.groups()
+
+
 def reference_merge_coupled(parts, family, t_edge):
     """The per-member merge test, one member and one part pair at a time.
 
@@ -143,15 +181,59 @@ def reference_merge_coupled(parts, family, t_edge):
     ``decomposition._merge_coupled`` replaced: with one member per group,
     the pair-state merge must give exactly these groups.
     """
-    uf = _UnionFind(len(parts))
-    for fam in family:
-        for a in range(len(parts)):
-            fa = fam @ parts[a]
-            for b in range(a + 1, len(parts)):
-                cross = parts[b].conj().T @ fa
-                if float(np.linalg.norm(cross)) > t_edge:
-                    uf.union(a, b)
+    groups = reference_merge_groups(parts, family, t_edge)
+    return [np.hstack([parts[i] for i in grp]) for grp in groups]
+
+
+def reference_round_merge(parts, layout, starts, t_edge):
+    """The merge test of one SBD round, from the part list and two products.
+
+    Parts a < b merge when ||B_b^H F B_a||_F^2, summed over the slices of
+    one of the groups that ``starts`` opens in ``layout`` = (F_1 | ... | F_L),
+    exceeds t_edge^2 for some group.  This is the one-round merge that
+    ``decomposition._merge_coupled`` batched over rounds.
+    """
+    stacked = np.hstack(parts)
+    bounds = [0] + list(np.cumsum([p.shape[1] for p in parts[:-1]]))
+    cross = (stacked.conj().T @ layout).reshape(-1, len(layout)) @ stacked
+    power = (cross.real**2 + cross.imag**2).reshape(len(cross.T), -1, len(cross.T))
+    power = np.add.reduceat(power, starts, axis=1)
+    power = np.add.reduceat(np.add.reduceat(power, bounds, axis=0), bounds, axis=2)
+    coupled = np.tril(np.sqrt(power.max(axis=1)) > t_edge, -1)
+    uf = UnionFind(len(parts))
+    for b, a in zip(*np.nonzero(coupled)):
+        uf.union(int(a), int(b))
     return [np.hstack([parts[i] for i in grp]) for grp in uf.groups()]
+
+
+def reference_split_cluster(family, starts, tol, rng, subsystem):
+    """SBD of one eigenvalue cluster one round at a time: the loop that
+    ``decomposition._split_cluster`` batched.  Each round draws one X, splits
+    every part along its eigenvalue clusters on the previous round's bases and
+    merges back with ``reference_round_merge``; the search stops after
+    ``tol.sbd_stable_rounds`` consecutive rounds without a change in the part
+    count, or raises after 50 rounds per dimension.
+    """
+    count, size = family.shape[:2]
+    layout = family.transpose(1, 0, 2).reshape(size, -1)
+    parts = [np.eye(size, dtype=np.complex128)]
+    stable = 0
+    for _ in range(50 * size):
+        coeffs = rng.standard_normal(2 * count).view(np.complex128)
+        combined = (coeffs @ family.reshape(count, -1)).reshape(size, size)
+        combined = (combined + combined.conj().T) / 2.0
+        candidates = []
+        for basis in parts:
+            vals, vecs = np.linalg.eigh(basis.conj().T @ combined @ basis)
+            candidates += [basis @ vecs[:, c] for c in cluster_eigenvalues(-vals, tol.t_deg)]
+        count_before = len(parts)
+        parts = reference_round_merge(candidates, layout, starts, tol.t_edge)
+        stable = stable + 1 if len(parts) == count_before else 0
+        if stable >= tol.sbd_stable_rounds:
+            return parts if len(parts) == 1 else sorted(parts, key=_projector_key)
+    raise InternalConsistencyError(
+        f"block-diagonalization failed to stabilize on subsystem {subsystem}"
+    )
 
 
 def reference_branch_sort_key(branch):

@@ -1,0 +1,146 @@
+"""One sha256 per path label over `lodecomp decompose` output.
+
+Runs `decompose` in-process, in json, table and csv format and at each
+decomposition seed, on the benchmark workloads' states and on catalog
+states (plain and dressed), and hashes every output of one path label
+(`schmidt`, `eigenvector-graph`, `block-sbd`) in a fixed order.  Two
+checkouts that print the same digest for a label wrote byte-identical
+output for every state of that label.  A run that exits non-zero is
+hashed under `exit <code>` with its standard error.
+
+    python3 tools/report_digest.py                       # workload seeds 0-4
+    python3 tools/report_digest.py --workload-seeds 3,11 --seeds 0,1,2
+
+Run it from the repository root of the checkout to digest; it imports the
+package from that checkout's `src/` and the workload states from its
+`bench/`, and writes only to a temporary directory.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, as the benchmark runs, so the bits do not depend on the
+# machine's core count; set before numpy is imported
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from lodecomp import cli  # noqa: E402
+from lodecomp.catalog import (  # noqa: E402
+    dress_state,
+    ghz_state,
+    product_state,
+    random_state,
+    u_state,
+    v_state,
+    w_state,
+    x_state,
+    z_state,
+)
+from lodecomp.fileio import StateFile  # noqa: E402
+
+import states  # noqa: E402
+
+FORMATS = ("json", "table", "csv")
+
+
+def catalog_states() -> dict:
+    plain = {
+        "ghz": ghz_state(),
+        "ghz-3x4": ghz_state(3, 4),
+        "ghz-4": ghz_state(4),
+        "w": w_state(),
+        "w-4": w_state(4),
+        "z": z_state((0.5, 0.3, 0.2)),
+        "z-4x4x4": z_state((0.4, 0.3, 0.2, 0.1), dims=(4, 4, 4)),
+        "u": u_state(),
+        "v": v_state(),
+        "x": x_state(),
+        "product": product_state((2, 3, 2), split=1, seed=3),
+        "random-2x3x4": random_state((2, 3, 4), seed=5),
+        "random-3x4": random_state((3, 4), seed=1),
+        "bell-like-4x4": ghz_state(2, 4),
+    }
+    out = dict(plain)
+    for name in ("ghz-3x4", "z-4x4x4", "x", "w-4", "bell-like-4x4"):
+        for seed in range(3):
+            out[f"{name}-dressed-{seed}"] = dress_state(plain[name], seed=seed)
+    return out
+
+
+def write_inputs(work: Path, workload_seeds) -> list:
+    """State files, in a fixed order, as (name, path)."""
+    files = []
+    for workload in sorted(states.WORKLOADS):
+        for seed in workload_seeds:
+            for k, case in enumerate(states.make_cases(workload, seed)):
+                path = work / f"{workload}-{seed}-{k}.json"
+                path.write_text(states.state_json(case))
+                files.append((path.stem, path))
+    for name, state in catalog_states().items():
+        path = work / f"{name}.json"
+        StateFile.from_state(state, name=name).write(path)
+        files.append((name, path))
+    return files
+
+
+def decompose(path: Path, fmt: str, seed: int, out: Path):
+    """(exit code, output bytes or standard error) of one decompose call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        argv = ["decompose", str(path), "--format", fmt, "--seed", str(seed), "-o", str(out)]
+        code = cli.main(argv)
+    return code, out.read_bytes() if code == 0 else err.getvalue().encode()
+
+
+def digests(workload_seeds, seeds) -> dict:
+    """{label: (sha256 hex digest, number of outputs)}."""
+    hashes, counts = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        out = work / "out"
+        for name, path in write_inputs(work, workload_seeds):
+            for seed in seeds:
+                code, text = decompose(path, "json", seed, out)
+                label = json.loads(text)["diagnostics"]["path"] if code == 0 else f"exit {code}"
+                outputs = [("json", code, text)]
+                if code == 0:
+                    outputs += [(fmt, *decompose(path, fmt, seed, out)) for fmt in FORMATS[1:]]
+                digest = hashes.setdefault(label, hashlib.sha256())
+                for fmt, code, text in outputs:
+                    header = f"{name} seed={seed} {fmt} exit={code} bytes={len(text)}\n"
+                    digest.update(header.encode())
+                    digest.update(text)
+                    counts[label] = counts.get(label, 0) + 1
+    return {label: (hashes[label].hexdigest(), counts[label]) for label in sorted(hashes)}
+
+
+def _int_list(text: str) -> list:
+    return [int(part) for part in text.split(",")]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload-seeds", type=_int_list, default=[0, 1, 2, 3, 4],
+                        help="comma-separated seeds of the benchmark workloads' states")
+    parser.add_argument("--seeds", type=_int_list, default=[0, 1],
+                        help="comma-separated decomposition seeds (decompose --seed)")
+    args = parser.parse_args(argv)
+    for label, (digest, count) in digests(args.workload_seeds, args.seeds).items():
+        print(f"{label:<18} {digest}  {count} outputs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
