@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import StateTensor, apply_matrix_at, flat_index
+from .tensor import StateTensor, apply_matrix_at
 
 KINDS = ("ghz", "w", "z", "u", "v", "x", "product", "random", "random_local_dressing")
 
@@ -50,10 +50,10 @@ def ghz_state(n_subsystems: int = 3, dim: int = 2) -> StateTensor:
     if n_subsystems < 2 or dim < 2:
         raise ValueError("ghz needs at least two subsystems of dimension at least 2")
     dims = (dim,) * n_subsystems
-    amps = np.zeros(dim**n_subsystems, dtype=np.complex128)
+    amps = np.zeros(dims, dtype=np.complex128)
     for a in range(dim):
-        amps[flat_index(dims, (a,) * n_subsystems)] = 1.0
-    return StateTensor(dims, amps / math.sqrt(dim))
+        amps[(a,) * n_subsystems] = 1.0
+    return StateTensor(dims, amps.reshape(-1) / math.sqrt(dim))
 
 
 def w_state(n_subsystems: int = 3) -> StateTensor:
@@ -61,12 +61,10 @@ def w_state(n_subsystems: int = 3) -> StateTensor:
     if n_subsystems < 2:
         raise ValueError("w needs at least two subsystems")
     dims = (2,) * n_subsystems
-    amps = np.zeros(2**n_subsystems, dtype=np.complex128)
+    amps = np.zeros(dims, dtype=np.complex128)
     for k in range(n_subsystems):
-        multi = [0] * n_subsystems
-        multi[k] = 1
-        amps[flat_index(dims, multi)] = 1.0
-    return StateTensor(dims, amps / math.sqrt(n_subsystems))
+        amps[(0,) * k + (1,) + (0,) * (n_subsystems - k - 1)] = 1.0
+    return StateTensor(dims, amps.reshape(-1) / math.sqrt(n_subsystems))
 
 
 def z_state(weights, n_subsystems: int = 3, dims=None) -> StateTensor:
@@ -87,18 +85,17 @@ def z_state(weights, n_subsystems: int = 3, dims=None) -> StateTensor:
         raise ValueError("need at least two subsystems")
     if len(weights) > min(dims):
         raise ValueError(f"{len(weights)} weights do not fit in dims {dims}")
-    amps = np.zeros(math.prod(dims), dtype=np.complex128)
+    amps = np.zeros(dims, dtype=np.complex128)
     for a, w in enumerate(weights):
-        amps[flat_index(dims, (a,) * len(dims))] = math.sqrt(w)
-    return StateTensor(dims, amps)
+        amps[(a,) * len(dims)] = math.sqrt(w)
+    return StateTensor(dims, amps.reshape(-1))
 
 
 def u_state() -> StateTensor:
     """A Bell pair on the first two qubits with an uncorrelated third."""
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[flat_index((2, 2, 2), (0, 0, 0))] = 1.0
-    amps[flat_index((2, 2, 2), (1, 1, 0))] = 1.0
-    return StateTensor((2, 2, 2), amps / math.sqrt(2))
+    amps = np.zeros((2, 2, 2), dtype=np.complex128)
+    amps[0, 0, 0] = amps[1, 1, 0] = 1.0
+    return StateTensor((2, 2, 2), amps.reshape(-1) / math.sqrt(2))
 
 
 def v_state() -> StateTensor:
@@ -111,10 +108,10 @@ def v_state() -> StateTensor:
     nontrivial locally orthogonal decomposition.
     """
     dims = (2, 4, 2)
-    amps = np.zeros(16, dtype=np.complex128)
+    amps = np.zeros(dims, dtype=np.complex128)
     for multi in ((0, 0, 0), (0, 2, 1), (1, 1, 0), (1, 3, 1)):
-        amps[flat_index(dims, multi)] = 1.0
-    return StateTensor(dims, amps / 2.0)
+        amps[multi] = 1.0
+    return StateTensor(dims, amps.reshape(-1) / 2.0)
 
 
 def x_state() -> StateTensor:
@@ -125,7 +122,7 @@ def x_state() -> StateTensor:
     the left neighbor and the second with the right neighbor.
     """
     dims = (4, 4, 4)
-    amps = np.zeros(64, dtype=np.complex128)
+    amps = np.zeros(dims, dtype=np.complex128)
     # qubits around the ring: party A = (q0, q1), B = (q2, q3), C = (q4, q5);
     # Bell pairs on (q1, q2), (q3, q4), (q5, q0)
     for b_ab in range(2):
@@ -134,8 +131,8 @@ def x_state() -> StateTensor:
                 a = 2 * b_ca + b_ab
                 b = 2 * b_ab + b_bc
                 c = 2 * b_bc + b_ca
-                amps[flat_index(dims, (a, b, c))] = 1.0
-    return StateTensor(dims, amps / math.sqrt(8))
+                amps[a, b, c] = 1.0
+    return StateTensor(dims, amps.reshape(-1) / math.sqrt(8))
 
 
 def random_state(dims, seed: int = 0, rng=None) -> StateTensor:

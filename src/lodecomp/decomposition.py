@@ -6,9 +6,11 @@ orthogonal subspaces, so a local measurement on any single subsystem
 reveals the branch.  This module houses the data model, verification,
 the coarse/fine-graining algebra, and the one construction path of the
 finest (maximal) such decomposition, in one pass.  Each local support is
-split along the eigenvalue clusters of its reduced state: a singleton
-cluster into its eigenvector, a larger one into the finest blocks of its
-two-subsystem reduced states, taken in the eigenbases and divided by the
+split along the eigenvalue clusters of its reduced state, where eigenvalues
+closer than a guard gap share a cluster (eigenvectors across a narrower gap
+are too inaccurate to split along): a singleton cluster into its
+eigenvector, a larger one into the finest blocks of its two-subsystem
+reduced states, taken in the eigenbases and divided by the
 cluster's weight (a randomized simultaneous block diagonalization at the
 cluster's own scale).  The blocks become graph nodes, joined when their
 joint projection of the state is nonzero; connected components are the
@@ -34,11 +36,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalConsistencyError, UnsupportedOperationError
-from .spectral import SpectralData, local_spectrum, schmidt_decompose
-from .tensor import StateTensor, apply_matrix_at, partial_trace
+from .spectral import local_spectrum, schmidt_decompose
+from .tensor import StateTensor, apply_matrix_at, basis_stack, partial_trace, project_supports
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 VERIFY_ATOL = 1e-9
+# eigenvalue gaps below this are left to SBD: an eigenvector across a gap g
+# is accurate to about eps / g (Davis-Kahan), here 100x under VERIFY_ATOL
+_GUARD_GAP = 100 * np.finfo(np.float64).eps / VERIFY_ATOL
 _SBD_BATCH_ENTRIES = 1 << 20  # cap on one SBD batch's cross-block entries, rounds x layout
 
 
@@ -154,11 +159,6 @@ def _support_key(branch: Branch):
     return _projector_key(branch.supports[0])
 
 
-def _project_support(vec: np.ndarray, dims, n: int, basis: np.ndarray) -> np.ndarray:
-    """Apply the projector onto ``span(basis)`` at subsystem ``n``."""
-    return apply_matrix_at(vec, dims, n, basis @ basis.conj().T)
-
-
 def _supports_from_vector(vec: np.ndarray, dims, t_supp: float) -> tuple:
     """Per-subsystem support bases of a normalized vector's reduced states."""
     state = StateTensor(dims, vec)
@@ -271,24 +271,17 @@ def verify_lo(d: BranchDecomposition, tol: Tolerances = DEFAULT_TOLERANCES) -> V
         # Q[i] = (B_n^i | 0): supports zero-padded to a common rank, so one
         # batched product serves all branches; the padding adds zero rows and
         # columns to the Gram blocks, which leaves their norms alone
-        ranks = np.array([br.supports[n].shape[1] for br in d.branches])
-        rank = int(ranks.max())
-        q = np.zeros((k, dims[n], rank), dtype=np.complex128)
-        for i, br in enumerate(d.branches):
-            q[i, :, : ranks[i]] = br.supports[n]
-        qh = q.conj().swapaxes(1, 2)
-        blocks = np.matmul(qh[:, None], q[None])
+        q = basis_stack([br.supports[n] for br in d.branches])
+        ranks, rank = np.array([br.supports[n].shape[1] for br in d.branches]), q.shape[2]
+        blocks = np.matmul(q.conj().swapaxes(1, 2)[:, None], q[None])
         in_rank = np.arange(rank) < ranks[:, None]
         blocks[np.arange(k), np.arange(k)] -= in_rank[:, :, None] * np.eye(rank)
         norms = np.linalg.norm(blocks, axis=(-2, -1))
         sup_dev = max(sup_dev, float(norms.diagonal().max()))
         if k > 1:
             overlap = max(overlap, float(norms[~np.eye(k, dtype=bool)].max()))
-        # all k projections P_n^i psi at once, from the stacked (k d_n, d_n) projectors
-        pre = math.prod(dims[:n])
-        projected = apply_matrix_at(state.amps, dims, n, (q @ qh).reshape(-1, dims[n]))
-        diff = projected.reshape(pre, k, -1)
-        diff -= targets.reshape(k, pre, -1).swapaxes(0, 1)
+        diff = project_supports(state.amps, dims, n, q)  # all k projections P_n^i psi at once
+        diff -= targets.reshape(k, len(diff), -1).swapaxes(0, 1)
         pairs = diff.view(np.float64)  # (re, im) pairs: squared norms with no complex temporary
         worst = float(np.einsum("pkx,pkx->k", pairs, pairs).max())
         identity_res = max(identity_res, math.sqrt(worst))
@@ -364,16 +357,17 @@ def common_fine_graining(
         raise UnsupportedOperationError(
             "common fine-graining is only available for three or more subsystems"
         )
+
+    def project(branch, supports):  # (P_0 x ... x P_{N-1}) sqrt(w) v
+        vec = math.sqrt(branch.weight) * branch.vector
+        for n, basis in enumerate(supports):
+            vec = project_supports(vec, dims, n, basis[None]).reshape(-1)
+        return vec
+
     branches = []
     for bk in d2.branches:
-        scaled_k = math.sqrt(bk.weight) * bk.vector
         for bi in d1.branches:
-            v = scaled_k
-            for n in range(len(dims)):
-                v = _project_support(v, dims, n, bi.supports[n])
-            u = math.sqrt(bi.weight) * bi.vector
-            for n in range(len(dims)):
-                u = _project_support(u, dims, n, bk.supports[n])
+            v, u = project(bk, bi.supports), project(bi, bk.supports)
             order_gap = float(np.linalg.norm(v - u))
             if order_gap > 1e-9:
                 raise InternalConsistencyError(
@@ -505,7 +499,6 @@ def build_correlation_graph(
     t_edge: float = DEFAULT_TOLERANCES.t_edge,
     t_supp: float = DEFAULT_TOLERANCES.t_supp,
     *,
-    spectra=None,
     frame=None,
 ) -> CorrelationGraph:
     """Build the block correlation graph of a state.
@@ -531,16 +524,13 @@ def build_correlation_graph(
         For each subsystem, a list of orthonormal bases.  Per subsystem the
         blocks must be mutually orthogonal and jointly span exactly the
         local support of the reduced state.
-    spectra : sequence of SpectralData, optional
-        The local spectra at this ``t_supp``, when the caller already has
-        them, for the span check; computed here otherwise.
     frame : optional
         The state's frame for these blocks, when the caller already has it
         (its blocks were validated when it was built); computed here
         otherwise.
     """
     if frame is None:
-        frame = _local_frame(state, blocks, t_supp, spectra)
+        frame = _local_frame(state, blocks, t_supp)
     # weights[a, b]: the edge weight of nodes a < b on distinct subsystems, else NaN;
     # nodes are numbered subsystem by subsystem, so np.nonzero lists edges in (a, b) order
     offsets = np.cumsum([0] + [len(s) for s in frame.starts])
@@ -572,40 +562,35 @@ def build_correlation_graph(
 # randomized simultaneous block diagonalization inside eigenvalue clusters
 
 
-def _pair_states(state: StateTensor, n: int | None = None) -> dict:
-    """Two-subsystem reduced states, keyed (a, m) with a < m and reshaped to
-    (d_a, d_m, d_a, d_m): every pair, or only the pairs that hold ``n``."""
-    dims = state.dims
-    return {
-        (a, m): partial_trace(state, [a, m]).matrix.reshape(dims[a], dims[m], dims[a], dims[m])
-        for a in range(state.n_subsystems)
-        for m in range(a + 1, state.n_subsystems)
-        if n is None or n in (a, m)
-    }
-
-
-def _eigenframe_pair_states(state: StateTensor, spectra, n: int | None = None) -> dict:
-    """:func:`_pair_states` of psi rotated by V_k^H on the subsystem k of
-    each given spectrum, V_k its eigenbasis.  Read from amplitudes, a
-    cluster of weight w gets a relative error of about eps / sqrt(w), not
-    the eps / w of the full pair states compressed onto it."""
-    amps = state.amps
+def _eigenframe_slices(state: StateTensor, spectra, degenerate) -> dict:
+    """Pair-state slices of each subsystem n in ``degenerate``, with psi
+    rotated by V_k^H on the subsystem k of each given spectrum, V_k its
+    eigenbasis.  Each rho_am of a pair that holds such an n is computed
+    once.  n's slices F = rho_nm[(., a), (., b)] are stacked
+    (sum_m d_m^2, d_n, d_n) over m ascending and (a, b) row-major; returns
+    {n: (slices, the index where each m's group starts)}.  Read from
+    amplitudes, a cluster of weight w gets a relative error of about
+    eps / sqrt(w), not the eps / w of the full pair states compressed onto it.
+    """
+    if not degenerate:
+        return {}
+    dims, amps = state.dims, state.amps
     for spec in spectra:
-        amps = apply_matrix_at(amps, state.dims, spec.subsystem, spec.eigenvectors.conj().T)
-    return _pair_states(StateTensor(state.dims, amps), n)
-
-
-def _pair_slices(n: int, pairs: dict):
-    """The slices F = rho_nm[(., a), (., b)] of subsystem n's pair states,
-    stacked (sum_m d_m^2, d_n, d_n) over m ascending and (a, b) row-major,
-    and the index where each m's group starts."""
-    slices = [
-        rho4.transpose(1, 3, 0, 2) if n == a else rho4.transpose(0, 2, 1, 3)
-        for (a, m), rho4 in sorted(pairs.items())
-        if n in (a, m)
-    ]
-    starts = np.cumsum([0] + [s.shape[0] ** 2 for s in slices[:-1]])
-    return np.concatenate([s.reshape(-1, *s.shape[2:]) for s in slices]), starts
+        amps = apply_matrix_at(amps, dims, spec.subsystem, spec.eigenvectors.conj().T)
+    rotated = StateTensor(dims, amps)
+    groups = {n: [] for n in degenerate}
+    for a, m in itertools.combinations(range(state.n_subsystems), 2):
+        if a in groups or m in groups:
+            rho = partial_trace(rotated, [a, m]).matrix.reshape(dims[a], dims[m], dims[a], dims[m])
+            if a in groups:
+                groups[a].append(rho.transpose(1, 3, 0, 2))
+            if m in groups:
+                groups[m].append(rho.transpose(0, 2, 1, 3))
+    return {
+        n: (np.concatenate([f.reshape(-1, dims[n], dims[n]) for f in group]),
+            np.cumsum([0] + [f.shape[0] ** 2 for f in group[:-1]]))
+        for n, group in groups.items()
+    }
 
 
 def _merge_coupled(frames: np.ndarray, labels: np.ndarray, layout: np.ndarray, starts, t_edge):
@@ -680,27 +665,37 @@ def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: 
     )
 
 
-def _sbd_partition(spec: SpectralData, tol: Tolerances, rng, pairs: dict | None) -> list:
-    """A subsystem's support split cluster by cluster: a singleton
-    in-support eigenvalue cluster is its eigenvector column, a larger one
-    its SBD blocks.  ``pairs`` (read only then) has subsystem n in its
-    eigenbasis, so a cluster's slices are a basic slice over its run of
-    indices.  They are divided by the cluster's weight, the sum of its
-    in-support eigenvalues, so ``t_deg`` and ``t_edge`` judge the SBD
-    relative to the cluster."""
-    n = spec.subsystem
-    if spec.is_support_degenerate:
-        family, starts = _pair_slices(n, pairs)
-    out = []
-    for cluster in spec.clusters:
-        lo, hi = cluster[0], min(cluster[-1] + 1, spec.support_rank)
-        basis = spec.eigenvectors[:, lo:hi]
-        if hi - lo == 1:
-            out.append(basis)
-        elif hi - lo > 1:
-            slices = family[:, lo:hi, lo:hi] / spec.eigenvalues[lo:hi].sum()
-            out += [basis @ p for p in _split_cluster(slices, starts, tol, rng, n)]
-    return out
+def _support_partitions(state: StateTensor, subsystems, tol: Tolerances, rng) -> tuple:
+    """The given subsystems' spectra, those whose supports need SBD, and
+    each support split cluster by cluster.
+
+    Eigenvalues are clustered at gaps of max(``t_deg``, ``_GUARD_GAP``).  A
+    singleton in-support cluster is its eigenvector column, a larger one
+    its SBD blocks.  With the state in the given eigenbases, a cluster's
+    pair slices are a basic slice over its run of indices; they are divided
+    by the cluster's weight, the sum of its in-support eigenvalues, so
+    ``t_deg`` and ``t_edge`` judge the SBD relative to the cluster.  The
+    subsystems draw from ``rng`` in order.
+    """
+    t_split = max(tol.t_deg, _GUARD_GAP)
+    spectra = [local_spectrum(state, n, t_split, tol.t_supp) for n in subsystems]
+    degenerate = tuple(spec.subsystem for spec in spectra if spec.is_support_degenerate)
+    slices = _eigenframe_slices(state, spectra, degenerate)
+    partitions = []
+    for spec in spectra:
+        blocks = []
+        for cluster in spec.clusters:
+            lo, hi = cluster[0], min(cluster[-1] + 1, spec.support_rank)
+            basis = spec.eigenvectors[:, lo:hi]
+            if hi - lo == 1:
+                blocks.append(basis)
+            elif hi - lo > 1:
+                family, starts = slices[spec.subsystem]
+                family = family[:, lo:hi, lo:hi] / spec.eigenvalues[lo:hi].sum()
+                parts = _split_cluster(family, starts, tol, rng, spec.subsystem)
+                blocks += [basis @ p for p in parts]
+        partitions.append(blocks)
+    return spectra, partitions, degenerate
 
 
 def sbd_refine(
@@ -712,9 +707,10 @@ def sbd_refine(
     """Finest partition of a subsystem's support that the state's pairwise
     correlations cannot distinguish further.
 
-    The blocks refine rho_n's in-support eigenvalue clusters: a singleton
-    cluster is its eigenvector, so a support whose local state has two
-    distinct eigenvalues comes back as at least two blocks.  A larger
+    The blocks refine rho_n's in-support eigenvalue clusters, cut at gaps
+    above max(``tol.t_deg``, ``_GUARD_GAP``): a singleton cluster is its
+    eigenvector, so a support whose local state has two well-separated
+    eigenvalues comes back as at least two blocks.  A larger
     cluster of weight w is split along the eigenvalue clusters of random
     draws X = Tr_m[(I x H_m) rho_nm] / w, H_m Hermitian, restricted to it;
     parts a < b merge back whenever ||(B_b^H x I) rho_nm (B_a x I)||_F / w
@@ -732,9 +728,7 @@ def sbd_refine(
         raise UnsupportedOperationError("pair-state refinement needs at least three subsystems")
     if not 0 <= n < state.n_subsystems:
         raise ValueError(f"subsystem index {n} out of range")
-    spec = local_spectrum(state, n, tol.t_deg, tol.t_supp)
-    pairs = _eigenframe_pair_states(state, [spec], n) if spec.is_support_degenerate else None
-    return _sbd_partition(spec, tol, np.random.default_rng(seed), pairs)
+    return _support_partitions(state, [n], tol, np.random.default_rng(seed))[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +781,7 @@ def _extract_component_branches(state, partitions, tol, spectra=None):
     not depend on which subsystem's projector P_n^c extracts it: the largest
     ||P_a^c psi - P_b^c psi|| (see :func:`_n_independence_residuals`) must
     stay within ``t_nindep``.  The branch vector is P_0^c psi, from one
-    stacked projector product for all components.
+    :func:`project_supports` for all components.
 
     Returns the branches, the graph and the largest residual.
     """
@@ -804,8 +798,8 @@ def _extract_component_branches(state, partitions, tol, spectra=None):
         tuple(u[:, m[c]] for u, m in zip(frame.unitaries, masks))
         for c in range(len(graph.components))
     ]
-    projectors = np.concatenate([b[0] @ b[0].conj().T for b in bases])
-    vectors = apply_matrix_at(state.amps, state.dims, 0, projectors).reshape(len(bases), -1)
+    stack = basis_stack([b[0] for b in bases])
+    vectors = project_supports(state.amps, state.dims, 0, stack).reshape(len(bases), -1)
     branches = []
     for vec, supports in zip(vectors, bases):
         weight = float(np.vdot(vec, vec).real)
@@ -832,27 +826,22 @@ def assemble_branches(
     return BranchDecomposition.from_branches(state, branches)
 
 
-def _decompose_multipartite(state, tol, seed):
-    spectra = [
-        local_spectrum(state, n, tol.t_deg, tol.t_supp) for n in range(state.n_subsystems)
-    ]
-    degenerate = tuple(n for n, s in enumerate(spectra) if s.is_support_degenerate)
-    pairs = _eigenframe_pair_states(state, spectra) if degenerate else None
-    rng = np.random.default_rng(seed)
-    partitions = [_sbd_partition(spec, tol, rng, pairs) for spec in spectra]
-    branches, graph, residual = _extract_component_branches(state, partitions, tol, spectra)
-    return branches, graph, residual, degenerate
-
-
 def _decompose_bipartite(state, tol):
+    """The Schmidt branches, whether they are non-unique, and the largest
+    ||P_0^i psi - P_1^i psi|| over branches i."""
     schmidt = schmidt_decompose(state, [0], tol.t_deg, tol.t_supp)
-    branches = []
-    for k in range(schmidt.rank):
-        left = schmidt.left_vectors[:, [k]]
-        right = schmidt.right_vectors[:, [k]]
-        vec = np.kron(left[:, 0], right[:, 0])
-        branches.append(Branch(float(schmidt.coefficients[k] ** 2), vec, (left, right)))
-    return branches, schmidt.degenerate
+    left, right = schmidt.left_vectors, schmidt.right_vectors
+    branches = [
+        Branch(float(schmidt.coefficients[k] ** 2), np.kron(left[:, k], right[:, k]),
+               (left[:, [k]], right[:, [k]]))
+        for k in range(schmidt.rank)
+    ]
+    dims, k = state.dims, schmidt.rank
+    on_left = project_supports(state.amps, dims, 0, basis_stack([b.supports[0] for b in branches]))
+    on_right = project_supports(state.amps, dims, 1, basis_stack([b.supports[1] for b in branches]))
+    on_left, on_right = on_left.reshape(k, *dims), on_right.swapaxes(0, 1)
+    residual = max(float(np.linalg.norm(a - b)) for a, b in zip(on_left, on_right))
+    return branches, schmidt.degenerate, residual
 
 
 # ---------------------------------------------------------------------------
@@ -893,7 +882,8 @@ def maximal_decomposition(
     non-unique, which is flagged in the diagnostics rather than resolved.
     For three or more subsystems the decomposition is unique and built as
     the module docstring describes; the diagnostics' path reads "block-sbd"
-    when some eigenvalue cluster has several members, else "eigenvector-graph".
+    when some eigenvalue cluster has several members, also when its gaps are
+    above ``t_deg`` but below the guard gap, else "eigenvector-graph".
 
     Raises
     ------
@@ -903,19 +893,16 @@ def maximal_decomposition(
         returned silently.
     """
     if state.n_subsystems == 2:
-        branches, non_unique = _decompose_bipartite(state, tol)
-        dec = BranchDecomposition.from_branches(state, branches)
-        residual = max(
-            float(np.linalg.norm(_project_support(state.amps, state.dims, 0, b.supports[0])
-                                 - _project_support(state.amps, state.dims, 1, b.supports[1])))
-            for b in dec.branches
-        )
+        branches, non_unique, residual = _decompose_bipartite(state, tol)
         graph, path, seed, degenerate = None, "schmidt", None, (0, 1) if non_unique else ()
     else:
-        branches, graph, residual, degenerate = _decompose_multipartite(state, tol, seed)
-        dec = BranchDecomposition.from_branches(state, branches)
+        spectra, partitions, degenerate = _support_partitions(
+            state, range(state.n_subsystems), tol, np.random.default_rng(seed)
+        )
+        branches, graph, residual = _extract_component_branches(state, partitions, tol, spectra)
         path = "block-sbd" if degenerate else "eigenvector-graph"
         non_unique = False
+    dec = BranchDecomposition.from_branches(state, branches)
     diagnostics = Diagnostics(
         path=path,
         seed=seed,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .decomposition import Branch, BranchDecomposition, DecompositionResult
 from .entanglement import EntropyReport, weight_entropy
-from .tensor import StateTensor, apply_matrix_at
+from .tensor import StateTensor, basis_stack, project_supports
 
 SCHEMA_VERSION = 1
 ENTROPY_ATOL = 1e-12  # decompose writes entropy_bits bit-exact
@@ -369,14 +369,9 @@ def branches_from_report(document: dict, state: StateTensor, atol: float = 1e-9)
     if not parsed:
         return None, []
 
-    # every branch's projection onto its subsystem-0 support, from the
-    # stacked (k d_0, d_0) projectors in one product, as verify_lo does
-    ranks = [supports[0].shape[1] for _, supports in parsed]
-    q = np.zeros((len(parsed), dims[0], max(ranks)), dtype=np.complex128)
-    for i, (_, supports) in enumerate(parsed):
-        q[i, :, : ranks[i]] = supports[0]
-    projectors = (q @ q.conj().swapaxes(1, 2)).reshape(-1, dims[0])
-    projected = apply_matrix_at(state.amps, dims, 0, projectors).reshape(len(parsed), -1)
+    # every branch's projection onto its subsystem-0 support, in one product
+    stack = basis_stack([supports[0] for _, supports in parsed])
+    projected = project_supports(state.amps, dims, 0, stack).reshape(len(parsed), -1)
 
     branches = []
     problems = []

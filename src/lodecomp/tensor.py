@@ -157,34 +157,7 @@ class LocalProjector:
 
 
 # ---------------------------------------------------------------------------
-# layout helpers
-
-
-def flat_index(dims, multi) -> int:
-    """Flat index of a multi-index under the row-major layout."""
-    dims = tuple(dims)
-    multi = tuple(multi)
-    if len(multi) != len(dims):
-        raise ValueError("multi-index length must match dims")
-    idx = 0
-    for d, i in zip(dims, multi):
-        if not 0 <= i < d:
-            raise ValueError(f"index {i} out of range for dimension {d}")
-        idx = idx * d + i
-    return idx
-
-
-def multi_index(dims, flat) -> tuple:
-    """Multi-index of a flat index under the row-major layout."""
-    dims = tuple(dims)
-    total = math.prod(dims)
-    if not 0 <= flat < total:
-        raise ValueError(f"flat index {flat} out of range for dims {dims}")
-    out = []
-    for d in reversed(dims):
-        out.append(flat % d)
-        flat //= d
-    return tuple(reversed(out))
+# kernels
 
 
 def _check_subsystem(dims, n: int) -> int:
@@ -213,6 +186,26 @@ def apply_matrix_at(amps: np.ndarray, dims, n: int, mat: np.ndarray) -> np.ndarr
         return np.matmul(mat, arr).reshape(-1)
     out = arr.transpose(0, 2, 1).reshape(pre * post, d) @ mat.T
     return out.reshape(pre, post, -1).transpose(0, 2, 1).reshape(-1)
+
+
+def basis_stack(bases) -> np.ndarray:
+    """Bases of one subsystem as a (k, d, r) stack, each zero-padded to the
+    largest rank r; the padding leaves every projector q q^H unchanged."""
+    stack = np.zeros((len(bases), bases[0].shape[0], max(b.shape[1] for b in bases)), np.complex128)
+    for q, b in zip(stack, bases):
+        q[:, : b.shape[1]] = b
+    return stack
+
+
+def project_supports(amps: np.ndarray, dims, n: int, stack: np.ndarray) -> np.ndarray:
+    """Every P_i psi, P_i = q_i q_i^H for the bases q_i of a (k, d_n, r)
+    :func:`basis_stack`, from one product with the stacked (k d_n, d_n)
+    projectors.  Returned as (prod(dims[:n]), k, rest), the product's own
+    layout: P_i psi is ``out[:, i].reshape(-1)``, and for n = 0 the rows of
+    ``out.reshape(k, -1)``."""
+    projectors = stack @ stack.conj().swapaxes(1, 2)
+    out = apply_matrix_at(amps, dims, n, projectors.reshape(-1, dims[n]))
+    return out.reshape(math.prod(dims[:n]), len(stack), -1)
 
 
 def apply_matrix_at_pair(amps: np.ndarray, dims, n: int, m: int, mat: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from lodecomp.catalog import (
     x_state,
     z_state,
 )
-from lodecomp.tensor import flat_index, partial_trace
+from lodecomp.tensor import partial_trace
 
 
 def purity(state, keep):
@@ -70,8 +70,8 @@ class TestNamedStates:
     def test_u_amplitudes(self):
         amps = u_state().amps
         dims = (2, 2, 2)
-        assert amps[flat_index(dims, (0, 0, 0))] == pytest.approx(1 / np.sqrt(2))
-        assert amps[flat_index(dims, (1, 1, 0))] == pytest.approx(1 / np.sqrt(2))
+        assert amps[np.ravel_multi_index((0, 0, 0), dims)] == pytest.approx(1 / np.sqrt(2))
+        assert amps[np.ravel_multi_index((1, 1, 0), dims)] == pytest.approx(1 / np.sqrt(2))
         assert np.count_nonzero(amps) == 2
 
     def test_u_third_subsystem_pure(self):
@@ -82,7 +82,7 @@ class TestNamedStates:
         amps = v_state().amps
         dims = (2, 4, 2)
         for multi in ((0, 0, 0), (0, 2, 1), (1, 1, 0), (1, 3, 1)):
-            assert amps[flat_index(dims, multi)] == pytest.approx(0.5)
+            assert amps[np.ravel_multi_index(multi, dims)] == pytest.approx(0.5)
         assert np.count_nonzero(amps) == 4
 
     def test_v_all_reduced_states_mixed(self):

@@ -19,6 +19,7 @@ from lodecomp.catalog import (
 )
 from lodecomp.decomposition import maximal_decomposition, verify_lo
 from lodecomp.entanglement import e_lo
+from lodecomp.tensor import StateTensor
 from lodecomp.fileio import (
     _SPLICE,
     SCHEMA_VERSION,
@@ -208,6 +209,25 @@ class TestBranchesFromReport:
         rebuilt, problems = branches_from_report(document, state)
         assert any("carry no weight" in p for p in problems)
         assert rebuilt is None or rebuilt.n_branches == 1
+
+    def test_genuine_weights_recomputed_bit_exactly_with_mixed_ranks(self):
+        # branches of support ranks 1, 4 and 1 on 6x6x6: |000>, the Bell-pair
+        # ring of x_state in levels 1-4 of every party, and |555>, dressed.
+        # The rebuild projects onto the reported supports with the product
+        # that produced the reported weights, so each one comes back exact
+        ring = x_state().amps.reshape(4, 4, 4)
+        for dressing in range(36):
+            core = np.zeros((6, 6, 6), dtype=np.complex128)
+            core[0, 0, 0], core[5, 5, 5] = np.sqrt(0.5), np.sqrt(0.2)
+            core[1:5, 1:5, 1:5] = np.sqrt(0.3) * ring
+            state = dress_state(StateTensor((6, 6, 6), core.reshape(-1)), seed=dressing)
+            document = parse_report(report_to_json(sample_report(state)))
+            rebuilt, problems = branches_from_report(document, state)
+            assert problems == []
+            ranks = sorted(b.support_ranks for b in rebuilt.branches)
+            assert ranks == [(1, 1, 1), (1, 1, 1), (4, 4, 4)]
+            reported = [entry["weight"] for entry in document["branches"]]
+            assert [b.weight for b in rebuilt.branches] == reported
 
     def test_structural_defect_raises(self):
         state = ghz_state()

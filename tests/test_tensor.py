@@ -13,12 +13,12 @@ from lodecomp.tensor import (
     apply_local_projector,
     apply_matrix_at,
     apply_matrix_at_pair,
-    flat_index,
+    basis_stack,
     inner_product,
     joint_projection_norm,
-    multi_index,
     partial_trace,
     permute_subsystems,
+    project_supports,
     tensor_compose,
 )
 
@@ -43,31 +43,38 @@ def random_amps(rng, size):
 
 
 class TestIndexing:
+    """The row-major layout, through numpy's own index functions."""
+
     def test_flat_index_row_major(self):
         # subsystem 0 varies slowest
-        assert flat_index((2, 3, 2), (0, 0, 0)) == 0
-        assert flat_index((2, 3, 2), (0, 0, 1)) == 1
-        assert flat_index((2, 3, 2), (0, 1, 0)) == 2
-        assert flat_index((2, 3, 2), (1, 0, 0)) == 6
+        assert np.ravel_multi_index((0, 0, 0), (2, 3, 2)) == 0
+        assert np.ravel_multi_index((0, 0, 1), (2, 3, 2)) == 1
+        assert np.ravel_multi_index((0, 1, 0), (2, 3, 2)) == 2
+        assert np.ravel_multi_index((1, 0, 0), (2, 3, 2)) == 6
+        state = StateTensor((2, 3, 2), np.arange(1, 13))
+        assert state.as_array()[1, 2, 0] == state.amps[np.ravel_multi_index((1, 2, 0), (2, 3, 2))]
 
     def test_multi_index_inverse(self):
         dims = (2, 3, 2)
         for flat in range(12):
-            assert flat_index(dims, multi_index(dims, flat)) == flat
+            assert np.ravel_multi_index(np.unravel_index(flat, dims), dims) == flat
 
     @given(st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=5),
            st.integers(min_value=0, max_value=10**6))
     def test_round_trip_any_dims(self, dims, raw):
         dims = tuple(dims)
-        total = int(np.prod(dims))
-        flat = raw % total
-        assert flat_index(dims, multi_index(dims, flat)) == flat
+        flat = raw % int(np.prod(dims))
+        multi = np.unravel_index(flat, dims)
+        assert np.ravel_multi_index(multi, dims) == flat
+        amps = np.zeros(dims)
+        amps[multi] = 1.0
+        assert np.flatnonzero(amps.reshape(-1)).tolist() == [flat]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            flat_index((2, 2), (0, 2))
+            np.ravel_multi_index((0, 2), (2, 2))
         with pytest.raises(ValueError):
-            multi_index((2, 2), 4)
+            np.unravel_index(4, (2, 2))
 
 
 class TestStateTensor:
@@ -185,6 +192,43 @@ class TestApplyMatrixAt:
         mat4 = mat.reshape(2, 2, 2, 2)
         dense = np.einsum("acbd,ef->aecbfd", mat4, np.eye(3)).reshape(12, 12)
         assert np.allclose(got, dense @ amps)
+
+
+class TestProjectSupports:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=5),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_each_projection_matches_its_own_product(self, dims, axis, seed):
+        # bases of mixed ranks, zero-padded into one stack: out[:, i] is
+        # P_i psi with P_i built from basis i alone
+        rng = np.random.default_rng(seed)
+        dims = tuple(dims)
+        n = axis % len(dims)
+        amps = random_amps(rng, int(np.prod(dims)))
+        bases = []
+        for _ in range(int(rng.integers(1, 4))):
+            shape = (dims[n], dims[n])
+            raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            bases.append(np.linalg.qr(raw)[0][:, : int(rng.integers(1, dims[n] + 1))])
+        stack = basis_stack(bases)
+        assert stack.shape == (len(bases), dims[n], max(b.shape[1] for b in bases))
+        out = project_supports(amps, dims, n, stack)
+        assert out.shape[:2] == (int(np.prod(dims[:n])), len(bases))
+        for i, b in enumerate(bases):
+            want = apply_matrix_at(amps, dims, n, b @ b.conj().T)
+            assert np.allclose(out[:, i].reshape(-1), want, atol=1e-14)
+
+    def test_first_subsystem_rows_need_no_copy(self):
+        rng = np.random.default_rng(2)
+        amps = random_amps(rng, 24)
+        stack = basis_stack([np.eye(2)[:, [0]], np.eye(2)])
+        out = project_supports(amps, (2, 3, 4), 0, stack)
+        rows = out.reshape(2, -1)
+        assert np.shares_memory(rows, out)
+        assert np.array_equal(rows[1], amps) and np.array_equal(rows[0][12:], np.zeros(12))
 
 
 class TestPartialTrace:
@@ -351,13 +395,13 @@ class TestComposition:
 
     def test_permute_basis_state(self):
         dims = (2, 3, 2)
-        amps = np.zeros(12)
-        amps[flat_index(dims, (1, 2, 0))] = 1.0
-        state = StateTensor(dims, amps)
+        amps = np.zeros(dims)
+        amps[1, 2, 0] = 1.0
+        state = StateTensor(dims, amps.reshape(-1))
         out = permute_subsystems(state, (2, 0, 1))
         # position k of the output holds old subsystem perm[k]
         assert out.dims == (2, 2, 3)
-        assert out.amps[flat_index(out.dims, (0, 1, 2))] == 1.0
+        assert out.as_array()[0, 1, 2] == 1.0
 
     def test_permute_round_trip(self):
         rng = np.random.default_rng(13)

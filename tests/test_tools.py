@@ -1,13 +1,14 @@
-"""The report digest tool keeps running and stays a function of the bytes."""
+"""The tools keep running: the report digest stays a function of the bytes,
+and the line counter counts what it says."""
 
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digest.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("report_digest", TOOL)
+def load_tool(name="report_digest"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -31,3 +32,43 @@ def test_digests_repeat_and_follow_the_seeds():
     # a second decomposition seed adds outputs to every label
     both = tool.digests([3], [0, 1])
     assert all(both[label][1] == 2 * first[label][1] for label in first)
+
+
+SYNTHETIC = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment keeps the line
+
+
+# a comment line
+def area(r):
+    """One-line docstring."""
+    text = """a multi-line string
+    that is code"""
+    return math.pi * r**2, text
+
+
+class Shape:
+    """Class docstring.
+
+    With a blank line inside.
+    """
+
+    sides = (
+        3,
+    )
+'''
+
+
+def test_src_lines_counts_code_without_docstrings_comments_or_blanks(tmp_path, capsys):
+    tool = load_tool("src_lines")
+    # code: the import, def, the two lines of `text`, return, class, and
+    # the three lines of `sides`
+    lines = len(SYNTHETIC.splitlines())
+    assert tool.count(SYNTHETIC) == (lines, 9)
+    (tmp_path / "shapes.py").write_text(SYNTHETIC)
+    (tmp_path / "empty.py").write_text("")
+    assert tool.main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    total = str(lines)
+    assert rows[1:] == [["empty.py", "0", "0"], ["shapes.py", total, "9"], ["total", total, "9"]]

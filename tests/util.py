@@ -8,7 +8,7 @@ import numpy as np
 from lodecomp.decomposition import _projector_key
 from lodecomp.errors import InternalConsistencyError
 from lodecomp.spectral import cluster_eigenvalues
-from lodecomp.tensor import apply_matrix_at, partial_trace
+from lodecomp.tensor import StateTensor, apply_matrix_at, partial_trace
 
 PROJ_ATOL = 1e-8
 
@@ -234,6 +234,46 @@ def reference_split_cluster(family, starts, tol, rng, subsystem):
     raise InternalConsistencyError(
         f"block-diagonalization failed to stabilize on subsystem {subsystem}"
     )
+
+
+def reference_pair_states(state, n=None):
+    """Two-subsystem reduced states, keyed (a, m) with a < m and reshaped to
+    (d_a, d_m, d_a, d_m): every pair, or only the pairs that hold ``n``.
+
+    With :func:`reference_eigenframe_pair_states` and
+    :func:`reference_pair_slices`, this is how the pair-state slices were
+    built before ``decomposition._eigenframe_slices`` folded the three into
+    one pass, kept as its reference.
+    """
+    dims = state.dims
+    return {
+        (a, m): partial_trace(state, [a, m]).matrix.reshape(dims[a], dims[m], dims[a], dims[m])
+        for a in range(state.n_subsystems)
+        for m in range(a + 1, state.n_subsystems)
+        if n is None or n in (a, m)
+    }
+
+
+def reference_eigenframe_pair_states(state, spectra, n=None):
+    """:func:`reference_pair_states` of psi rotated by V_k^H on the
+    subsystem k of each given spectrum, V_k its eigenbasis."""
+    amps = state.amps
+    for spec in spectra:
+        amps = apply_matrix_at(amps, state.dims, spec.subsystem, spec.eigenvectors.conj().T)
+    return reference_pair_states(StateTensor(state.dims, amps), n)
+
+
+def reference_pair_slices(n, pairs):
+    """The slices F = rho_nm[(., a), (., b)] of subsystem n's pair states in
+    ``pairs``, stacked (sum_m d_m^2, d_n, d_n) over m ascending and (a, b)
+    row-major, and the index where each m's group starts."""
+    slices = [
+        rho4.transpose(1, 3, 0, 2) if n == a else rho4.transpose(0, 2, 1, 3)
+        for (a, m), rho4 in sorted(pairs.items())
+        if n in (a, m)
+    ]
+    starts = np.cumsum([0] + [s.shape[0] ** 2 for s in slices[:-1]])
+    return np.concatenate([s.reshape(-1, *s.shape[2:]) for s in slices]), starts
 
 
 def reference_branch_sort_key(branch):
