@@ -59,25 +59,18 @@ class Branch:
     vector: np.ndarray = field(repr=False)
     supports: tuple = field(repr=False)
 
-    def __init__(self, weight, vector, supports):
-        weight = float(weight)
-        vec = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        norm = float(np.linalg.norm(vec))
+    def __post_init__(self):
+        object.__setattr__(self, "weight", float(self.weight))
+        vector = np.asarray(self.vector, dtype=np.complex128).flatten()
+        norm = float(np.linalg.norm(vector))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"branch vector must be normalized, got norm {norm}")
-        sup = []
-        for b in supports:
-            b = np.asarray(b, dtype=np.complex128)
-            if b.ndim == 1:
-                b = b[:, None]
-            b = b.copy()
-            b.setflags(write=False)
-            sup.append(b)
-        vec = vec.copy()
-        vec.setflags(write=False)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "vector", vec)
-        object.__setattr__(self, "supports", tuple(sup))
+        supports = (np.asarray(b, dtype=np.complex128) for b in self.supports)
+        supports = tuple((b[:, None] if b.ndim == 1 else b).copy() for b in supports)
+        for array in (vector, *supports):
+            array.setflags(write=False)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "supports", supports)
 
     @property
     def support_ranks(self) -> tuple:
@@ -424,35 +417,28 @@ class CorrelationGraph:
 class _LocalFrame:
     """A state rotated once into a full local frame on every subsystem.
 
-    U_n = (Q_n | C_n): Q_n stacks subsystem n's blocks in node order, its
-    first ``ranks[n]`` columns, with block k starting at column
-    ``starts[n][k]``, and C_n is an orthonormal complement of their span.
+    U_n = (Q_n | C_n): Q_n stacks subsystem n's blocks in node order, block
+    k in columns ``bounds[n][k]`` to ``bounds[n][k + 1]``, the last bound
+    being the rank, and C_n is an orthonormal complement of their span.
     ``unitaries`` holds the U_n, and ``marginals[n, m]`` (n < m) is the
     (d_n, d_m) marginal of |psi'|^2, psi' = (U_0^H x ... x U_{N-1}^H) psi,
     summed over the complete bases of all other subsystems.
     """
 
     nodes: tuple
-    starts: tuple
-    ranks: tuple
+    bounds: tuple
     unitaries: tuple
     marginals: dict
 
 
-def _local_frame(state: StateTensor, blocks, t_supp: float, spectra=None) -> _LocalFrame:
-    """Validate per-subsystem blocks and rotate the state into their frame.
-
-    N rotations, one per subsystem.  The marginals come from staged sums:
-    |psi'|^2 is summed over the subsystems before n once per n, then for
-    each m > n in turn the subsystems after m and those between n and m.
-    """
+def _checked_frames(state: StateTensor, blocks, t_supp: float) -> list:
+    """Caller-given blocks as per-subsystem frames (Q_n, bounds), once checked
+    to be orthonormal and to span exactly each local support.  The pipeline's
+    own blocks are orthonormal by construction and do not come through here."""
     dims = state.dims
     if len(blocks) != state.n_subsystems:
         raise ValueError("need one block list per subsystem")
-    if spectra is None:
-        spectra = [local_spectrum(state, n, t_supp=t_supp) for n in range(state.n_subsystems)]
-    nodes, starts, ranks, unitaries = [], [], [], []
-    rotated = state.amps
+    frames = []
     for n, sub_blocks in enumerate(blocks):
         bases = []
         for b in sub_blocks:
@@ -465,19 +451,31 @@ def _local_frame(state: StateTensor, blocks, t_supp: float, spectra=None) -> _Lo
         if not bases:
             raise ValueError(f"subsystem {n} has no blocks")
         stacked = np.hstack(bases)
-        rank = stacked.shape[1]
-        if float(np.max(np.abs(stacked.conj().T @ stacked - np.eye(rank)))) > 1e-8:
+        if float(np.max(np.abs(stacked.conj().T @ stacked - np.eye(stacked.shape[1])))) > 1e-8:
             raise ValueError(f"blocks on subsystem {n} are not mutually orthonormal")
-        support = spectra[n].support_basis
+        support = local_spectrum(state, n, t_supp=t_supp).support_basis
         coverage = support - stacked @ (stacked.conj().T @ support)
         containment = stacked - support @ (support.conj().T @ stacked)
         if float(np.linalg.norm(coverage)) > 1e-8 or float(np.linalg.norm(containment)) > 1e-8:
             raise ValueError(f"blocks on subsystem {n} do not span the local support exactly")
-        nodes += [GraphNode(n, k, b) for k, b in enumerate(bases)]
-        starts.append(np.cumsum([0] + [b.shape[1] for b in bases[:-1]]))
-        ranks.append(rank)
-        if rank < dims[n]:  # complete Q_n with an orthonormal complement of its span
-            stacked = np.hstack([stacked, np.linalg.qr(stacked, mode="complete")[0][:, rank:]])
+        frames.append((stacked, np.cumsum([0] + [b.shape[1] for b in bases])))
+    return frames
+
+
+def _local_frame(state: StateTensor, frames) -> _LocalFrame:
+    """Complete each subsystem's frame (Q_n, bounds) and rotate the state into it.
+
+    N rotations, one per subsystem.  The marginals come from staged sums:
+    |psi'|^2 is summed over the subsystems before n once per n, then for
+    each m > n in turn the subsystems after m and those between n and m.
+    """
+    dims = state.dims
+    nodes, unitaries = [], []
+    rotated = state.amps
+    for n, (stacked, cuts) in enumerate(frames):
+        nodes += [GraphNode(n, k, stacked[:, a:b]) for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+        if cuts[-1] < dims[n]:  # complete Q_n with an orthonormal complement of its span
+            stacked = np.hstack([stacked, np.linalg.qr(stacked, mode="complete")[0][:, cuts[-1]:]])
         unitaries.append(stacked)
         rotated = apply_matrix_at(rotated, dims, n, stacked.conj().T)
     marginals = {}
@@ -489,8 +487,7 @@ def _local_frame(state: StateTensor, blocks, t_supp: float, spectra=None) -> _Lo
             marginals[n, m] = rest.sum(axis=2)
             rest = rest.sum(axis=1)
         tail = tail.sum(axis=0)
-    nodes, starts, ranks, unitaries = map(tuple, (nodes, starts, ranks, unitaries))
-    return _LocalFrame(nodes, starts, ranks, unitaries, marginals)
+    return _LocalFrame(tuple(nodes), tuple(c for _, c in frames), tuple(unitaries), marginals)
 
 
 def build_correlation_graph(
@@ -525,19 +522,18 @@ def build_correlation_graph(
         blocks must be mutually orthogonal and jointly span exactly the
         local support of the reduced state.
     frame : optional
-        The state's frame for these blocks, when the caller already has it
-        (its blocks were validated when it was built); computed here
-        otherwise.
+        The state's frame when the caller has one, and ``blocks`` is then
+        not read; otherwise the blocks are checked and the frame built here.
     """
     if frame is None:
-        frame = _local_frame(state, blocks, t_supp)
+        frame = _local_frame(state, _checked_frames(state, blocks, t_supp))
     # weights[a, b]: the edge weight of nodes a < b on distinct subsystems, else NaN;
     # nodes are numbered subsystem by subsystem, so np.nonzero lists edges in (a, b) order
-    offsets = np.cumsum([0] + [len(s) for s in frame.starts])
+    offsets = np.cumsum([0] + [len(cuts) - 1 for cuts in frame.bounds])
     weights = np.full((len(frame.nodes),) * 2, np.nan)
     for (n, m), marginal in frame.marginals.items():
-        rows = np.add.reduceat(marginal[: frame.ranks[n]], frame.starts[n], axis=0)
-        joint = np.add.reduceat(rows[:, : frame.ranks[m]], frame.starts[m], axis=1)
+        rows = np.add.reduceat(marginal[: frame.bounds[n][-1]], frame.bounds[n][:-1], axis=0)
+        joint = np.add.reduceat(rows[:, : frame.bounds[m][-1]], frame.bounds[m][:-1], axis=1)
         weights[offsets[n]:offsets[n + 1], offsets[m]:offsets[m + 1]] = joint
     linked = weights > t_edge
     edges = [(int(a), int(b), float(weights[a, b])) for a, b in zip(*np.nonzero(linked))]
@@ -666,36 +662,37 @@ def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: 
 
 
 def _support_partitions(state: StateTensor, subsystems, tol: Tolerances, rng) -> tuple:
-    """The given subsystems' spectra, those whose supports need SBD, and
-    each support split cluster by cluster.
+    """Each given subsystem's support split cluster by cluster, as a frame
+    (Q_n, bounds), and the subsystems whose supports needed SBD.
 
-    Eigenvalues are clustered at gaps of max(``t_deg``, ``_GUARD_GAP``).  A
-    singleton in-support cluster is its eigenvector column, a larger one
-    its SBD blocks.  With the state in the given eigenbases, a cluster's
-    pair slices are a basic slice over its run of indices; they are divided
-    by the cluster's weight, the sum of its in-support eigenvalues, so
-    ``t_deg`` and ``t_edge`` judge the SBD relative to the cluster.  The
-    subsystems draw from ``rng`` in order.
+    Eigenvalues are clustered at gaps of max(``t_deg``, ``_GUARD_GAP``).
+    Q_n holds rho_n's in-support eigenvectors V, with a larger cluster's
+    columns lo:hi overwritten by V[:, lo:hi] p for its SBD parts p;
+    ``bounds`` are the block offsets, ending at the rank.  With the state in
+    the given eigenbases, a cluster's pair slices are a basic slice over its
+    run of indices, divided by its weight, the sum of its in-support
+    eigenvalues, so ``t_deg`` and ``t_edge`` judge the SBD relative to the
+    cluster.  The subsystems draw from ``rng`` in order.
     """
     t_split = max(tol.t_deg, _GUARD_GAP)
     spectra = [local_spectrum(state, n, t_split, tol.t_supp) for n in subsystems]
     degenerate = tuple(spec.subsystem for spec in spectra if spec.is_support_degenerate)
     slices = _eigenframe_slices(state, spectra, degenerate)
-    partitions = []
+    frames = []
     for spec in spectra:
-        blocks = []
+        stacked, bounds = spec.support_basis.copy(), [0]
         for cluster in spec.clusters:
             lo, hi = cluster[0], min(cluster[-1] + 1, spec.support_rank)
-            basis = spec.eigenvectors[:, lo:hi]
             if hi - lo == 1:
-                blocks.append(basis)
+                bounds.append(hi)
             elif hi - lo > 1:
                 family, starts = slices[spec.subsystem]
                 family = family[:, lo:hi, lo:hi] / spec.eigenvalues[lo:hi].sum()
-                parts = _split_cluster(family, starts, tol, rng, spec.subsystem)
-                blocks += [basis @ p for p in parts]
-        partitions.append(blocks)
-    return spectra, partitions, degenerate
+                for p in _split_cluster(family, starts, tol, rng, spec.subsystem):
+                    bounds.append(bounds[-1] + p.shape[1])
+                    stacked[:, bounds[-2]:bounds[-1]] = spec.eigenvectors[:, lo:hi] @ p
+        frames.append((stacked, bounds))
+    return frames, degenerate
 
 
 def sbd_refine(
@@ -728,7 +725,8 @@ def sbd_refine(
         raise UnsupportedOperationError("pair-state refinement needs at least three subsystems")
     if not 0 <= n < state.n_subsystems:
         raise ValueError(f"subsystem index {n} out of range")
-    return _support_partitions(state, [n], tol, np.random.default_rng(seed))[1][0]
+    ((stacked, bounds),) = _support_partitions(state, [n], tol, np.random.default_rng(seed))[0]
+    return [stacked[:, a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +740,8 @@ def _component_masks(frame: _LocalFrame, components) -> list:
     for c, comp in enumerate(components):
         for i in comp:
             node = frame.nodes[i]
-            start = frame.starts[node.subsystem][node.block]
-            masks[node.subsystem][c, start:start + node.basis.shape[1]] = True
+            cuts = frame.bounds[node.subsystem]
+            masks[node.subsystem][c, cuts[node.block]:cuts[node.block + 1]] = True
     return masks
 
 
@@ -773,7 +771,7 @@ def _n_independence_residuals(frame: _LocalFrame, masks) -> np.ndarray:
     return np.sqrt(worst)
 
 
-def _extract_component_branches(state, partitions, tol, spectra=None):
+def _extract_component_branches(state, frames, tol):
     """Branches from the correlation graph's components, read off one frame.
 
     The state is rotated once (:func:`_local_frame`) and the frame serves
@@ -785,8 +783,8 @@ def _extract_component_branches(state, partitions, tol, spectra=None):
 
     Returns the branches, the graph and the largest residual.
     """
-    frame = _local_frame(state, partitions, tol.t_supp, spectra)
-    graph = build_correlation_graph(state, partitions, tol.t_edge, tol.t_supp, frame=frame)
+    frame = _local_frame(state, frames)
+    graph = build_correlation_graph(state, None, tol.t_edge, frame=frame)
     masks = _component_masks(frame, graph.components)
     residual = float(_n_independence_residuals(frame, masks).max())
     if residual > tol.t_nindep:
@@ -819,10 +817,12 @@ def assemble_branches(
     into branches and checks that each extracted branch vector is
     independent of which subsystem's projector produced it.  The branches
     are exactly as fine as the partitions: nothing is refined further.
+    Blocks as :func:`build_correlation_graph` takes them; ValueError otherwise.
     """
     if state.n_subsystems == 2:
         raise UnsupportedOperationError("block assembly needs at least three subsystems")
-    branches, _, _ = _extract_component_branches(state, partitions, tol)
+    frames = _checked_frames(state, partitions, tol.t_supp)
+    branches, _, _ = _extract_component_branches(state, frames, tol)
     return BranchDecomposition.from_branches(state, branches)
 
 
@@ -896,10 +896,10 @@ def maximal_decomposition(
         branches, non_unique, residual = _decompose_bipartite(state, tol)
         graph, path, seed, degenerate = None, "schmidt", None, (0, 1) if non_unique else ()
     else:
-        spectra, partitions, degenerate = _support_partitions(
+        frames, degenerate = _support_partitions(
             state, range(state.n_subsystems), tol, np.random.default_rng(seed)
         )
-        branches, graph, residual = _extract_component_branches(state, partitions, tol, spectra)
+        branches, graph, residual = _extract_component_branches(state, frames, tol)
         path = "block-sbd" if degenerate else "eigenvector-graph"
         non_unique = False
     dec = BranchDecomposition.from_branches(state, branches)

@@ -28,6 +28,7 @@ from .tensor import StateTensor, basis_stack, project_supports
 
 SCHEMA_VERSION = 1
 ENTROPY_ATOL = 1e-12  # decompose writes entropy_bits bit-exact
+WEIGHT_ATOL = 1e-9  # a reported branch weight against the weight its supports carry
 
 
 def _complex_pairs(values: np.ndarray) -> list:
@@ -89,6 +90,19 @@ def _pairs_to_complex(pairs, what: str) -> np.ndarray:
     if nonfinite.size:
         raise ValueError(f"{what}[{nonfinite[0]}] must contain two finite numbers")
     return out
+
+
+def _load(text: str, kind: str) -> dict:
+    """The JSON object of a ``kind`` document, of the current schema version."""
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ValueError(f"{kind} must be a JSON object")
+    if document.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {document.get('schema_version')!r}")
+    return document
 
 
 def _dump(document: dict) -> str:
@@ -178,15 +192,7 @@ class StateFile:
 
     @classmethod
     def from_json(cls, text: str) -> "StateFile":
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not valid JSON: {exc}") from exc
-        if not isinstance(document, dict):
-            raise ValueError("state file must be a JSON object")
-        version = document.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {version!r}")
+        document = _load(text, "state file")
         dims = document.get("dims")
         if not _is_dims(dims):
             raise ValueError("dims must be a list of positive integers")
@@ -291,14 +297,7 @@ def report_to_json(document: dict) -> str:
 
 def parse_report(text: str) -> dict:
     """Parse and structurally validate a report document."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ValueError("report must be a JSON object")
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {document.get('schema_version')!r}")
+    document = _load(text, "report")
     for key in ("dims", "branch_count", "weights", "entropy_bits", "branches"):
         if key not in document:
             raise ValueError(f"report is missing the {key!r} field")
@@ -326,7 +325,7 @@ def read_report(path) -> dict:
         return parse_report(handle.read())
 
 
-def branches_from_report(document: dict, state: StateTensor, atol: float = 1e-9):
+def branches_from_report(document: dict, state: StateTensor):
     """Rebuild a decomposition from a report's supports against a state.
 
     Branch vectors are recovered by projecting the state onto each
@@ -380,7 +379,7 @@ def branches_from_report(document: dict, state: StateTensor, atol: float = 1e-9)
         if weight <= 1e-12:
             problems.append(f"branch {j}: reported supports carry no weight in the state")
             continue
-        if abs(weight - reported) > atol:
+        if abs(weight - reported) > WEIGHT_ATOL:
             problems.append(
                 f"branch {j}: reported weight {reported!r} does not match the state "
                 f"(recomputed {weight!r})"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,11 @@ from lodecomp.catalog import (
     x_state,
     z_state,
 )
-from lodecomp import decomposition
+from lodecomp import cli, decomposition
 from lodecomp.decomposition import (
     VERIFY_ATOL,
     _GUARD_GAP,
+    _checked_frames,
     _component_masks,
     _component_roots,
     _eigenframe_slices,
@@ -39,6 +42,7 @@ from lodecomp.decomposition import (
     verify_lo,
 )
 from lodecomp.errors import InternalConsistencyError, UnsupportedOperationError
+from lodecomp.fileio import StateFile
 from lodecomp.oracle import oracle_verify_maximality_small
 from lodecomp.spectral import local_spectrum
 from lodecomp.tensor import (
@@ -153,6 +157,24 @@ class TestMaximalGolden:
         assert result.decomposition.n_branches == 2
         assert np.allclose(result.decomposition.weights, [0.6, 0.4], atol=1e-9)
         assert all(b.support_ranks == (2, 2, 2) for b in result.decomposition.branches)
+
+
+class TestBranch:
+    def test_copies_read_only_arrays(self):
+        vector = np.array([[0.6], [0.8j]])
+        column, empty = np.array([1, 0]), np.zeros((2, 0))
+        branch = Branch(np.float32(0.5), vector, [column, empty])
+        vector[0, 0] = column[0] = 7
+        assert type(branch.weight) is float and branch.weight == 0.5
+        assert np.array_equal(branch.vector, [0.6, 0.8j]) and branch.vector.dtype == np.complex128
+        assert [b.shape for b in branch.supports] == [(2, 1), (2, 0)]
+        assert np.array_equal(branch.supports[0], [[1], [0]]) and branch.support_ranks == (1, 0)
+        for array in (branch.vector, *branch.supports):
+            assert not array.flags.writeable and array.dtype == np.complex128
+
+    def test_rejects_unnormalized_vector(self):
+        with pytest.raises(ValueError, match="branch vector must be normalized, got norm 2.0"):
+            Branch(1.0, [2.0, 0.0], [np.eye(2)])
 
 
 class TestCanonicalOrder:
@@ -570,8 +592,9 @@ class TestRotatedFrameAgainstReference:
         with_complement = 0
         for state in frame_states():
             partitions = frame_partitions(state)
-            frame = _local_frame(state, partitions, DEFAULT_TOLERANCES.t_supp)
-            with_complement += any(r < d for r, d in zip(frame.ranks, state.dims))
+            frames = _checked_frames(state, partitions, DEFAULT_TOLERANCES.t_supp)
+            frame = _local_frame(state, frames)
+            with_complement += any(cuts[-1] < d for cuts, d in zip(frame.bounds, state.dims))
             graph = build_correlation_graph(state, partitions, frame=frame)
             masks = _component_masks(frame, graph.components)
             residuals = _n_independence_residuals(frame, masks)
@@ -777,6 +800,68 @@ class TestCorrelationGraph:
     def test_wrong_block_count(self):
         with pytest.raises(ValueError):
             build_correlation_graph(ghz_state(), [computational_blocks(2)] * 2)
+
+
+QUBIT = computational_blocks(2)
+BAD_BLOCKS = {  # fault: (state, blocks, the ValueError's message)
+    "block count": (ghz_state(), [QUBIT] * 2, "need one block list per subsystem"),
+    "no blocks": (ghz_state(), [[], QUBIT, QUBIT], "subsystem 0 has no blocks"),
+    "wrong dimension": (ghz_state(), [QUBIT, [np.eye(3)], QUBIT],
+                        "block on subsystem 1 has wrong shape (3, 3)"),
+    "empty block": (ghz_state(), [QUBIT, QUBIT, [np.eye(2), np.zeros((2, 0))]],
+                    "block on subsystem 2 has wrong shape (2, 0)"),
+    "not orthonormal": (ghz_state(), [[np.array([[1.0], [1.0]])], [np.eye(2)], [np.eye(2)]],
+                        "blocks on subsystem 0 are not mutually orthonormal"),
+    "misses the support": (ghz_state(), [[np.array([1.0, 0.0])], QUBIT, QUBIT],
+                           "blocks on subsystem 0 do not span the local support exactly"),
+    # the third subsystem of |U> is pure, so the full basis overshoots
+    "overshoots the support": (u_state(), [QUBIT] * 3,
+                               "blocks on subsystem 2 do not span the local support exactly"),
+}
+
+
+class TestBlockChecks:
+    """Caller blocks are checked once, at either public door; the pipeline's
+    own blocks never pass through the checks."""
+
+    @pytest.mark.parametrize("door", [assemble_branches, build_correlation_graph])
+    @pytest.mark.parametrize("fault", list(BAD_BLOCKS))
+    def test_doors_reject_bad_blocks(self, door, fault):
+        state, blocks, message = BAD_BLOCKS[fault]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            door(state, blocks)
+
+    def test_partition_fault_is_internal(self, monkeypatch, tmp_path):
+        # SBD parts a little off orthonormal: the pipeline does not check
+        # its own blocks, so verify_lo must catch them, and the CLI exit 3
+        split = decomposition._split_cluster
+
+        def scaled(*args):
+            return [p * (1 + 1e-6) for p in split(*args)]
+
+        monkeypatch.setattr(decomposition, "_split_cluster", scaled)
+        state = dress_state(ghz_state(3, 3), 0)
+        with pytest.raises(InternalConsistencyError):
+            maximal_decomposition(state)
+        path = tmp_path / "state.json"
+        StateFile.from_state(state).write(path)
+        assert cli.main(["decompose", str(path), "-o", str(tmp_path / "report.json")]) == 3
+
+    def test_pipeline_computes_each_spectrum_once(self, monkeypatch):
+        # N calls, all in the partition: the block checks, which compute
+        # each spectrum again, stay off the pipeline's path
+        calls = []
+
+        def counting(state, n, *args, **kwargs):
+            calls.append(n)
+            return local_spectrum(state, n, *args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "local_spectrum", counting)
+        for state in (dress_state(ghz_state(3, 3), 0), dress_state(z_state((0.5, 0.3, 0.2)), 1),
+                      x_state(), ghz_state(4)):
+            calls.clear()
+            maximal_decomposition(state)
+            assert sorted(calls) == list(range(state.n_subsystems))
 
 
 class TestSbdRefine:
@@ -1099,10 +1184,10 @@ class TestBatchedSbdAgainstReference:
                 if spec.is_support_degenerate:
                     continue
                 # no generator: a subsystem that needs no SBD draws nothing
-                (parts,) = _support_partitions(state, [n], DEFAULT_TOLERANCES, None)[1]
-                assert len(parts) == spec.support_rank
-                for k, part in enumerate(parts):
-                    assert np.array_equal(part, spec.eigenvectors[:, [k]])
+                ((stacked, bounds),) = _support_partitions(state, [n], DEFAULT_TOLERANCES, None)[0]
+                assert list(bounds) == list(range(spec.support_rank + 1))
+                for k in range(spec.support_rank):
+                    assert np.array_equal(stacked[:, [k]], spec.eigenvectors[:, [k]])
                 checked += 1
         assert checked > 30
 
@@ -1142,7 +1227,8 @@ class TestSbdMergePinned:
                     with monkeypatch.context() as patch:
                         patch.setattr(decomposition, "_merge_coupled", merge)
                         rng = np.random.default_rng(seed)
-                        (parts,) = _support_partitions(state, [n], tol, rng)[1]
+                        ((stacked, bounds),) = _support_partitions(state, [n], tol, rng)[0]
+                        parts = [stacked[:, a:b] for a, b in zip(bounds, bounds[1:])]
                         runs.append((sbd_refine(state, n, tol, seed), parts, rng.bit_generator.state))
                 (blocks, parts, end), (ref_blocks, ref_parts, ref_end) = runs
                 assert end == ref_end

@@ -19,10 +19,12 @@ def test_one_digest_per_path_label(capsys):
     assert tool.main(["--workload-seeds", "3", "--seeds", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
     labels = [line.split()[0] for line in lines]
-    assert labels == ["block-sbd", "eigenvector-graph", "schmidt"]
+    assert labels == ["block-sbd", "eigenvector-graph", "schmidt", "layers"]
     for line in lines:
         digest, count = line.split()[1:3]
-        assert len(digest) == 64 and int(digest, 16) >= 0 and int(count) % 3 == 0
+        assert len(digest) == 64 and int(digest, 16) >= 0 and int(count) > 0
+        # a path label hashes every run in three formats
+        assert line.startswith("layers") or int(count) % 3 == 0
 
 
 def test_digests_repeat_and_follow_the_seeds():
@@ -32,6 +34,20 @@ def test_digests_repeat_and_follow_the_seeds():
     # a second decomposition seed adds outputs to every label
     both = tool.digests([3], [0, 1])
     assert all(both[label][1] == 2 * first[label][1] for label in first)
+
+
+def test_layer_digest_repeats_and_follows_the_layer_bytes(tmp_path, monkeypatch):
+    tool = load_tool()
+    first = tool.layer_digest([3], [0])
+    assert tool.layer_digest([3], [0]) == first
+    # one output per state with three or more subsystems
+    states = [tool.StateFile.read(path).dims for _, path in tool.write_inputs(tmp_path, [3])]
+    assert first[1] == sum(len(dims) >= 3 for dims in states)
+    # the same blocks with their signs flipped: the same partitions, other bytes
+    refine = tool.sbd_refine
+    monkeypatch.setattr(tool, "sbd_refine", lambda *args, **kw: [-b for b in refine(*args, **kw)])
+    flipped = tool.layer_digest([3], [0])
+    assert flipped[1] == first[1] and flipped[0] != first[0]
 
 
 SYNTHETIC = '''"""Module docstring,

@@ -8,6 +8,13 @@ checkouts that print the same digest for a label wrote byte-identical
 output for every state of that label.  A run that exits non-zero is
 hashed under `exit <code>` with its standard error.
 
+The `layers` label digests the layer API on the same states with three or
+more subsystems: the `sbd_refine` blocks of every subsystem at each
+decomposition seed, then, from the seed-0 blocks, the weights, vectors and
+supports of `assemble_branches` and the edges, components and edge margins
+of `build_correlation_graph`.  Arrays are hashed by their bytes, floats by
+their round-trip repr, and a state whose calls raise by the exception.
+
     python3 tools/report_digest.py                       # workload seeds 0-4
     python3 tools/report_digest.py --workload-seeds 3,11 --seeds 0,1,2
 
@@ -33,10 +40,12 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from lodecomp import cli  # noqa: E402
+from lodecomp import assemble_branches, build_correlation_graph, cli, sbd_refine  # noqa: E402
 from lodecomp.catalog import (  # noqa: E402
     dress_state,
     ghz_state,
@@ -48,6 +57,7 @@ from lodecomp.catalog import (  # noqa: E402
     x_state,
     z_state,
 )
+from lodecomp.errors import InternalConsistencyError, UnsupportedOperationError  # noqa: E402
 from lodecomp.fileio import StateFile  # noqa: E402
 
 import states  # noqa: E402
@@ -126,6 +136,50 @@ def digests(workload_seeds, seeds) -> dict:
     return {label: (hashes[label].hexdigest(), counts[label]) for label in sorted(hashes)}
 
 
+def layer_outputs(state, seeds) -> list:
+    """The layer API's outputs on one state, in a fixed order: the
+    ``sbd_refine`` blocks at each seed, then the branches and the graph
+    built from the seed-0 blocks."""
+    def blocks(seed):
+        return [sbd_refine(state, n, seed=seed) for n in range(state.n_subsystems)]
+
+    partitions = blocks(0)
+    decomposition = assemble_branches(state, partitions)
+    graph = build_correlation_graph(state, partitions)
+    out = [b for seed in seeds for per_subsystem in blocks(seed) for b in per_subsystem]
+    for branch in decomposition.branches:
+        out += [branch.weight, branch.vector, *branch.supports]
+    return out + [graph.edges, graph.components, graph.min_accepted_edge, graph.max_rejected_edge]
+
+
+def _value_bytes(value) -> bytes:
+    """An array as its dtype, shape and bytes; any other value as its repr."""
+    if isinstance(value, np.ndarray):
+        value = np.ascontiguousarray(value)
+        return f"{value.dtype} {value.shape}\n".encode() + value.tobytes()
+    return f"{value!r}\n".encode()
+
+
+def layer_digest(workload_seeds, seeds) -> tuple:
+    """(sha256 hex digest, number of outputs) of :func:`layer_outputs` on
+    each input state with three or more subsystems, one output per state."""
+    digest, count = hashlib.sha256(), 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, path in write_inputs(Path(tmp), workload_seeds):
+            state = StateFile.read(path).to_state()
+            if state.n_subsystems < 3:
+                continue
+            try:
+                outputs = layer_outputs(state, seeds)
+            except (ValueError, InternalConsistencyError, UnsupportedOperationError) as exc:
+                outputs = [f"raised {type(exc).__name__}: {exc}"]
+            text = b"".join(map(_value_bytes, outputs))
+            digest.update(f"{name} layers bytes={len(text)}\n".encode())
+            digest.update(text)
+            count += 1
+    return digest.hexdigest(), count
+
+
 def _int_list(text: str) -> list:
     return [int(part) for part in text.split(",")]
 
@@ -137,7 +191,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=_int_list, default=[0, 1],
                         help="comma-separated decomposition seeds (decompose --seed)")
     args = parser.parse_args(argv)
-    for label, (digest, count) in digests(args.workload_seeds, args.seeds).items():
+    labels = digests(args.workload_seeds, args.seeds)
+    labels["layers"] = layer_digest(args.workload_seeds, args.seeds)
+    for label, (digest, count) in labels.items():
         print(f"{label:<18} {digest}  {count} outputs")
     return 0
 
