@@ -8,6 +8,8 @@ the Shannon entropy of its weights as a global entanglement measure, and
 ships generators, brute-force cross-checks, and a CLI.
 """
 
+import types as _types
+
 from .catalog import (
     StateSpec,
     dress_state,
@@ -80,63 +82,9 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Branch",
-    "BranchDecomposition",
-    "CorrelationGraph",
-    "DecompositionResult",
-    "DegenerateSpectrumError",
-    "DensityOperator",
-    "Diagnostics",
-    "DEFAULT_TOLERANCES",
-    "EntropyReport",
-    "InternalConsistencyError",
-    "LocalProjector",
-    "OracleVerdict",
-    "SchmidtDecomposition",
-    "SpectralData",
-    "StateFile",
-    "StateSpec",
-    "StateTensor",
-    "Tolerances",
-    "UnsupportedOperationError",
-    "VerificationReport",
-    "apply_local_projector",
-    "apply_local_unitary",
-    "apply_pairwise_unitary",
-    "assemble_branches",
-    "build_correlation_graph",
-    "cluster_eigenvalues",
-    "coarse_grain",
-    "common_fine_graining",
-    "dress_state",
-    "e_lo",
-    "entropy_report",
-    "generate",
-    "ghz_state",
-    "haar_unitary",
-    "inner_product",
-    "joint_projection_norm",
-    "level_mixing_unitary",
-    "local_spectrum",
-    "maximal_decomposition",
-    "oracle_maximal_nondegenerate",
-    "oracle_verify_maximality_small",
-    "partial_trace",
-    "permute_subsystems",
-    "product_state",
-    "random_state",
-    "report_document",
-    "report_to_json",
-    "sbd_refine",
-    "schmidt_decompose",
-    "shannon_entropy",
-    "tensor_compose",
-    "trivial_decomposition",
-    "u_state",
-    "v_state",
-    "verify_lo",
-    "w_state",
-    "x_state",
-    "z_state",
-]
+# every public name imported above; the submodules are reached as attributes
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _types.ModuleType))
+)

@@ -135,11 +135,10 @@ def x_state() -> StateTensor:
     return StateTensor(dims, amps.reshape(-1) / math.sqrt(8))
 
 
-def random_state(dims, seed: int = 0, rng=None) -> StateTensor:
+def random_state(dims, seed: int = 0) -> StateTensor:
     """Normalized complex Gaussian amplitudes: rotation-invariant ensemble."""
     dims = tuple(int(d) for d in dims)
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     total = math.prod(dims)
     amps = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     return StateTensor(dims, amps / np.linalg.norm(amps))

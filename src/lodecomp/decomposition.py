@@ -661,7 +661,7 @@ def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: 
     )
 
 
-def _support_partitions(state: StateTensor, subsystems, tol: Tolerances, rng) -> tuple:
+def _support_partitions(state: StateTensor, subsystems, tol: Tolerances, seed) -> tuple:
     """Each given subsystem's support split cluster by cluster, as a frame
     (Q_n, bounds), and the subsystems whose supports needed SBD.
 
@@ -672,13 +672,14 @@ def _support_partitions(state: StateTensor, subsystems, tol: Tolerances, rng) ->
     the given eigenbases, a cluster's pair slices are a basic slice over its
     run of indices, divided by its weight, the sum of its in-support
     eigenvalues, so ``t_deg`` and ``t_edge`` judge the SBD relative to the
-    cluster.  The subsystems draw from ``rng`` in order.
+    cluster.  The subsystems draw in order from one generator seeded with
+    ``seed``, built at the first cluster that needs SBD.
     """
     t_split = max(tol.t_deg, _GUARD_GAP)
     spectra = [local_spectrum(state, n, t_split, tol.t_supp) for n in subsystems]
     degenerate = tuple(spec.subsystem for spec in spectra if spec.is_support_degenerate)
     slices = _eigenframe_slices(state, spectra, degenerate)
-    frames = []
+    frames, rng = [], None
     for spec in spectra:
         stacked, bounds = spec.support_basis.copy(), [0]
         for cluster in spec.clusters:
@@ -688,6 +689,7 @@ def _support_partitions(state: StateTensor, subsystems, tol: Tolerances, rng) ->
             elif hi - lo > 1:
                 family, starts = slices[spec.subsystem]
                 family = family[:, lo:hi, lo:hi] / spec.eigenvalues[lo:hi].sum()
+                rng = rng or np.random.default_rng(seed)
                 for p in _split_cluster(family, starts, tol, rng, spec.subsystem):
                     bounds.append(bounds[-1] + p.shape[1])
                     stacked[:, bounds[-2]:bounds[-1]] = spec.eigenvectors[:, lo:hi] @ p
@@ -725,7 +727,7 @@ def sbd_refine(
         raise UnsupportedOperationError("pair-state refinement needs at least three subsystems")
     if not 0 <= n < state.n_subsystems:
         raise ValueError(f"subsystem index {n} out of range")
-    ((stacked, bounds),) = _support_partitions(state, [n], tol, np.random.default_rng(seed))[0]
+    ((stacked, bounds),) = _support_partitions(state, [n], tol, seed)[0]
     return [stacked[:, a:b] for a, b in zip(bounds, bounds[1:])]
 
 
@@ -896,9 +898,7 @@ def maximal_decomposition(
         branches, non_unique, residual = _decompose_bipartite(state, tol)
         graph, path, seed, degenerate = None, "schmidt", None, (0, 1) if non_unique else ()
     else:
-        frames, degenerate = _support_partitions(
-            state, range(state.n_subsystems), tol, np.random.default_rng(seed)
-        )
+        frames, degenerate = _support_partitions(state, range(state.n_subsystems), tol, seed)
         branches, graph, residual = _extract_component_branches(state, frames, tol)
         path = "block-sbd" if degenerate else "eigenvector-graph"
         non_unique = False

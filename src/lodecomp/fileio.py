@@ -329,10 +329,10 @@ def branches_from_report(document: dict, state: StateTensor):
     """Rebuild a decomposition from a report's supports against a state.
 
     Branch vectors are recovered by projecting the state onto each
-    reported subsystem-0 support.  Structural defects in the document
-    raise ValueError; semantic mismatches against the state (weights that
-    disagree, supports carrying no weight) are verification findings and
-    are returned as problem strings instead.
+    reported subsystem-0 support.  Structural defects in the document, and
+    report dims other than the state's, raise ValueError; semantic
+    mismatches against the state (weights that disagree, supports carrying
+    no weight) are verification findings, returned as problem strings.
 
     Returns
     -------
@@ -341,6 +341,8 @@ def branches_from_report(document: dict, state: StateTensor):
         and the list of mismatch descriptions, empty when clean.
     """
     dims = state.dims
+    if list(dims) != document["dims"]:
+        raise ValueError(f"report dims {document['dims']} do not match state dims {list(dims)}")
     parsed = []  # (reported weight, supports) per branch
     for j, entry in enumerate(document["branches"]):
         if not isinstance(entry, dict):

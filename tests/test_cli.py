@@ -80,6 +80,20 @@ class TestGenerate:
         assert "error" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("args, extra", [
+        (("--kind", "u", "--dims", "3,3,3"), ["dims"]),
+        (("--kind", "ghz", "--seed", "3"), ["seed"]),
+        (("--kind", "random", "--dims", "2,2,2", "--n", "3"), ["n_subsystems"]),
+        (("--kind", "x", "--weights", "0.5,0.5"), ["weights"]),
+    ])
+    def test_flag_the_kind_does_not_take_is_input_error(self, tmp_path, capsys, args, extra):
+        # every given flag reaches the catalog, which alone decides what a kind takes
+        path = tmp_path / "state.json"
+        assert main(["generate", *args, "-o", str(path)]) == 2
+        kind = args[1]
+        assert f"kind {kind!r} does not accept parameters {extra}" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_dressing_without_base_is_input_error(self, tmp_path):
         proc = run_cli("generate", "--kind", "random_local_dressing")
         assert proc.returncode == 2

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1176,15 +1180,20 @@ class TestBatchedSbdAgainstReference:
                     checked += 1
         assert checked >= 40
 
-    def test_non_degenerate_partition_is_the_eigenvector_columns(self):
+    def test_non_degenerate_partition_is_the_eigenvector_columns(self, monkeypatch):
+        def no_generator(seed):
+            raise AssertionError("a subsystem that needs no SBD built a generator")
+
+        states = frame_states()
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
         checked = 0
-        for state in frame_states():
+        for state in states:
             for n in range(state.n_subsystems):
                 spec = local_spectrum(state, n, _GUARD_GAP)
                 if spec.is_support_degenerate:
                     continue
-                # no generator: a subsystem that needs no SBD draws nothing
-                ((stacked, bounds),) = _support_partitions(state, [n], DEFAULT_TOLERANCES, None)[0]
+                # a subsystem that needs no SBD builds no generator
+                ((stacked, bounds),) = _support_partitions(state, [n], DEFAULT_TOLERANCES, 0)[0]
                 assert list(bounds) == list(range(spec.support_rank + 1))
                 for k in range(spec.support_rank):
                     assert np.array_equal(stacked[:, [k]], spec.eigenvectors[:, [k]])
@@ -1202,7 +1211,13 @@ class TestSbdMergePinned:
     def test_blocks_and_generator_match_reference_merge(self, seed, monkeypatch):
         pinned = sbd_states() + [two_ring_state(p, d) for p, d in ((0.62, 2), (0.75, 9))]
         pinned += [StateTensor(c.dims, c.amps) for c in bench_states.make_cases("degenerate", 11)]
-        calls, layouts = [], []
+        calls, layouts, generators = [], [], []
+        default_rng = np.random.default_rng
+
+        def captured_rng(seed):
+            # the generator SBD draws from, so its end state can be compared
+            generators.append(default_rng(seed))
+            return generators[-1]
 
         def reference(frames, labels, layout, starts, t_edge):
             # the layout must be the cluster's slices side by side, built
@@ -1226,12 +1241,15 @@ class TestSbdMergePinned:
                 for merge in (_merge_coupled, reference):
                     with monkeypatch.context() as patch:
                         patch.setattr(decomposition, "_merge_coupled", merge)
-                        rng = np.random.default_rng(seed)
-                        ((stacked, bounds),) = _support_partitions(state, [n], tol, rng)[0]
+                        patch.setattr(np.random, "default_rng", captured_rng)
+                        generators.clear()
+                        ((stacked, bounds),) = _support_partitions(state, [n], tol, seed)[0]
                         parts = [stacked[:, a:b] for a, b in zip(bounds, bounds[1:])]
-                        runs.append((sbd_refine(state, n, tol, seed), parts, rng.bit_generator.state))
+                        ends = [g.bit_generator.state for g in generators]
+                        runs.append((sbd_refine(state, n, tol, seed), parts, ends))
                 (blocks, parts, end), (ref_blocks, ref_parts, ref_end) = runs
-                assert end == ref_end
+                # one generator exactly when some cluster needs SBD
+                assert len(end) == (1 if layouts else 0) and end == ref_end
                 for got, want in ((blocks, ref_blocks), (parts, ref_parts)):
                     assert len(got) == len(want)
                     assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -1284,6 +1302,27 @@ def cluster_inputs(state, tol=DEFAULT_TOLERANCES):
                 slices = family[:, lo:hi, lo:hi] / spec.eigenvalues[lo:hi].sum()
                 out.append((spec.subsystem, slices, starts))
     return out
+
+
+@pytest.mark.parametrize("workload, imported", [("nondegenerate", False), ("degenerate", True)])
+def test_only_sbd_imports_numpy_random(workload, imported, tmp_path):
+    # the SBD generator is built at the first cluster that needs SBD, so a
+    # decompose that takes every support apart along eigenvectors never
+    # imports numpy.random
+    state, report = tmp_path / "state.json", tmp_path / "report.json"
+    state.write_text(bench_states.state_json(bench_states.make_cases(workload, 0)[0]))
+    script = (
+        "import sys\n"
+        "from lodecomp import cli\n"
+        "before = 'numpy.random' in sys.modules\n"
+        f"assert cli.main(['decompose', {str(state)!r}, '-o', {str(report)!r}]) == 0\n"
+        "print(before, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", str(imported)]
 
 
 class ScriptedGenerator:

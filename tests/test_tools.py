@@ -19,12 +19,16 @@ def test_one_digest_per_path_label(capsys):
     assert tool.main(["--workload-seeds", "3", "--seeds", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
     labels = [line.split()[0] for line in lines]
-    assert labels == ["block-sbd", "eigenvector-graph", "schmidt", "layers"]
-    for line in lines:
+    assert labels == ["block-sbd", "eigenvector-graph", "schmidt", "verify", "layers"]
+    counts = {}
+    for label, line in zip(labels, lines):
         digest, count = line.split()[1:3]
         assert len(digest) == 64 and int(digest, 16) >= 0 and int(count) > 0
-        # a path label hashes every run in three formats
-        assert line.startswith("layers") or int(count) % 3 == 0
+        counts[label] = int(count)
+    # a path label hashes every run in three formats, and verify runs on
+    # each json report and its five tampered copies
+    assert all(counts[label] % 3 == 0 for label in labels[:3])
+    assert counts["verify"] == 6 * sum(counts[label] for label in labels[:3]) // 3
 
 
 def test_digests_repeat_and_follow_the_seeds():
@@ -34,6 +38,31 @@ def test_digests_repeat_and_follow_the_seeds():
     # a second decomposition seed adds outputs to every label
     both = tool.digests([3], [0, 1])
     assert all(both[label][1] == 2 * first[label][1] for label in first)
+
+
+def test_verify_passes_the_genuine_report_and_rejects_each_tamper(tmp_path):
+    tool = load_tool()
+    path = tmp_path / "z.json"
+    tool.StateFile.from_state(tool.z_state((0.5, 0.3, 0.2)), name="z").write(path)
+    out = tmp_path / "report.json"
+    assert tool.decompose(path, "json", 0, out)[0] == 0
+    runs = tool.verify(path, out.read_bytes(), tmp_path)
+    codes = {name: code for name, code, _ in runs}
+    assert codes == {"genuine": 0, "weight": 1, "weights": 1, "entropy": 1, "dims": 2, "support": 1}
+    text = {name: output.decode() for name, _, output in runs}
+    assert text["genuine"].endswith("PASS\n")
+    assert "report dims [3, 3, 4] do not match state dims [3, 3, 3]" in text["dims"]
+
+
+def test_verify_digest_follows_the_verify_output(monkeypatch):
+    tool = load_tool()
+    first = tool.digests([3], [0])
+    # without the tampered copies, only the genuine runs are hashed
+    monkeypatch.setattr(tool, "tampered", lambda document: [])
+    genuine = tool.digests([3], [0])
+    assert genuine["verify"][1] * 6 == first["verify"][1]
+    assert genuine["verify"][0] != first["verify"][0]
+    assert all(genuine[label] == first[label] for label in first if label != "verify")
 
 
 def test_layer_digest_repeats_and_follows_the_layer_bytes(tmp_path, monkeypatch):

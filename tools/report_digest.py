@@ -1,4 +1,4 @@
-"""One sha256 per path label over `lodecomp decompose` output.
+"""One sha256 per path label over `lodecomp decompose` output, and one over `verify`.
 
 Runs `decompose` in-process, in json, table and csv format and at each
 decomposition seed, on the benchmark workloads' states and on catalog
@@ -7,6 +7,13 @@ states (plain and dressed), and hashes every output of one path label
 checkouts that print the same digest for a label wrote byte-identical
 output for every state of that label.  A run that exits non-zero is
 hashed under `exit <code>` with its standard error.
+
+The `verify` label digests `lodecomp verify` on every json report those
+runs write: its exit code, standard output and standard error on the
+genuine report and on fixed tampered copies of it (one branch weight,
+one `weights[]` entry, `entropy_bits` and the report `dims` changed, and
+one support column turned by 1e-3 rad toward the next branch's, as
+`bench/check.py`'s `rotate_support` turns it).
 
 The `layers` label digests the layer API on the same states with three or
 more subsystems: the `sbd_refine` blocks of every subsystem at each
@@ -33,6 +40,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import copy  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -60,6 +68,7 @@ from lodecomp.catalog import (  # noqa: E402
 from lodecomp.errors import InternalConsistencyError, UnsupportedOperationError  # noqa: E402
 from lodecomp.fileio import StateFile  # noqa: E402
 
+import check  # noqa: E402
 import states  # noqa: E402
 
 FORMATS = ("json", "table", "csv")
@@ -114,9 +123,42 @@ def decompose(path: Path, fmt: str, seed: int, out: Path):
     return code, out.read_bytes() if code == 0 else err.getvalue().encode()
 
 
+def tampered(document: dict) -> list:
+    """(name, document) of each fixed tampered copy of a genuine report."""
+    copies = {name: copy.deepcopy(document) for name in ("weight", "weights", "entropy", "dims")}
+    copies["weight"]["branches"][0]["weight"] += 1e-6
+    copies["weights"]["weights"][0] += 1e-6
+    copies["entropy"]["entropy_bits"] += 1e-6
+    copies["dims"]["dims"][-1] += 1
+    copies["support"] = check.rotate_support(document, angle=1e-3)
+    return list(copies.items())
+
+
+def verify(path: Path, report: bytes, work: Path) -> list:
+    """(name, exit code, standard output and error) of ``verify`` on the
+    genuine report and on each of its tampered copies."""
+    out = []
+    reports = [("genuine", report)]
+    reports += [(name, json.dumps(doc).encode()) for name, doc in tampered(json.loads(report))]
+    for name, text in reports:
+        (work / "report.json").write_bytes(text)
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(stream):
+            code = cli.main(["verify", str(path), str(work / "report.json")])
+        out.append((name, code, stream.getvalue().encode()))
+    return out
+
+
 def digests(workload_seeds, seeds) -> dict:
     """{label: (sha256 hex digest, number of outputs)}."""
     hashes, counts = {}, {}
+
+    def add(label, header, text):
+        digest = hashes.setdefault(label, hashlib.sha256())
+        digest.update(f"{header} bytes={len(text)}\n".encode())
+        digest.update(text)
+        counts[label] = counts.get(label, 0) + 1
+
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         out = work / "out"
@@ -126,13 +168,11 @@ def digests(workload_seeds, seeds) -> dict:
                 label = json.loads(text)["diagnostics"]["path"] if code == 0 else f"exit {code}"
                 outputs = [("json", code, text)]
                 if code == 0:
+                    for tamper, vcode, vtext in verify(path, text, work):
+                        add("verify", f"{name} seed={seed} {tamper} exit={vcode}", vtext)
                     outputs += [(fmt, *decompose(path, fmt, seed, out)) for fmt in FORMATS[1:]]
-                digest = hashes.setdefault(label, hashlib.sha256())
                 for fmt, code, text in outputs:
-                    header = f"{name} seed={seed} {fmt} exit={code} bytes={len(text)}\n"
-                    digest.update(header.encode())
-                    digest.update(text)
-                    counts[label] = counts.get(label, 0) + 1
+                    add(label, f"{name} seed={seed} {fmt} exit={code}", text)
     return {label: (hashes[label].hexdigest(), counts[label]) for label in sorted(hashes)}
 
 
