@@ -129,18 +129,24 @@ def _parse_list(text: str, what: str, convert) -> tuple:
 
 
 def _spec_from_args(args, kind: str, seed) -> StateSpec:
-    dims = _parse_list(args.dims, "--dims", int) if args.dims else None
-    weights = _parse_list(args.weights, "--weights", float) if args.weights else None
-    if kind == "ghz" and args.d is not None:
-        dims = (args.d,) * (args.n or (len(dims) if dims else 3))
     if kind == "random_local_dressing":
         if not args.base:
             raise ValueError("random_local_dressing requires --base")
         return StateSpec(kind, seed=seed, base=_spec_from_args(args, args.base, args.base_seed))
+    dims = _parse_list(args.dims, "--dims", int) if args.dims else None
+    weights = _parse_list(args.weights, "--weights", float) if args.weights else None
+    if args.d is not None:
+        if kind != "ghz":
+            raise ValueError(f"kind {kind!r} does not accept parameters ['d']")
+        dims = (args.d,) * (args.n or (len(dims) if dims else 3))
     return StateSpec(kind, args.n, dims, weights, seed, args.split)
 
 
 def cmd_generate(args) -> int:
+    # --base and --base-seed describe the state random_local_dressing dresses
+    extra = [name for name in ("base", "base_seed") if getattr(args, name) is not None]
+    if extra and args.kind != "random_local_dressing":
+        raise ValueError(f"kind {args.kind!r} does not accept parameters {extra}")
     spec = _spec_from_args(args, args.kind, args.seed)
     state = generate(spec)
     state_file = StateFile.from_state(state, name=args.name or args.kind)

@@ -7,9 +7,11 @@ Two JSON document kinds, both carrying a schema_version field:
 * report document: branch weights, entropy, per-branch per-subsystem
   support basis vectors, diagnostics, and flags.
 
-Floats are written with Python's shortest round-trip representation, so
-writing and re-reading a document is bit-exact, and fixed inputs plus a
-fixed seed yield byte-identical report text.
+Both kinds are written by one recursive encoder, byte for byte as
+``json.dumps(document, indent=2, sort_keys=True)``.  Floats are written
+with Python's shortest round-trip representation, so writing and
+re-reading a document is bit-exact, and fixed inputs plus a fixed seed
+yield byte-identical report text.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -105,55 +107,37 @@ def _load(text: str, kind: str) -> dict:
     return document
 
 
-def _dump(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+def _is_float_pairs(value) -> bool:
+    """A list of [re, im] lists of finite floats: amplitudes, a support column."""
+    if type(value) is not list or set(map(type, value)) != {list} or set(map(len, value)) != {2}:
+        return False
+    flat = list(itertools.chain.from_iterable(value))
+    return set(map(type, flat)) == {float} and all(map(math.isfinite, flat))
 
 
-# The bulk of a document (amplitudes, support columns) is rendered apart from
-# the rest, exactly as _dump would render it, and spliced into _dump's text of
-# the rest in place of this string.
-_SPLICE = "\x00splice\x00"
-_QUOTED_SPLICE = json.dumps(_SPLICE)
+def _dump(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    ``value`` written ``depth`` lists and objects deep.
 
-
-def _pairs_text(value, depth: int, levels: int = 0):
-    """``value`` as _dump renders it ``depth`` lists and objects deep, when it
-    is a non-empty list of [re, im] pairs of finite floats, or (``levels`` > 0)
-    of such lists nested ``levels`` deep; None when it is anything else."""
-    if type(value) is not list or not value:
-        return None
-    outer = "\n" + "  " * (depth + 1)
-    if levels:
-        items = [_pairs_text(item, depth + 1, levels - 1) for item in value]
-        if None in items:
-            return None
+    Lists and objects are written here, scalars and keys by ``json.dumps``.
+    A list of [re, im] pairs of finite floats (amplitudes, a support column:
+    the bulk of a document) is joined from ``float.__repr__``, which is what
+    ``json`` writes for a float, without a ``json.dumps`` call per float."""
+    indent = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        # json quotes a number, boolean or null key ('{"1": 0}') and rejects others
+        items = [f"{json.dumps(k if isinstance(k, str) else json.dumps({k: 0})[2:-5])}: "
+                 f"{_dump(v, depth + 1)}" for k, v in sorted(value.items())]
+    elif not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    elif _is_float_pairs(value):
+        items = [f"[{indent}  {re!r},{indent}  {im!r}{indent}]" for re, im in value]
     else:
-        if set(map(type, value)) - {list} or set(map(len, value)) - {2}:
-            return None
-        inner = outer + "  "
-        repr_ = float.__repr__  # what json writes for a float; TypeError on a non-float
-        try:
-            items = [f"[{inner}{repr_(re)},{inner}{repr_(im)}{outer}]" for re, im in value]
-        except TypeError:
-            return None
-        # repr spells non-finite floats inf and nan, json Infinity and NaN
-        if any("n" in item for item in items):
-            return None
-    return f"[{outer}{(',' + outer).join(items)}\n{'  ' * depth}]"
-
-
-def _splice(skeleton: dict, texts: list, document) -> str:
-    """``_dump(document)``, given ``skeleton``, the document with each of
-    ``texts`` (in document order) replaced by _SPLICE.  A string of the
-    document that _dump writes as the spliced string falls back to
-    ``_dump(document)``."""
-    parts = _dump(skeleton).split(_QUOTED_SPLICE)
-    if len(parts) != len(texts) + 1:
-        return _dump(document)
-    out = [parts[0]]
-    for text, part in zip(texts, parts[1:]):
-        out += (text, part)
-    return "".join(out)
+        items = [_dump(v, depth + 1) for v in value]
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return opening + closing
+    return f"{opening}{indent}{(',' + indent).join(items)}\n{'  ' * depth}{closing}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,10 +169,7 @@ class StateFile:
             document["name"] = self.name
         if self.metadata is not None:
             document["metadata"] = self.metadata
-        text = _pairs_text(document["amps"], 1)
-        if text is None:
-            return _dump(document)
-        return _splice({**document, "amps": _SPLICE}, [text], document)
+        return _dump(document) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "StateFile":
@@ -238,7 +219,6 @@ def report_document(
                 "supports": [_complex_pairs(basis.T) for basis in branch.supports],
             }
         )
-    tolerances = diagnostics.tolerances
     return {
         "schema_version": SCHEMA_VERSION,
         "name": name,
@@ -250,14 +230,7 @@ def report_document(
         "diagnostics": {
             "path": diagnostics.path,
             "seed": diagnostics.seed,
-            "tolerances": {
-                "t_deg": tolerances.t_deg,
-                "t_supp": tolerances.t_supp,
-                "t_edge": tolerances.t_edge,
-                "w_min": tolerances.w_min,
-                "t_nindep": tolerances.t_nindep,
-                "sbd_stable_rounds": tolerances.sbd_stable_rounds,
-            },
+            "tolerances": asdict(diagnostics.tolerances),
             "n_independence_residual": diagnostics.n_independence_residual,
             "min_accepted_edge": diagnostics.min_accepted_edge,
             "max_rejected_edge": diagnostics.max_rejected_edge,
@@ -271,28 +244,8 @@ def report_document(
 
 
 def report_to_json(document: dict) -> str:
-    """``json.dumps(document, indent=2, sort_keys=True) + "\\n"``, byte for byte.
-
-    The support columns, the bulk of a report, are written from
-    ``float.__repr__`` joins, and only the rest goes through ``json.dumps``,
-    whose indented output is pure Python.  A document that is not exactly
-    the report's shape (branch objects whose ``supports`` are lists of
-    non-empty lists of columns of [re, im] pairs of finite floats) is
-    written by ``json.dumps`` whole.
-    """
-    branches = document.get("branches") if type(document) is dict else None
-    if type(branches) is not list or not all(
-        type(entry) is dict and "supports" in entry for entry in branches
-    ):
-        return _dump(document)
-    texts = [_pairs_text(entry["supports"], 3, levels=2) for entry in branches]
-    if None in texts:
-        return _dump(document)
-    skeleton = {
-        **document,
-        "branches": [{**entry, "supports": _SPLICE} for entry in branches],
-    }
-    return _splice(skeleton, texts, document)
+    """``json.dumps(document, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    return _dump(document) + "\n"
 
 
 def parse_report(text: str) -> dict:
@@ -363,8 +316,8 @@ def branches_from_report(document: dict, state: StateTensor):
                 raise ValueError(f"branch {j} support {n} columns must have dimension {dims[n]}")
             flat = _float_pairs(list(itertools.chain.from_iterable(columns)))
             if flat is None:  # column by column, to name the bad entry
-                what = f"branch {j} support {n}"
-                flat = np.concatenate([_pairs_to_complex(col, what) for col in columns])
+                flat = np.concatenate([_pairs_to_complex(col, f"branch {j} support {n} column {c}")
+                                       for c, col in enumerate(columns)])
             supports.append(flat.reshape(len(columns), dims[n]).T)
         parsed.append((reported, supports))
     if not parsed:

@@ -85,14 +85,27 @@ class TestGenerate:
         (("--kind", "ghz", "--seed", "3"), ["seed"]),
         (("--kind", "random", "--dims", "2,2,2", "--n", "3"), ["n_subsystems"]),
         (("--kind", "x", "--weights", "0.5,0.5"), ["weights"]),
+        (("--kind", "u", "--d", "3"), ["d"]),
+        (("--kind", "ghz", "--base", "w"), ["base"]),
+        (("--kind", "random", "--dims", "2,2", "--base-seed", "4"), ["base_seed"]),
     ])
     def test_flag_the_kind_does_not_take_is_input_error(self, tmp_path, capsys, args, extra):
-        # every given flag reaches the catalog, which alone decides what a kind takes
+        # a flag the kind does not take exits 2, in the catalog's words
         path = tmp_path / "state.json"
         assert main(["generate", *args, "-o", str(path)]) == 2
         kind = args[1]
         assert f"kind {kind!r} does not accept parameters {extra}" in capsys.readouterr().err
         assert not path.exists()
+
+    def test_d_follows_the_dressed_base(self, tmp_path, capsys):
+        # --d is the ghz shorthand also when ghz is the state random_local_dressing dresses
+        path = tmp_path / "state.json"
+        args = ["generate", "--kind", "random_local_dressing", "--d", "3", "-o", str(path)]
+        assert main([*args, "--base", "w"]) == 2
+        assert "kind 'w' does not accept parameters ['d']" in capsys.readouterr().err
+        assert not path.exists()
+        assert main([*args, "--base", "ghz"]) == 0
+        assert json.loads(path.read_text())["dims"] == [3, 3, 3]
 
     def test_dressing_without_base_is_input_error(self, tmp_path):
         proc = run_cli("generate", "--kind", "random_local_dressing")

@@ -14,12 +14,12 @@ def load_tool(name="report_digest"):
     return module
 
 
-def test_one_digest_per_path_label(capsys):
+def test_one_digest_per_path_label(capsys, tmp_path):
     tool = load_tool()
     assert tool.main(["--workload-seeds", "3", "--seeds", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
     labels = [line.split()[0] for line in lines]
-    assert labels == ["block-sbd", "eigenvector-graph", "schmidt", "verify", "layers"]
+    assert labels == ["block-sbd", "eigenvector-graph", "schmidt", "verify", "layers", "states"]
     counts = {}
     for label, line in zip(labels, lines):
         digest, count = line.split()[1:3]
@@ -29,6 +29,8 @@ def test_one_digest_per_path_label(capsys):
     # each json report and its five tampered copies
     assert all(counts[label] % 3 == 0 for label in labels[:3])
     assert counts["verify"] == 6 * sum(counts[label] for label in labels[:3]) // 3
+    # the state writer is hashed once on every input state
+    assert counts["states"] == len(tool.write_inputs(tmp_path, [3]))
 
 
 def test_digests_repeat_and_follow_the_seeds():
@@ -117,3 +119,13 @@ def test_src_lines_counts_code_without_docstrings_comments_or_blanks(tmp_path, c
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     total = str(lines)
     assert rows[1:] == [["empty.py", "0", "0"], ["shapes.py", total, "9"], ["total", total, "9"]]
+
+
+def test_state_digest_repeats_and_follows_the_writer_bytes(monkeypatch):
+    tool = load_tool()
+    first = tool.state_digest([3])
+    assert tool.state_digest([3]) == first
+    write = tool.StateFile.to_json
+    monkeypatch.setattr(tool.StateFile, "to_json", lambda self: write(self) + " ")
+    changed = tool.state_digest([3])
+    assert changed[1] == first[1] and changed[0] != first[0]

@@ -22,6 +22,10 @@ supports of `assemble_branches` and the edges, components and edge margins
 of `build_correlation_graph`.  Arrays are hashed by their bytes, floats by
 their round-trip repr, and a state whose calls raise by the exception.
 
+The `states` label digests the state writer: `StateFile.to_json` of every
+input state above (workload, catalog and dressed), each re-read through
+`StateFile.from_json`.
+
     python3 tools/report_digest.py                       # workload seeds 0-4
     python3 tools/report_digest.py --workload-seeds 3,11 --seeds 0,1,2
 
@@ -220,6 +224,19 @@ def layer_digest(workload_seeds, seeds) -> tuple:
     return digest.hexdigest(), count
 
 
+def state_digest(workload_seeds) -> tuple:
+    """(sha256 hex digest, number of outputs) of ``StateFile.to_json`` on each
+    input state, as read back by ``StateFile.from_json``."""
+    digest, count = hashlib.sha256(), 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, path in write_inputs(Path(tmp), workload_seeds):
+            text = StateFile.from_json(path.read_text()).to_json().encode()
+            digest.update(f"{name} state bytes={len(text)}\n".encode())
+            digest.update(text)
+            count += 1
+    return digest.hexdigest(), count
+
+
 def _int_list(text: str) -> list:
     return [int(part) for part in text.split(",")]
 
@@ -233,6 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     labels = digests(args.workload_seeds, args.seeds)
     labels["layers"] = layer_digest(args.workload_seeds, args.seeds)
+    labels["states"] = state_digest(args.workload_seeds)
     for label, (digest, count) in labels.items():
         print(f"{label:<18} {digest}  {count} outputs")
     return 0
