@@ -220,15 +220,9 @@ def generate(spec: StateSpec) -> StateTensor:
         if spec.dims is not None and len(spec.dims) != n:
             raise ValueError("dims length must match n_subsystems")
         return z_state(spec.weights, n, spec.dims)
-    if kind == "u":
+    if kind in ("u", "v", "x"):
         _require(spec, set())
-        return u_state()
-    if kind == "v":
-        _require(spec, set())
-        return v_state()
-    if kind == "x":
-        _require(spec, set())
-        return x_state()
+        return {"u": u_state, "v": v_state, "x": x_state}[kind]()
     if kind == "product":
         _require(spec, {"dims", "split", "seed"})
         if spec.dims is None:

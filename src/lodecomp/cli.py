@@ -17,6 +17,7 @@ from .decomposition import maximal_decomposition, verify_lo
 from .entanglement import e_lo, entropy_report
 from .errors import InternalConsistencyError, UnsupportedOperationError
 from .fileio import (
+    WEIGHT_ATOL,
     StateFile,
     branches_from_report,
     read_report,
@@ -202,7 +203,7 @@ def cmd_compare(args) -> int:
     for key in ("label", "dims", "branches", "weights", "entropy"):
         lines.append(f"{key:>9}  {str(a[key]):<{width}}  {b[key]}")
     wa, wb = weights
-    same = len(wa) == len(wb) and all(abs(x - y) <= 1e-9 for x, y in zip(wa, wb))
+    same = len(wa) == len(wb) and all(abs(x - y) <= WEIGHT_ATOL for x, y in zip(wa, wb))
     lines.append(f"identical weight multisets: {'yes' if same else 'no'}")
     _emit("\n".join(lines) + "\n", None)
     return 0

@@ -63,7 +63,7 @@ class Branch:
         object.__setattr__(self, "weight", float(self.weight))
         vector = np.asarray(self.vector, dtype=np.complex128).flatten()
         norm = float(np.linalg.norm(vector))
-        if abs(norm - 1.0) > 1e-9:
+        if abs(norm - 1.0) > VERIFY_ATOL:
             raise ValueError(f"branch vector must be normalized, got norm {norm}")
         supports = (np.asarray(b, dtype=np.complex128) for b in self.supports)
         supports = tuple((b[:, None] if b.ndim == 1 else b).copy() for b in supports)
@@ -112,14 +112,15 @@ class BranchDecomposition:
     def from_branches(cls, state, branches) -> "BranchDecomposition":
         """Build a decomposition with branches sorted into canonical order.
 
-        The order is that of the key (-round(weight, 12), projector key of
-        the subsystem-0 support), stable; the projector key is computed
+        The order is that of the key (-round(weight, 12), :func:`_key_order`
+        of the subsystem-0 supports), stable; the projector key is computed
         only within runs of equal rounded weight.
         """
         ordered = []
         for _, run in itertools.groupby(sorted(branches, key=_weight_key), key=_weight_key):
             run = list(run)
-            ordered += sorted(run, key=_support_key) if len(run) > 1 else run
+            keyed = _key_order([br.supports[0] for br in run]) if len(run) > 1 else [0]
+            ordered += [run[i] for i in keyed]
         return cls(state, ordered)
 
     @property
@@ -130,26 +131,19 @@ class BranchDecomposition:
     def weights(self) -> np.ndarray:
         return np.array([br.weight for br in self.branches])
 
-    def support(self, subsystem: int, branch: int) -> np.ndarray:
-        """Orthonormal basis of the given branch's support on one subsystem."""
-        return self.branches[branch].supports[subsystem]
 
-
-def _projector_key(basis: np.ndarray):
-    """Basis-independent, deterministic sort key for a subspace."""
-    proj = basis @ basis.conj().T
-    flat = proj.reshape(-1)
-    return tuple(
-        (-round(float(x.real), 10), -round(float(x.imag), 10)) for x in flat
-    )
+def _key_order(bases) -> np.ndarray:
+    """The stable order of subspaces of one space by a basis-independent,
+    deterministic key: each projector q q^H, rounded to 10 decimals and read
+    row-major as (-re, -im) pairs, compared entry by entry."""
+    stack = basis_stack(bases)
+    projectors = (stack @ stack.conj().swapaxes(1, 2)).reshape(len(stack), -1)
+    keys = -np.round(projectors.view(np.float64), 10)
+    return np.lexsort(keys.T[::-1])  # lexsort's primary key is its last
 
 
 def _weight_key(branch: Branch) -> float:
     return -round(branch.weight, 12)
-
-
-def _support_key(branch: Branch):
-    return _projector_key(branch.supports[0])
 
 
 def _supports_from_vector(vec: np.ndarray, dims, t_supp: float) -> tuple:
@@ -343,7 +337,7 @@ def common_fine_graining(
     """
     if d1.state.dims != d2.state.dims:
         raise ValueError(f"dimension mismatch: {d1.state.dims} vs {d2.state.dims}")
-    if float(np.linalg.norm(d1.state.amps - d2.state.amps)) > 1e-9:
+    if float(np.linalg.norm(d1.state.amps - d2.state.amps)) > VERIFY_ATOL:
         raise ValueError("decompositions must be of the same state")
     dims = d1.state.dims
     if len(dims) == 2:
@@ -362,7 +356,7 @@ def common_fine_graining(
         for bi in d1.branches:
             v, u = project(bk, bi.supports), project(bi, bk.supports)
             order_gap = float(np.linalg.norm(v - u))
-            if order_gap > 1e-9:
+            if order_gap > VERIFY_ATOL:
                 raise InternalConsistencyError(
                     f"fine-graining evaluation orders disagree by {order_gap:.3e}; "
                     "an input decomposition is not locally orthogonal",
@@ -655,7 +649,7 @@ def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: 
             continue
         drawn, stable, left = drawn[:0], stable + rounds, left - rounds
         if stable >= tol.sbd_stable_rounds:
-            return parts if len(parts) == 1 else sorted(parts, key=_projector_key)
+            return [parts[i] for i in _key_order(parts)]
     raise InternalConsistencyError(
         f"block-diagonalization failed to stabilize on subsystem {subsystem}"
     )
@@ -862,7 +856,6 @@ class Diagnostics:
     max_rejected_edge: float | None
     degenerate_subsystems: tuple
     non_unique: bool
-    weights: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -912,7 +905,6 @@ def maximal_decomposition(
         max_rejected_edge=graph.max_rejected_edge if graph else None,
         degenerate_subsystems=degenerate,
         non_unique=non_unique,
-        weights=tuple(float(w) for w in dec.weights),
     )
     report = verify_lo(dec, tol)
     if not report.passed:

@@ -27,6 +27,7 @@ import numpy as np
 from .decomposition import Branch, BranchDecomposition, DecompositionResult
 from .entanglement import EntropyReport, weight_entropy
 from .tensor import StateTensor, basis_stack, project_supports
+from .tolerances import DEFAULT_TOLERANCES
 
 SCHEMA_VERSION = 1
 ENTROPY_ATOL = 1e-12  # decompose writes entropy_bits bit-exact
@@ -115,25 +116,29 @@ def _is_float_pairs(value) -> bool:
     return set(map(type, flat)) == {float} and all(map(math.isfinite, flat))
 
 
-def _dump(value, depth: int = 0) -> str:
+def _dump(value, opened: tuple = ()) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
-    ``value`` written ``depth`` lists and objects deep.
+    ``value`` inside the open lists and objects whose ids are ``opened``;
+    meeting one of them again raises json's circular-reference ValueError.
 
     Lists and objects are written here, scalars and keys by ``json.dumps``.
     A list of [re, im] pairs of finite floats (amplitudes, a support column:
     the bulk of a document) is joined from ``float.__repr__``, which is what
     ``json`` writes for a float, without a ``json.dumps`` call per float."""
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    if id(value) in opened:
+        raise ValueError("Circular reference detected")
+    depth, opened = len(opened), opened + (id(value),)
     indent = "\n" + "  " * (depth + 1)
     if isinstance(value, dict):
         # json quotes a number, boolean or null key ('{"1": 0}') and rejects others
         items = [f"{json.dumps(k if isinstance(k, str) else json.dumps({k: 0})[2:-5])}: "
-                 f"{_dump(v, depth + 1)}" for k, v in sorted(value.items())]
-    elif not isinstance(value, (list, tuple)):
-        return json.dumps(value)
+                 f"{_dump(v, opened)}" for k, v in sorted(value.items())]
     elif _is_float_pairs(value):
         items = [f"[{indent}  {re!r},{indent}  {im!r}{indent}]" for re, im in value]
     else:
-        items = [_dump(v, depth + 1) for v in value]
+        items = [_dump(v, opened) for v in value]
     opening, closing = "{}" if isinstance(value, dict) else "[]"
     if not items:
         return opening + closing
@@ -210,7 +215,9 @@ def report_document(
 ) -> dict:
     """Assemble the machine-readable decomposition report."""
     decomposition = result.decomposition
-    diagnostics = result.diagnostics
+    diagnostics = {key: list(value) if isinstance(value, tuple) else value
+                   for key, value in asdict(result.diagnostics).items()}
+    non_unique = diagnostics.pop("non_unique")
     branches = []
     for branch in decomposition.branches:
         branches.append(
@@ -227,18 +234,10 @@ def report_document(
         "weights": [branch.weight for branch in decomposition.branches],
         "entropy_bits": entropy.entropy_bits,
         "branches": branches,
-        "diagnostics": {
-            "path": diagnostics.path,
-            "seed": diagnostics.seed,
-            "tolerances": asdict(diagnostics.tolerances),
-            "n_independence_residual": diagnostics.n_independence_residual,
-            "min_accepted_edge": diagnostics.min_accepted_edge,
-            "max_rejected_edge": diagnostics.max_rejected_edge,
-            "degenerate_subsystems": list(diagnostics.degenerate_subsystems),
-        },
+        "diagnostics": diagnostics,
         "flags": {
-            "degenerate_spectrum": bool(diagnostics.degenerate_subsystems),
-            "non_unique": diagnostics.non_unique,
+            "degenerate_spectrum": bool(diagnostics["degenerate_subsystems"]),
+            "non_unique": non_unique,
         },
     }
 
@@ -331,7 +330,7 @@ def branches_from_report(document: dict, state: StateTensor):
     problems = []
     for j, ((reported, supports), vec) in enumerate(zip(parsed, projected)):
         weight = float(np.vdot(vec, vec).real)
-        if weight <= 1e-12:
+        if weight <= DEFAULT_TOLERANCES.w_min:
             problems.append(f"branch {j}: reported supports carry no weight in the state")
             continue
         if abs(weight - reported) > WEIGHT_ATOL:

@@ -96,9 +96,7 @@ def local_spectrum(
     """
     rho = partial_trace(state, [n])
     vals, vecs = np.linalg.eigh(rho.matrix)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = fix_phases(vecs[:, order])
+    vals, vecs = vals[::-1].copy(), fix_phases(vecs[:, ::-1])  # no sort: ties keep eigh's order
     clusters = tuple(tuple(c) for c in cluster_eigenvalues(vals, t_deg))
     support_rank = int(np.sum(vals > t_supp))
     vals.setflags(write=False)

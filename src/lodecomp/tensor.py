@@ -115,10 +115,6 @@ class DensityOperator:
         object.__setattr__(self, "subsystems", subsystems)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class LocalProjector:

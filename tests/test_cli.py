@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,8 +8,9 @@ import pytest
 from lodecomp import cli
 from lodecomp.catalog import dress_state, ghz_state, z_state
 from lodecomp.cli import main
-from lodecomp.entanglement import e_lo
-from lodecomp.fileio import StateFile
+from lodecomp.decomposition import coarse_grain, maximal_decomposition
+from lodecomp.entanglement import e_lo, entropy_report
+from lodecomp.fileio import StateFile, report_document, report_to_json
 from lodecomp.tolerances import DEFAULT_TOLERANCES
 
 
@@ -272,6 +274,26 @@ class TestVerify:
         assert proc.returncode == 0
         assert "maximality: inconclusive" in proc.stdout
         assert proc.stdout.strip().endswith("PASS")
+
+    def test_merged_report_passes_without_the_oracle(self, tmp_path, capsys):
+        # verify checks local orthogonality, not maximality: a report that
+        # merges two genuine branches is self-consistent and locally
+        # orthogonal, and only the oracle's search finds the missed split
+        state = z_state((0.5, 0.3, 0.2))
+        result = maximal_decomposition(state)
+        merged = dataclasses.replace(
+            result, decomposition=coarse_grain(result.decomposition, [[0, 1], [2]])
+        )
+        state_path, report = tmp_path / "z.json", tmp_path / "merged.json"
+        StateFile.from_state(state, name="z").write(state_path)
+        report.write_text(report_to_json(report_document(merged, entropy_report(merged))))
+        assert json.loads(report.read_text())["weights"] == pytest.approx([0.8, 0.2])
+        assert main(["verify", str(state_path), str(report)]) == 0
+        assert capsys.readouterr().out.endswith("PASS\n")
+        assert main(["verify", str(state_path), str(report), "--oracle"]) == 1
+        out = capsys.readouterr().out
+        assert "maximality: fail (branch 0 splits along subsystem 0" in out
+        assert out.endswith("FAIL\n")
 
     def test_tampered_weight_fails(self, z_file, tmp_path):
         report = tmp_path / "report.json"

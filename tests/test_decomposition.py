@@ -29,6 +29,7 @@ from lodecomp.decomposition import (
     _component_masks,
     _component_roots,
     _eigenframe_slices,
+    _key_order,
     _local_frame,
     _merge_coupled,
     _n_independence_residuals,
@@ -70,6 +71,7 @@ from util import (
     reference_merge_groups,
     reference_pair_slices,
     reference_projector_identity,
+    reference_projector_key,
     reference_split_cluster,
     support_projectors,
     UnionFind,
@@ -122,6 +124,39 @@ def light_rings_state(eps, ring_weights, dressing):
         amps[levels, levels, levels] = np.sqrt(w * eps) * x_state().amps.reshape(4, 4, 4)
     state = StateTensor((d, d, d), amps.reshape(-1))
     return state if dressing is None else dress_state(state, seed=dressing)
+
+
+@st.composite
+def subspace_stacks(draw):
+    """Bases of subspaces of one space of dimension d <= 8: random ranks,
+    repeats of an earlier basis, rotated bases of an earlier subspace,
+    earlier subspaces turned by 1e-13 to 1e-7 (on either side of the
+    key's rounding), and subspaces whose projectors hold exact 0, 1 and
+    1/2 entries."""
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "repeat", "rotated", "turned", "axes", "half"]))
+        if kind in ("repeat", "rotated", "turned") and bases:
+            basis = bases[draw(st.integers(0, len(bases) - 1))]
+            if kind == "rotated":
+                basis = basis @ haar_unitary(basis.shape[1], rng)
+            elif kind == "turned":
+                angle = draw(st.sampled_from([1e-7, 1e-9, 1e-11, 1e-13]))
+                basis = np.linalg.qr(basis + angle * rng.standard_normal(basis.shape))[0]
+        elif kind == "axes":
+            axes = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+            basis = np.eye(d, dtype=np.complex128)[:, axes]
+        elif kind == "half" and d >= 2:
+            a, b = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+            basis = np.zeros((d, 1), dtype=np.complex128)
+            basis[[a, b], 0] = 0.5 + 0.5j, 0.5 - 0.5j  # |entry|^2 = 1/2 exactly
+            basis *= draw(st.sampled_from([1, -1, 1j, -1j]))
+        else:
+            basis = haar_unitary(d, rng)[:, : draw(st.integers(1, d))]
+        bases.append(basis)
+    return bases
 
 
 class TestMaximalGolden:
@@ -225,6 +260,21 @@ class TestCanonicalOrder:
                 got = BranchDecomposition.from_branches(state, shuffled).branches
                 want = sorted(shuffled, key=reference_branch_sort_key)
                 assert [id(b) for b in got] == [id(b) for b in want]
+
+    def test_no_key_when_rounded_weights_differ(self, monkeypatch):
+        def no_key(bases):
+            raise AssertionError("a projector key was computed")
+
+        z = maximal_decomposition(z_state((0.4, 0.35, 0.25))).decomposition
+        monkeypatch.setattr(decomposition, "_key_order", no_key)
+        got = BranchDecomposition.from_branches(z.state, z.branches[::-1]).branches
+        assert [id(b) for b in got] == [id(b) for b in z.branches]
+
+    @settings(max_examples=150, deadline=None)
+    @given(subspace_stacks())
+    def test_key_order_is_the_stable_reference_sort(self, bases):
+        want = sorted(range(len(bases)), key=lambda i: reference_projector_key(bases[i]))
+        assert _key_order(bases).tolist() == want
 
 
 class TestLightBranches:
@@ -1574,7 +1624,8 @@ class TestDiagnostics:
 
     def test_weights_sorted(self):
         result = maximal_decomposition(z_state((0.2, 0.3, 0.5)))
-        assert result.diagnostics.weights == tuple(sorted(result.diagnostics.weights, reverse=True))
+        weights = result.decomposition.weights.tolist()
+        assert weights == sorted(weights, reverse=True)
 
     def test_edge_margins_recorded(self):
         result = maximal_decomposition(z_state((0.5, 0.3, 0.2)))

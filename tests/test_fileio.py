@@ -410,6 +410,26 @@ class TestBulkWriter:
         with pytest.raises(TypeError):
             report_to_json(document)
 
+    def test_circular_documents_raise_as_json_does(self):
+        looped = {"a": []}
+        looped["a"].append(looped)
+        metadata = {}
+        metadata["self"] = metadata
+        state_file = StateFile((2, 2), np.ones(4, dtype=np.complex128), None, metadata)
+        for write, document in ((report_to_json, looped),
+                                (StateFile.to_json, state_file)):
+            with pytest.raises(ValueError, match="^Circular reference detected$"):
+                write(document)
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            dumps(looped)
+
+    def test_shared_container_without_a_cycle(self):
+        shared = [1.0]
+        document = {"a": shared, "b": shared, "c": {"d": shared, "e": [shared, [shared]]}}
+        assert report_to_json(document) == dumps(document)
+        state_file = StateFile.from_state(ghz_state(), metadata={"x": shared, "y": shared})
+        assert state_file.to_json() == dumps(reference_state_document(state_file))
+
     def test_old_splice_marker_in_a_name(self):
         document = sample_report(ghz_state())
         document["name"] = "\x00splice\x00"

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lodecomp.catalog import ghz_state, random_state, u_state, w_state
+from lodecomp.catalog import dress_state, ghz_state, random_state, u_state, w_state, z_state
 from lodecomp.spectral import (
     cluster_eigenvalues,
     fix_phases,
     local_spectrum,
     schmidt_decompose,
 )
-from lodecomp.tensor import StateTensor
+from lodecomp.tensor import StateTensor, partial_trace
 
 # eigenvalues of [[2, 1], [1, 1]]/3, the reduced state of (|00>+|01>+|10>)/sqrt(3)
 THREE_TERM_SCHMIDT_SQ = ((3 + np.sqrt(5)) / 6, (3 - np.sqrt(5)) / 6)
@@ -129,6 +129,20 @@ class TestLocalSpectrum:
         spec = local_spectrum(ghz_state(), 0)
         assert spec.is_support_degenerate
         assert np.allclose(spec.eigenvalues, [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "state", [ghz_state(), ghz_state(3, 4), dress_state(ghz_state(3, 4), seed=1),
+                  z_state((0.3, 0.3, 0.2, 0.2), dims=(4, 4, 4))],
+    )
+    def test_tied_eigenvalues_in_eighs_order_reversed(self, state):
+        # plain ghz has rho_n = diag(1/2, 1/2): exactly equal eigenvalues,
+        # among which no sort order is specified; the order is eigh's, reversed
+        for n in range(state.n_subsystems):
+            vals, vecs = np.linalg.eigh(partial_trace(state, [n]).matrix)
+            spec = local_spectrum(state, n)
+            assert np.array_equal(spec.eigenvalues, vals[::-1])
+            assert np.array_equal(spec.eigenvectors, fix_phases(vecs[:, ::-1]))
+            assert spec.eigenvalues.flags.c_contiguous and not spec.eigenvalues.flags.writeable
 
     def test_eigenvectors_diagonalize(self):
         state = random_state((2, 4, 2), seed=9)

@@ -2,7 +2,12 @@
 and the line counter counts what it says."""
 
 import importlib.util
+import shutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -79,6 +84,31 @@ def test_layer_digest_repeats_and_follows_the_layer_bytes(tmp_path, monkeypatch)
     monkeypatch.setattr(tool, "sbd_refine", lambda *args, **kw: [-b for b in refine(*args, **kw)])
     flipped = tool.layer_digest([3], [0])
     assert flipped[1] == first[1] and flipped[0] != first[0]
+
+
+def test_root_digests_another_checkout(tmp_path, capsys):
+    tool = load_tool()
+    args = ["--workload-seeds", "3", "--seeds", "0"]
+    assert tool.main(args) == 0
+    in_process = capsys.readouterr().out
+    # a copy of this checkout's package and benchmark, digested from elsewhere
+    for part in ("src", "bench"):
+        shutil.copytree(TOOLS.parent / part, tmp_path / "copy" / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    run = subprocess.run([sys.executable, str(TOOLS / "report_digest.py"), "--root",
+                          str(tmp_path / "copy"), *args], capture_output=True, text=True,
+                         cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == in_process
+    # a root without the package is not quietly replaced by this checkout
+    run = subprocess.run([sys.executable, str(TOOLS / "report_digest.py"), "--root",
+                          str(tmp_path / "empty"), *args], capture_output=True, text=True,
+                         cwd=tmp_path)
+    assert run.returncode != 0 and "No module named" in run.stderr
+    # in process the package is already imported, so another root is refused
+    with pytest.raises(SystemExit):
+        tool.main(["--root", str(tmp_path / "copy"), *args])
+    assert "--root takes effect only when the tool runs as a script" in capsys.readouterr().err
 
 
 SYNTHETIC = '''"""Module docstring,

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 
-from lodecomp.decomposition import _projector_key
 from lodecomp.errors import InternalConsistencyError
 from lodecomp.spectral import cluster_eigenvalues
 from lodecomp.tensor import StateTensor, apply_matrix_at, partial_trace
@@ -39,6 +38,14 @@ class UnionFind:
         for a in range(len(self.parent)):
             byroot.setdefault(self.find(a), []).append(a)
         return [tuple(byroot[r]) for r in sorted(byroot)]
+
+
+def reference_projector_key(basis):
+    """The subspace key as a tuple, rounded one projector entry at a time:
+    the key that ``decomposition._key_order`` batched, kept as its reference.
+    A stable sort by it is that order."""
+    proj = basis @ basis.conj().T
+    return tuple((-round(float(x.real), 10), -round(float(x.imag), 10)) for x in proj.reshape(-1))
 
 
 def support_projectors(branch):
@@ -230,7 +237,7 @@ def reference_split_cluster(family, starts, tol, rng, subsystem):
         parts = reference_round_merge(candidates, layout, starts, tol.t_edge)
         stable = stable + 1 if len(parts) == count_before else 0
         if stable >= tol.sbd_stable_rounds:
-            return parts if len(parts) == 1 else sorted(parts, key=_projector_key)
+            return parts if len(parts) == 1 else sorted(parts, key=reference_projector_key)
     raise InternalConsistencyError(
         f"block-diagonalization failed to stabilize on subsystem {subsystem}"
     )
@@ -283,7 +290,7 @@ def reference_branch_sort_key(branch):
     within runs of equal rounded weight; a stable sort on this key is its
     reference.
     """
-    return (-round(branch.weight, 12), _projector_key(branch.supports[0]))
+    return (-round(branch.weight, 12), reference_projector_key(branch.supports[0]))
 
 
 def reference_component_residuals(state, graph):

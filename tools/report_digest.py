@@ -28,10 +28,12 @@ input state above (workload, catalog and dressed), each re-read through
 
     python3 tools/report_digest.py                       # workload seeds 0-4
     python3 tools/report_digest.py --workload-seeds 3,11 --seeds 0,1,2
+    python3 tools/report_digest.py --root ../other       # another checkout
 
-Run it from the repository root of the checkout to digest; it imports the
-package from that checkout's `src/` and the workload states from its
-`bench/`, and writes only to a temporary directory.
+It imports the package from `DIR/src` and the workload states from
+`DIR/bench`, DIR being `--root` when run as a script and this tool's own
+checkout otherwise, and writes only to a temporary directory.  So one copy
+of the tool digests two checkouts with the same tampered copies and states.
 """
 
 from __future__ import annotations
@@ -55,6 +57,17 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _root_option(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser.add_argument("--root", type=Path, default=ROOT,
+                        help="checkout to digest: its src/ and bench/ (default: this tool's)")
+    return parser
+
+
+if __name__ == "__main__":  # the package is imported from --root, so read it first
+    ROOT = _root_option(argparse.ArgumentParser(add_help=False)).parse_known_args()[0].root
+    ROOT = ROOT.resolve()
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from lodecomp import assemble_branches, build_correlation_graph, cli, sbd_refine  # noqa: E402
@@ -242,12 +255,14 @@ def _int_list(text: str) -> list:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _root_option(argparse.ArgumentParser(description=__doc__.splitlines()[0]))
     parser.add_argument("--workload-seeds", type=_int_list, default=[0, 1, 2, 3, 4],
                         help="comma-separated seeds of the benchmark workloads' states")
     parser.add_argument("--seeds", type=_int_list, default=[0, 1],
                         help="comma-separated decomposition seeds (decompose --seed)")
     args = parser.parse_args(argv)
+    if args.root.resolve() != ROOT:
+        parser.error(f"--root takes effect only when the tool runs as a script; digesting {ROOT}")
     labels = digests(args.workload_seeds, args.seeds)
     labels["layers"] = layer_digest(args.workload_seeds, args.seeds)
     labels["states"] = state_digest(args.workload_seeds)
