@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -538,7 +539,7 @@ def build_correlation_graph(
     components = tuple(map(tuple, groups.values()))
     for comp in components:
         touched = {frame.nodes[i].subsystem for i in comp}
-        if touched != set(range(state.n_subsystems)):
+        if touched != set(range(len(frame.bounds))):
             raise InternalConsistencyError(
                 "a correlation-graph component misses a subsystem with nontrivial support; "
                 "edge threshold is inconsistent with the state"
@@ -655,6 +656,13 @@ def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: 
     )
 
 
+def _checked_seed(seed) -> int:
+    """The decomposition seed as a plain non-negative int, else ValueError."""
+    if not hasattr(type(seed), "__index__") or operator.index(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return operator.index(seed)
+
+
 def _support_partitions(state: StateTensor, subsystems, tol: Tolerances, seed) -> tuple:
     """Each given subsystem's support split cluster by cluster, as a frame
     (Q_n, bounds), and the subsystems whose supports needed SBD.
@@ -717,10 +725,9 @@ def sbd_refine(
         Orthonormal bases (columns) of the partition, cluster by cluster in
         descending eigenvalue order.
     """
+    seed = _checked_seed(seed)
     if state.n_subsystems == 2:
         raise UnsupportedOperationError("pair-state refinement needs at least three subsystems")
-    if not 0 <= n < state.n_subsystems:
-        raise ValueError(f"subsystem index {n} out of range")
     ((stacked, bounds),) = _support_partitions(state, [n], tol, seed)[0]
     return [stacked[:, a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -887,6 +894,7 @@ def maximal_decomposition(
         indicates a tolerance breakdown; a bad decomposition is never
         returned silently.
     """
+    seed = _checked_seed(seed)
     if state.n_subsystems == 2:
         branches, non_unique, residual = _decompose_bipartite(state, tol)
         graph, path, seed, degenerate = None, "schmidt", None, (0, 1) if non_unique else ()

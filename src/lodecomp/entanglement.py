@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import maximal_decomposition
-from .tensor import StateTensor, apply_matrix_at, apply_matrix_at_pair, _check_subsystem
+from .tensor import StateTensor, apply_matrix_at, _check_subsystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 UNITARITY_ATOL = 1e-10
@@ -110,7 +110,10 @@ def apply_pairwise_unitary(state: StateTensor, n: int, m: int, mat: np.ndarray) 
     if n == m:
         raise ValueError("pairwise unitary needs two distinct subsystems")
     mat = _check_unitary(mat, state.dims[n] * state.dims[m])
-    return StateTensor(state.dims, apply_matrix_at_pair(state.amps, state.dims, n, m, mat))
+    # n and m to the front, flattened with n slowest: one product over the pair axis
+    pair_first = np.moveaxis(state.as_array(), (n, m), (0, 1))
+    out = (mat @ pair_first.reshape(len(mat), -1)).reshape(pair_first.shape)
+    return StateTensor(state.dims, np.moveaxis(out, (0, 1), (n, m)).reshape(-1))
 
 
 def level_mixing_unitary(d_n: int, d_m: int, a: int, b: int) -> np.ndarray:

@@ -99,7 +99,7 @@ def _load(text: str, kind: str) -> dict:
     """The JSON object of a ``kind`` document, of the current schema version."""
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ValueError(f"{kind} must be a JSON object")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import StateTensor, partial_trace
+from .tensor import StateTensor, partial_trace, permute_subsystems
 from .tolerances import DEFAULT_TOLERANCES
 
 
@@ -130,10 +130,8 @@ class SchmidtDecomposition:
         """Rebuild the state (in the original subsystem order) from the terms."""
         mat = (self.left_vectors * self.coefficients) @ self.right_vectors.T
         perm = self.cut + self.complement
-        shape = tuple(self.dims[p] for p in perm)
-        arr = mat.reshape(shape)
-        inverse = np.argsort(perm)
-        return StateTensor(self.dims, arr.transpose(inverse).reshape(-1))
+        in_cut_order = StateTensor(tuple(self.dims[p] for p in perm), mat.reshape(-1))
+        return permute_subsystems(in_cut_order, np.argsort(perm))
 
 
 def schmidt_decompose(

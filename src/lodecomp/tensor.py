@@ -204,32 +204,6 @@ def project_supports(amps: np.ndarray, dims, n: int, stack: np.ndarray) -> np.nd
     return out.reshape(math.prod(dims[:n]), len(stack), -1)
 
 
-def apply_matrix_at_pair(amps: np.ndarray, dims, n: int, m: int, mat: np.ndarray) -> np.ndarray:
-    """Apply a matrix on the (n, m) subsystem pair of a flat vector.
-
-    ``mat`` is indexed with subsystem ``n`` slowest: row/column index
-    ``i_n * dims[m] + i_m``.
-    """
-    n = _check_subsystem(dims, n)
-    m = _check_subsystem(dims, m)
-    if n == m:
-        raise ValueError("pair operation needs two distinct subsystems")
-    dn, dm = dims[n], dims[m]
-    if mat.shape != (dn * dm, dn * dm):
-        raise ValueError(f"matrix shape {mat.shape} does not match pair dimension {dn * dm}")
-    mat4 = mat.reshape(dn, dm, dn, dm)
-    a, b = (n, m) if n < m else (m, n)
-    if n > m:
-        mat4 = mat4.transpose(1, 0, 3, 2)  # reorder to act as (subsystem a, subsystem b)
-    da, db = dims[a], dims[b]
-    pre = math.prod(dims[:a]) if a else 1
-    mid = math.prod(dims[a + 1:b])
-    post = math.prod(dims[b + 1:]) if b + 1 < len(dims) else 1
-    arr = amps.reshape(pre, da, mid, db, post)
-    out = np.einsum("cdab,pamby->pcmdy", mat4, arr)
-    return out.reshape(-1)
-
-
 # ---------------------------------------------------------------------------
 # operations
 

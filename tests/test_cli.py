@@ -208,6 +208,35 @@ class TestDecompose:
         assert document["branch_count"] == 2
         assert document["entropy_bits"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("command", ["decompose", "entropy"])
+    def test_deeply_nested_state_file_is_input_error(self, tmp_path, capsys, command):
+        # json.loads raises RecursionError on deep nesting, not JSONDecodeError;
+        # that used to exit 3 with "internal error: RecursionError(...)"
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        assert main([command, str(deep)]) == 2
+        assert capsys.readouterr().err.startswith("error: not valid JSON: maximum recursion")
+
+    def test_deeply_nested_metadata_is_input_error(self, tmp_path, capsys):
+        text = StateFile.from_state(ghz_state()).to_json().rstrip()
+        path = tmp_path / "state.json"
+        path.write_text(text[:-1] + ', "metadata": {"a": ' + "[" * 100000 + "]" * 100000 + "}}")
+        assert main(["decompose", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: not valid JSON: maximum recursion")
+
+    @pytest.mark.parametrize(
+        "state",
+        [z_state((0.5, 0.3, 0.2)), ghz_state(), ghz_state(2)],
+        ids=["eigenvector-graph", "block-sbd", "schmidt"],
+    )
+    def test_negative_seed_is_input_error_on_every_path(self, tmp_path, capsys, state):
+        # -1 used to reach the report on the eigenvector path and exit 2
+        # with numpy's message, naming no flag, on the block-sbd path
+        path = tmp_path / "state.json"
+        path.write_text(StateFile.from_state(state).to_json())
+        assert main(["decompose", str(path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_json_byte_identical_across_runs(self, ghz_file, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -305,6 +334,12 @@ class TestVerify:
         proc = run_cli("verify", str(z_file), str(report))
         assert proc.returncode == 1
         assert proc.stdout.strip().endswith("FAIL")
+
+    def test_deeply_nested_report_is_input_error(self, ghz_file, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        assert main(["verify", str(ghz_file), str(deep)]) == 2
+        assert capsys.readouterr().err.startswith("error: not valid JSON: maximum recursion")
 
     def test_dims_mismatch_is_input_error(self, ghz_file, z_file, tmp_path):
         report = tmp_path / "report.json"

@@ -47,7 +47,8 @@ from lodecomp.decomposition import (
     verify_lo,
 )
 from lodecomp.errors import InternalConsistencyError, UnsupportedOperationError
-from lodecomp.fileio import StateFile
+from lodecomp.entanglement import entropy_report
+from lodecomp.fileio import StateFile, report_document, report_to_json
 from lodecomp.oracle import oracle_verify_maximality_small
 from lodecomp.spectral import local_spectrum
 from lodecomp.tensor import (
@@ -1526,9 +1527,10 @@ def part_groups(parts, merged):
 # the distance from the block's eigenvalues of X to the nearest one outside
 # it.  Two-ring states, whose branches have distinct weights, now meet their
 # exact projectors within about 1e-15; the SBD still splits dressed GHZ
-# clusters, whose blocks on 3x4 and 3x8 (dressings 0-39, seeds 0-4) lie up
-# to 2.4e-12 from the exact ones.  So seed independence of the supports is
-# asserted at 1e-9, and of the weights at 1e-12.
+# clusters, whose blocks on 3x4 and 3x8 (dressings 0-39, seeds 0-4) lie a
+# median 5.6e-15 and at worst 9.1e-13 (3x8, dressing 21, seed 2) from the
+# exact ones.  So seed independence of the supports is asserted at 1e-9, and
+# of the weights at 1e-12.
 SBD_PROJ_ATOL = 1e-9
 SBD_WEIGHT_ATOL = 1e-12
 
@@ -1621,6 +1623,34 @@ class TestDiagnostics:
         assert result.diagnostics.seed == 17
         assert result.diagnostics.degenerate_subsystems == (0, 1, 2)
         assert not result.diagnostics.non_unique
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+    @pytest.mark.parametrize(
+        "state",
+        [z_state((0.5, 0.3, 0.2)), ghz_state(), ghz_state(2)],
+        ids=["eigenvector-graph", "block-sbd", "schmidt"],
+    )
+    def test_bad_seed_rejected_on_every_path_before_any_work(self, state, seed, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the seed was checked")
+
+        monkeypatch.setattr(decomposition, "local_spectrum", no_work)
+        monkeypatch.setattr(decomposition, "schmidt_decompose", no_work)
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            maximal_decomposition(state, seed=seed)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sbd_refine(state, 0, seed=seed)
+
+    def test_integer_like_seed_recorded_as_int(self):
+        # a numpy integer used to reach the report and fail its JSON writer
+        state = ghz_state()
+        by_int, by_numpy = (maximal_decomposition(state, seed=s) for s in (3, np.int64(3)))
+        assert type(by_numpy.diagnostics.seed) is int
+        documents = [report_to_json(report_document(r, entropy_report(r))) for r in (by_int, by_numpy)]
+        assert documents[0] == documents[1]
+        blocks = [sbd_refine(state, 0, seed=s) for s in (3, np.int64(3))]
+        assert all(np.array_equal(a, b) for a, b in zip(*blocks))
 
     def test_weights_sorted(self):
         result = maximal_decomposition(z_state((0.2, 0.3, 0.5)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -12,7 +13,6 @@ from lodecomp.tensor import (
     StateTensor,
     apply_local_projector,
     apply_matrix_at,
-    apply_matrix_at_pair,
     basis_stack,
     inner_product,
     joint_projection_norm,
@@ -21,12 +21,14 @@ from lodecomp.tensor import (
     project_supports,
     tensor_compose,
 )
+from lodecomp.entanglement import apply_pairwise_unitary
 
 import util  # noqa: F401  (puts bench/ on the path)
 import states as bench_states  # noqa: E402
 from lodecomp.catalog import (  # noqa: E402
     dress_state,
     ghz_state,
+    haar_unitary,
     product_state,
     random_state,
     u_state,
@@ -162,36 +164,55 @@ class TestApplyMatrixAt:
         assert got.shape == want.shape
         assert np.allclose(got, want, atol=1e-13)
 
+    # the pair route: apply_pairwise_unitary against dense operators
+
     def test_pair_adjacent(self):
         rng = np.random.default_rng(4)
-        dims = (2, 3, 2)
-        amps = random_amps(rng, 12)
-        mat = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        got = apply_matrix_at_pair(amps, dims, 0, 1, mat)
-        assert np.allclose(got, np.kron(mat, np.eye(2)) @ amps)
+        state = StateTensor((2, 3, 2), random_amps(rng, 12))
+        mat = haar_unitary(6, rng)
+        got = apply_pairwise_unitary(state, 0, 1, mat)
+        assert np.allclose(got.amps, np.kron(mat, np.eye(2)) @ state.amps)
 
     def test_pair_reversed_order(self):
         # the matrix is indexed with the first-listed subsystem slowest,
         # so (m, n) with the transposed matrix must agree with (n, m)
         rng = np.random.default_rng(5)
-        dims = (2, 2, 3)
-        amps = random_amps(rng, 12)
-        mat = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        a = apply_matrix_at_pair(amps, dims, 0, 2, mat)
+        state = StateTensor((2, 2, 3), random_amps(rng, 12))
+        mat = haar_unitary(6, rng)
+        a = apply_pairwise_unitary(state, 0, 2, mat)
         swapped = mat.reshape(2, 3, 2, 3).transpose(1, 0, 3, 2).reshape(6, 6)
-        b = apply_matrix_at_pair(amps, dims, 2, 0, swapped)
-        assert np.allclose(a, b)
+        b = apply_pairwise_unitary(state, 2, 0, swapped)
+        assert np.allclose(a.amps, b.amps)
 
     def test_pair_nonadjacent_matches_dense(self):
         rng = np.random.default_rng(6)
-        dims = (2, 3, 2)
-        amps = random_amps(rng, 12)
-        mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        got = apply_matrix_at_pair(amps, dims, 0, 2, mat)
+        state = StateTensor((2, 3, 2), random_amps(rng, 12))
+        mat = haar_unitary(4, rng)
+        got = apply_pairwise_unitary(state, 0, 2, mat)
         # build the dense operator by permuting (0, 2, 1) explicitly
         mat4 = mat.reshape(2, 2, 2, 2)
         dense = np.einsum("acbd,ef->aecbfd", mat4, np.eye(3)).reshape(12, 12)
-        assert np.allclose(got, dense @ amps)
+        assert np.allclose(got.amps, dense @ state.amps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=4),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_pair_matches_dense_operator_on_every_ordered_pair(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        dims = tuple(dims)
+        state = StateTensor(dims, random_amps(rng, math.prod(dims)))
+        index = np.array(np.unravel_index(np.arange(math.prod(dims)), dims))
+        for n, m in itertools.permutations(range(len(dims)), 2):
+            mat = haar_unitary(dims[n] * dims[m], rng)
+            # <x'|O|x> = mat[(x'_n, x'_m), (x_n, x_m)] where every other index agrees
+            pair = index[n] * dims[m] + index[m]
+            rest = np.delete(index, [n, m], axis=0)
+            same_rest = np.all(rest[:, :, None] == rest[:, None, :], axis=0)
+            dense = mat[pair[:, None], pair[None, :]] * same_rest
+            got = apply_pairwise_unitary(state, n, m, mat)
+            assert np.allclose(got.amps, dense @ state.amps, atol=1e-12), (dims, n, m)
 
 
 class TestProjectSupports:

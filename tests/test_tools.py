@@ -1,7 +1,9 @@
 """The tools keep running: the report digest stays a function of the bytes,
 and the line counter counts what it says."""
 
+import contextlib
 import importlib.util
+import io
 import shutil
 import subprocess
 import sys
@@ -19,10 +21,28 @@ def load_tool(name="report_digest"):
     return module
 
 
-def test_one_digest_per_path_label(capsys, tmp_path):
+DIGEST_ARGS = ["--workload-seeds", "3", "--seeds", "0"]
+
+
+@pytest.fixture(scope="module")
+def printed_digests():
+    """What one in-process ``main(DIGEST_ARGS)`` prints; shared by the tests
+    that only read it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert load_tool().main(DIGEST_ARGS) == 0
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def seed_digests():
+    """One ``digests([3], [0])`` run, the baseline that fresh runs are compared with."""
+    return load_tool().digests([3], [0])
+
+
+def test_one_digest_per_path_label(printed_digests, tmp_path):
     tool = load_tool()
-    assert tool.main(["--workload-seeds", "3", "--seeds", "0"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    lines = printed_digests.splitlines()
     labels = [line.split()[0] for line in lines]
     assert labels == ["block-sbd", "eigenvector-graph", "schmidt", "verify", "layers", "states"]
     counts = {}
@@ -38,9 +58,9 @@ def test_one_digest_per_path_label(capsys, tmp_path):
     assert counts["states"] == len(tool.write_inputs(tmp_path, [3]))
 
 
-def test_digests_repeat_and_follow_the_seeds():
+def test_digests_repeat_and_follow_the_seeds(seed_digests):
     tool = load_tool()
-    first = tool.digests([3], [0])
+    first = seed_digests
     assert tool.digests([3], [0]) == first
     # a second decomposition seed adds outputs to every label
     both = tool.digests([3], [0, 1])
@@ -61,9 +81,9 @@ def test_verify_passes_the_genuine_report_and_rejects_each_tamper(tmp_path):
     assert "report dims [3, 3, 4] do not match state dims [3, 3, 3]" in text["dims"]
 
 
-def test_verify_digest_follows_the_verify_output(monkeypatch):
+def test_verify_digest_follows_the_verify_output(seed_digests, monkeypatch):
     tool = load_tool()
-    first = tool.digests([3], [0])
+    first = seed_digests
     # without the tampered copies, only the genuine runs are hashed
     monkeypatch.setattr(tool, "tampered", lambda document: [])
     genuine = tool.digests([3], [0])
@@ -86,28 +106,25 @@ def test_layer_digest_repeats_and_follows_the_layer_bytes(tmp_path, monkeypatch)
     assert flipped[1] == first[1] and flipped[0] != first[0]
 
 
-def test_root_digests_another_checkout(tmp_path, capsys):
+def test_root_digests_another_checkout(printed_digests, tmp_path, capsys):
     tool = load_tool()
-    args = ["--workload-seeds", "3", "--seeds", "0"]
-    assert tool.main(args) == 0
-    in_process = capsys.readouterr().out
     # a copy of this checkout's package and benchmark, digested from elsewhere
     for part in ("src", "bench"):
         shutil.copytree(TOOLS.parent / part, tmp_path / "copy" / part,
                         ignore=shutil.ignore_patterns("__pycache__"))
     run = subprocess.run([sys.executable, str(TOOLS / "report_digest.py"), "--root",
-                          str(tmp_path / "copy"), *args], capture_output=True, text=True,
+                          str(tmp_path / "copy"), *DIGEST_ARGS], capture_output=True, text=True,
                          cwd=tmp_path)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == in_process
+    assert run.stdout == printed_digests
     # a root without the package is not quietly replaced by this checkout
     run = subprocess.run([sys.executable, str(TOOLS / "report_digest.py"), "--root",
-                          str(tmp_path / "empty"), *args], capture_output=True, text=True,
+                          str(tmp_path / "empty"), *DIGEST_ARGS], capture_output=True, text=True,
                          cwd=tmp_path)
     assert run.returncode != 0 and "No module named" in run.stderr
     # in process the package is already imported, so another root is refused
     with pytest.raises(SystemExit):
-        tool.main(["--root", str(tmp_path / "copy"), *args])
+        tool.main(["--root", str(tmp_path / "copy"), *DIGEST_ARGS])
     assert "--root takes effect only when the tool runs as a script" in capsys.readouterr().err
 
 
