@@ -29,18 +29,18 @@ from .oracle import oracle_verify_maximality_small
 from .tolerances import DEFAULT_TOLERANCES
 
 
-def _add_tolerance_flags(parser):
+def _add_tolerance_flags(parser, note=""):
     parser.add_argument(
         "--tol-deg", type=float, default=DEFAULT_TOLERANCES.t_deg,
-        help="eigenvalue gap below which a spectrum counts as degenerate",
+        help="eigenvalue gap below which a spectrum counts as degenerate" + note,
     )
     parser.add_argument(
         "--tol-supp", type=float, default=DEFAULT_TOLERANCES.t_supp,
-        help="eigenvalue floor below which a direction is outside the support",
+        help="eigenvalue floor below which a direction is outside the support" + note,
     )
     parser.add_argument(
         "--tol-edge", type=float, default=DEFAULT_TOLERANCES.t_edge,
-        help="squared joint-projection norm above which blocks are linked",
+        help="squared joint-projection norm above which blocks are linked" + note,
     )
 
 
@@ -249,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a report against a state file")
     p.add_argument("input", help="state file (JSON)")
     p.add_argument("report", help="report file (JSON) from decompose --format json")
-    _add_tolerance_flags(p)
-    p.add_argument("--oracle", action="store_true", help="also search for missed splits")
+    _add_tolerance_flags(p, "; read only by --oracle")
+    p.add_argument("--oracle", action="store_true", help="also search for missed splits; "
+                   "a larger --tol-supp shrinks the supports it searches")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="side-by-side decomposition of two states")

@@ -20,9 +20,10 @@ span of the pair slices, so every block lies inside one branch.
 
 Assembly rotates the state once into a full local frame on every
 subsystem (its partition blocks plus an orthonormal complement of the
-support).  Every graph edge and every n-independence residual is read off
-that one rotated vector: N rotations in all, with no projection per node
-pair, component or subsystem.
+support).  Every graph edge is read off that one rotated vector: N
+rotations in all, with no projection per node pair.  :func:`verify_lo`
+alone then judges every assembled or Schmidt decomposition, and a failed
+check raises ``InternalConsistencyError``.
 
 All functions are pure and deterministic given their seed.
 """
@@ -147,13 +148,22 @@ def _weight_key(branch: Branch) -> float:
     return -round(branch.weight, 12)
 
 
+def _local_support(state: StateTensor, n: int, t_supp: float, t_deg=DEFAULT_TOLERANCES.t_deg):
+    """:func:`local_spectrum` of subsystem n, with an empty support rejected
+    as invalid input: ValueError naming t_supp and the largest eigenvalue."""
+    spec = local_spectrum(state, n, t_deg, t_supp)
+    if not spec.support_rank:
+        raise ValueError(
+            f"t_supp {t_supp:g} leaves subsystem {n} no support: "
+            f"its largest eigenvalue is {spec.eigenvalues[0]:.6g}"
+        )
+    return spec
+
+
 def _supports_from_vector(vec: np.ndarray, dims, t_supp: float) -> tuple:
     """Per-subsystem support bases of a normalized vector's reduced states."""
     state = StateTensor(dims, vec)
-    return tuple(
-        local_spectrum(state, n, t_supp=t_supp).support_basis
-        for n in range(len(dims))
-    )
+    return tuple(_local_support(state, n, t_supp).support_basis for n in range(len(dims)))
 
 
 def trivial_decomposition(
@@ -415,14 +425,14 @@ class _LocalFrame:
     U_n = (Q_n | C_n): Q_n stacks subsystem n's blocks in node order, block
     k in columns ``bounds[n][k]`` to ``bounds[n][k + 1]``, the last bound
     being the rank, and C_n is an orthonormal complement of their span.
-    ``unitaries`` holds the U_n, and ``marginals[n, m]`` (n < m) is the
-    (d_n, d_m) marginal of |psi'|^2, psi' = (U_0^H x ... x U_{N-1}^H) psi,
-    summed over the complete bases of all other subsystems.
+    The nodes are numbered subsystem by subsystem, and ``marginals[n, m]``
+    (n < m) is the (d_n, d_m) marginal of |psi'|^2,
+    psi' = (U_0^H x ... x U_{N-1}^H) psi, summed over the complete bases of
+    all other subsystems.
     """
 
     nodes: tuple
     bounds: tuple
-    unitaries: tuple
     marginals: dict
 
 
@@ -448,7 +458,7 @@ def _checked_frames(state: StateTensor, blocks, t_supp: float) -> list:
         stacked = np.hstack(bases)
         if float(np.max(np.abs(stacked.conj().T @ stacked - np.eye(stacked.shape[1])))) > 1e-8:
             raise ValueError(f"blocks on subsystem {n} are not mutually orthonormal")
-        support = local_spectrum(state, n, t_supp=t_supp).support_basis
+        support = _local_support(state, n, t_supp).support_basis
         coverage = support - stacked @ (stacked.conj().T @ support)
         containment = stacked - support @ (support.conj().T @ stacked)
         if float(np.linalg.norm(coverage)) > 1e-8 or float(np.linalg.norm(containment)) > 1e-8:
@@ -465,13 +475,12 @@ def _local_frame(state: StateTensor, frames) -> _LocalFrame:
     each m > n in turn the subsystems after m and those between n and m.
     """
     dims = state.dims
-    nodes, unitaries = [], []
+    nodes = []
     rotated = state.amps
     for n, (stacked, cuts) in enumerate(frames):
         nodes += [GraphNode(n, k, stacked[:, a:b]) for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
         if cuts[-1] < dims[n]:  # complete Q_n with an orthonormal complement of its span
             stacked = np.hstack([stacked, np.linalg.qr(stacked, mode="complete")[0][:, cuts[-1]:]])
-        unitaries.append(stacked)
         rotated = apply_matrix_at(rotated, dims, n, stacked.conj().T)
     marginals = {}
     tail = rotated.real**2 + rotated.imag**2  # summed over the subsystems before n
@@ -482,7 +491,7 @@ def _local_frame(state: StateTensor, frames) -> _LocalFrame:
             marginals[n, m] = rest.sum(axis=2)
             rest = rest.sum(axis=1)
         tail = tail.sum(axis=0)
-    return _LocalFrame(tuple(nodes), tuple(c for _, c in frames), tuple(unitaries), marginals)
+    return _LocalFrame(tuple(nodes), tuple(c for _, c in frames), marginals)
 
 
 def build_correlation_graph(
@@ -658,7 +667,7 @@ def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: 
 
 def _checked_seed(seed) -> int:
     """The decomposition seed as a plain non-negative int, else ValueError."""
-    if not hasattr(type(seed), "__index__") or operator.index(seed) < 0:
+    if isinstance(seed, bool) or not hasattr(type(seed), "__index__") or operator.index(seed) < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return operator.index(seed)
 
@@ -678,7 +687,7 @@ def _support_partitions(state: StateTensor, subsystems, tol: Tolerances, seed) -
     ``seed``, built at the first cluster that needs SBD.
     """
     t_split = max(tol.t_deg, _GUARD_GAP)
-    spectra = [local_spectrum(state, n, t_split, tol.t_supp) for n in subsystems]
+    spectra = [_local_support(state, n, tol.t_supp, t_split) for n in subsystems]
     degenerate = tuple(spec.subsystem for spec in spectra if spec.is_support_degenerate)
     slices = _eigenframe_slices(state, spectra, degenerate)
     frames, rng = [], None
@@ -736,68 +745,23 @@ def sbd_refine(
 # assembly of branches from block partitions
 
 
-def _component_masks(frame: _LocalFrame, components) -> list:
-    """masks[n][c, x] is True where frame column x on subsystem n lies in one
-    of component c's blocks; complement columns lie in none."""
-    masks = [np.zeros((len(components), u.shape[0]), dtype=bool) for u in frame.unitaries]
-    for c, comp in enumerate(components):
-        for i in comp:
-            node = frame.nodes[i]
-            cuts = frame.bounds[node.subsystem]
-            masks[node.subsystem][c, cuts[node.block]:cuts[node.block + 1]] = True
-    return masks
-
-
-def _n_independence_residuals(frame: _LocalFrame, masks) -> np.ndarray:
-    """max over subsystem pairs a < b of ||P_a^c psi - P_b^c psi||, per component c.
-
-    U is unitary and projectors on different subsystems commute, so in the
-    frame P_n^c is the indicator of c's columns on subsystem n and
-
-        ||P_a^c psi - P_b^c psi||^2 = sum M_ab[x in c_a, y not in c_b]
-                                    + sum M_ab[x not in c_a, y in c_b],
-
-    two sums of non-negative entries of the pair marginal, with no
-    cancellation (unlike w_a + w_b - 2 w_ab, which loses everything below
-    about 1e-8).  For each a, the M_ab of every b > a are stacked side by
-    side: entry (c, y) of ``leak`` is the mass at y from x outside c_a when
-    y is in c_b and from x inside c_a otherwise, so its block sum over b's
-    columns is the squared residual of the pair (a, b).
-    """
-    worst = 0.0
-    for a in range(len(masks) - 1):
-        pairs = np.hstack([frame.marginals[a, b] for b in range(a + 1, len(masks))])
-        inside = np.hstack(masks[a + 1:])
-        leak = np.where(inside, ~masks[a] @ pairs, masks[a] @ pairs)
-        bounds = np.cumsum([0] + [m.shape[1] for m in masks[a + 1:-1]])
-        worst = np.maximum(worst, np.add.reduceat(leak, bounds, axis=1).max(axis=1))
-    return np.sqrt(worst)
-
-
 def _extract_component_branches(state, frames, tol):
-    """Branches from the correlation graph's components, read off one frame.
+    """The branches of the correlation graph's components, and the graph.
 
-    The state is rotated once (:func:`_local_frame`) and the frame serves
-    both the graph and the n-independence check.  Component c's branch must
-    not depend on which subsystem's projector P_n^c extracts it: the largest
-    ||P_a^c psi - P_b^c psi|| (see :func:`_n_independence_residuals`) must
-    stay within ``t_nindep``.  The branch vector is P_0^c psi, from one
-    :func:`project_supports` for all components.
-
-    Returns the branches, the graph and the largest residual.
+    Component c's support on subsystem n stacks its nodes' blocks there,
+    in frame-column order, as nodes are numbered subsystem by subsystem.
+    The branch vector is P_0^c psi, from one :func:`project_supports` for
+    all components; :func:`verify_lo` judges whether another subsystem's
+    projector extracts the same one.
     """
     frame = _local_frame(state, frames)
     graph = build_correlation_graph(state, None, tol.t_edge, frame=frame)
-    masks = _component_masks(frame, graph.components)
-    residual = float(_n_independence_residuals(frame, masks).max())
-    if residual > tol.t_nindep:
-        raise InternalConsistencyError(
-            f"branch extraction is subsystem-dependent (residual {residual:.3e}); "
-            "the block partition is inconsistent with the state"
-        )
     bases = [
-        tuple(u[:, m[c]] for u, m in zip(frame.unitaries, masks))
-        for c in range(len(graph.components))
+        tuple(
+            np.hstack([frame.nodes[i].basis for i in group])
+            for _, group in itertools.groupby(comp, key=lambda i: frame.nodes[i].subsystem)
+        )
+        for comp in graph.components
     ]
     stack = basis_stack([b[0] for b in bases])
     vectors = project_supports(state.amps, state.dims, 0, stack).reshape(len(bases), -1)
@@ -806,7 +770,19 @@ def _extract_component_branches(state, frames, tol):
         weight = float(np.vdot(vec, vec).real)
         if weight > tol.w_min:
             branches.append(Branch(weight, vec / math.sqrt(weight), supports))
-    return branches, graph, residual
+    return branches, graph
+
+
+def _verified(state, branches, tol) -> tuple:
+    """The decomposition of the branches in canonical order and its
+    :func:`verify_lo` report, or InternalConsistencyError with its summary
+    if any check fails: no unverified decomposition is returned."""
+    dec = BranchDecomposition.from_branches(state, branches)
+    report = verify_lo(dec, tol)
+    if not report.passed:
+        message = "constructed decomposition failed verification:\n" + report.summary()
+        raise InternalConsistencyError(message, report=report)
+    return dec, report
 
 
 def assemble_branches(
@@ -816,35 +792,17 @@ def assemble_branches(
 ) -> BranchDecomposition:
     """Assemble a decomposition from per-subsystem support partitions.
 
-    Builds the block correlation graph, turns its connected components
-    into branches and checks that each extracted branch vector is
-    independent of which subsystem's projector produced it.  The branches
-    are exactly as fine as the partitions: nothing is refined further.
-    Blocks as :func:`build_correlation_graph` takes them; ValueError otherwise.
+    Builds the block correlation graph and turns its connected components
+    into branches.  The branches are exactly as fine as the partitions:
+    nothing is refined further.  Blocks as :func:`build_correlation_graph`
+    takes them; ValueError otherwise.  As :func:`maximal_decomposition`, it
+    raises InternalConsistencyError unless :func:`verify_lo` passes the result.
     """
     if state.n_subsystems == 2:
         raise UnsupportedOperationError("block assembly needs at least three subsystems")
     frames = _checked_frames(state, partitions, tol.t_supp)
-    branches, _, _ = _extract_component_branches(state, frames, tol)
-    return BranchDecomposition.from_branches(state, branches)
-
-
-def _decompose_bipartite(state, tol):
-    """The Schmidt branches, whether they are non-unique, and the largest
-    ||P_0^i psi - P_1^i psi|| over branches i."""
-    schmidt = schmidt_decompose(state, [0], tol.t_deg, tol.t_supp)
-    left, right = schmidt.left_vectors, schmidt.right_vectors
-    branches = [
-        Branch(float(schmidt.coefficients[k] ** 2), np.kron(left[:, k], right[:, k]),
-               (left[:, [k]], right[:, [k]]))
-        for k in range(schmidt.rank)
-    ]
-    dims, k = state.dims, schmidt.rank
-    on_left = project_supports(state.amps, dims, 0, basis_stack([b.supports[0] for b in branches]))
-    on_right = project_supports(state.amps, dims, 1, basis_stack([b.supports[1] for b in branches]))
-    on_left, on_right = on_left.reshape(k, *dims), on_right.swapaxes(0, 1)
-    residual = max(float(np.linalg.norm(a - b)) for a, b in zip(on_left, on_right))
-    return branches, schmidt.degenerate, residual
+    branches, _ = _extract_component_branches(state, frames, tol)
+    return _verified(state, branches, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +811,11 @@ def _decompose_bipartite(state, tol):
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """How a maximal decomposition was obtained, and how cleanly."""
+    """How a maximal decomposition was obtained, and how cleanly.
+
+    ``n_independence_residual`` is the ``projector_identity`` residual of
+    :func:`verify_lo`: the largest ||P_n^i psi - sqrt(w_i) v_i|| over n, i.
+    """
 
     path: str
     seed: int | None
@@ -889,6 +851,8 @@ def maximal_decomposition(
 
     Raises
     ------
+    ValueError
+        For a bad seed, or a ``t_supp`` that leaves a subsystem no support.
     InternalConsistencyError
         If the constructed decomposition fails verification, which
         indicates a tolerance breakdown; a bad decomposition is never
@@ -896,28 +860,28 @@ def maximal_decomposition(
     """
     seed = _checked_seed(seed)
     if state.n_subsystems == 2:
-        branches, non_unique, residual = _decompose_bipartite(state, tol)
+        schmidt = schmidt_decompose(state, [0], tol.t_deg, tol.t_supp)
+        left, right, non_unique = schmidt.left_vectors, schmidt.right_vectors, schmidt.degenerate
+        branches = [
+            Branch(float(c**2), np.kron(left[:, k], right[:, k]), (left[:, [k]], right[:, [k]]))
+            for k, c in enumerate(schmidt.coefficients)
+        ]
         graph, path, seed, degenerate = None, "schmidt", None, (0, 1) if non_unique else ()
     else:
         frames, degenerate = _support_partitions(state, range(state.n_subsystems), tol, seed)
-        branches, graph, residual = _extract_component_branches(state, frames, tol)
+        branches, graph = _extract_component_branches(state, frames, tol)
         path = "block-sbd" if degenerate else "eigenvector-graph"
         non_unique = False
-    dec = BranchDecomposition.from_branches(state, branches)
+    dec, report = _verified(state, branches, tol)
+    checks = {c.name: c.residual for c in report.checks}
     diagnostics = Diagnostics(
         path=path,
         seed=seed,
         tolerances=tol,
-        n_independence_residual=residual,
+        n_independence_residual=checks["projector_identity"],
         min_accepted_edge=graph.min_accepted_edge if graph else None,
         max_rejected_edge=graph.max_rejected_edge if graph else None,
         degenerate_subsystems=degenerate,
         non_unique=non_unique,
     )
-    report = verify_lo(dec, tol)
-    if not report.passed:
-        raise InternalConsistencyError(
-            "constructed decomposition failed verification:\n" + report.summary(),
-            report=report,
-        )
     return DecompositionResult(dec, diagnostics, report)

@@ -150,7 +150,8 @@ def schmidt_decompose(
 
     Notes
     -----
-    Coefficients with squared value at or below ``t_supp`` are dropped.
+    Coefficients with squared value at or below ``t_supp`` are dropped;
+    ValueError if none is left.
     The right vectors carry any phase freedom; left-vector phases are fixed
     for reproducibility.
     """
@@ -166,6 +167,11 @@ def schmidt_decompose(
     d_right = math.prod(state.dims[n] for n in complement)
     u, s, vh = np.linalg.svd(arr.reshape(d_left, d_right), full_matrices=False)
     keep = s**2 > t_supp
+    if not keep.any():  # s[0] exists: every dimension is at least 1
+        raise ValueError(
+            f"t_supp {t_supp:g} leaves subsystems {cut} and {complement} no support: "
+            f"the largest squared Schmidt coefficient is {s[0] ** 2:.6g}"
+        )
     s = s[keep]
     left = u[:, keep]
     right = vh[keep, :].T

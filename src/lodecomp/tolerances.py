@@ -32,8 +32,9 @@ class Tolerances:
         Branch weight floor: projected components below this are treated as
         exactly zero.
     t_nindep : float
-        Maximum allowed residual between branch vectors extracted via
-        different subsystems' support projectors.
+        Allowed residual between branch vectors extracted via different
+        subsystems' support projectors; only ``verify_lo`` reads it, and
+        allows (t_nindep - 2e-9) / 2 per subsystem and branch.
     sbd_stable_rounds : int
         Consecutive rounds without a split that end the randomized
         block-diagonalization search of one eigenvalue cluster.

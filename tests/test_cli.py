@@ -237,6 +237,24 @@ class TestDecompose:
         assert main(["decompose", str(path), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
 
+    @pytest.mark.parametrize("command", ["decompose", "entropy"])
+    @pytest.mark.parametrize("generate, tol_supp, message", [
+        (["--kind", "ghz"], "0.9",
+         "error: t_supp 0.9 leaves subsystem 0 no support: its largest eigenvalue is 0.5\n"),
+        (["--kind", "ghz", "--n", "2", "--d", "3"], "0.9",
+         "error: t_supp 0.9 leaves subsystems [0] and [1] no support: "
+         "the largest squared Schmidt coefficient is 0.333333\n"),
+        (["--kind", "u"], "0.6",
+         "error: t_supp 0.6 leaves subsystem 0 no support: its largest eigenvalue is 0.5\n"),
+    ], ids=["ghz", "schmidt", "u"])
+    def test_empty_support_is_input_error(self, tmp_path, capsys, command, generate, tol_supp, message):
+        # these used to exit 2 with numpy's argmax message, or 3 with an
+        # IndexError or a blame on the edge threshold
+        path = tmp_path / "state.json"
+        assert main(["generate", *generate, "-o", str(path)]) == 0
+        assert main([command, str(path), "--tol-supp", tol_supp]) == 2
+        assert capsys.readouterr().err == message
+
     def test_json_byte_identical_across_runs(self, ghz_file, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -323,6 +341,26 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "maximality: fail (branch 0 splits along subsystem 0" in out
         assert out.endswith("FAIL\n")
+
+    def test_tolerance_flags_reach_only_the_oracle(self, tmp_path, capsys):
+        # verify_lo reads no flag, and a larger --tol-supp shrinks the
+        # supports the oracle searches until it no longer finds the split
+        state = z_state((0.5, 0.3, 0.2))
+        result = maximal_decomposition(state)
+        merged = dataclasses.replace(
+            result, decomposition=coarse_grain(result.decomposition, [[0, 1], [2]])
+        )
+        state_path, report = tmp_path / "z.json", tmp_path / "merged.json"
+        StateFile.from_state(state, name="z").write(state_path)
+        report.write_text(report_to_json(report_document(merged, entropy_report(merged))))
+        assert main(["verify", str(state_path), str(report)]) == 0
+        plain = capsys.readouterr().out
+        flags = ["--tol-supp", "0.9", "--tol-edge", "0.9", "--tol-deg", "0.9"]
+        assert main(["verify", str(state_path), str(report), *flags]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(["verify", str(state_path), str(report), "--oracle"]) == 1
+        assert main(["verify", str(state_path), str(report), "--oracle", "--tol-supp", "0.6"]) == 0
+        assert "maximality: pass" in capsys.readouterr().out
 
     def test_tampered_weight_fails(self, z_file, tmp_path):
         report = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -25,14 +26,10 @@ from lodecomp import cli, decomposition
 from lodecomp.decomposition import (
     VERIFY_ATOL,
     _GUARD_GAP,
-    _checked_frames,
-    _component_masks,
     _component_roots,
     _eigenframe_slices,
     _key_order,
-    _local_frame,
     _merge_coupled,
-    _n_independence_residuals,
     _split_cluster,
     _support_partitions,
     Branch,
@@ -64,6 +61,7 @@ from util import (
     assert_same_decomposition,
     is_coarse_graining_of,
     reference_branch_sort_key,
+    reference_component_projections,
     reference_component_residuals,
     reference_compress_vector,
     reference_correlation_family,
@@ -640,22 +638,8 @@ def turned_partition(state, n, theta):
 
 
 class TestRotatedFrameAgainstReference:
-    """Residuals read off one rotated frame, against the full-vector
-    projections they replaced."""
-
-    def test_residuals_match_reference(self):
-        with_complement = 0
-        for state in frame_states():
-            partitions = frame_partitions(state)
-            frames = _checked_frames(state, partitions, DEFAULT_TOLERANCES.t_supp)
-            frame = _local_frame(state, frames)
-            with_complement += any(cuts[-1] < d for cuts, d in zip(frame.bounds, state.dims))
-            graph = build_correlation_graph(state, partitions, frame=frame)
-            masks = _component_masks(frame, graph.components)
-            residuals = _n_independence_residuals(frame, masks)
-            reference = reference_component_residuals(state, graph)
-            assert np.max(np.abs(residuals - reference)) <= 1e-14, (state.dims, reference)
-        assert with_complement >= 4
+    """Decompositions assembled from one rotated frame, against the
+    full-vector projections that judge them."""
 
     def test_rank_deficient_branches(self):
         state = dress_state(z_state((0.5, 0.3, 0.2), dims=(5, 6, 4)), seed=3)
@@ -666,26 +650,35 @@ class TestRotatedFrameAgainstReference:
     @pytest.mark.parametrize("dims", [(3, 3, 3), (5, 6, 4)])
     def test_near_threshold_sweep(self, dims):
         # turning two eigenvector lines on subsystem 0 by theta makes the
-        # extraction subsystem-dependent by about theta; from theta ~ 1e-5 the
-        # turned lines also join both components, which makes it consistent again
-        # residual ~ theta sqrt(w_0 + w_1), so the steps around theta_c put the
-        # reference 1e-11 and 1e-10 either side of t_nindep
+        # extraction subsystem-dependent by about theta sqrt(w_0 + w_1); from
+        # theta ~ 1e-5 the turned lines also join both components, which makes
+        # it consistent again.  assemble_branches raises exactly where
+        # verify_lo's projector identity fails, at (t_nindep - 2 VERIFY_ATOL) / 2,
+        # and the steps around theta_c put the residual 4e-12 and 4e-11 either
+        # side of it
         t_nindep = DEFAULT_TOLERANCES.t_nindep
-        theta_c = t_nindep / np.sqrt(0.8)
+        limit = (t_nindep - 2 * VERIFY_ATOL) / 2
+        theta_c = limit / np.sqrt(0.8)
         state = dress_state(z_state((0.5, 0.3, 0.2), dims=dims), seed=4)
         outcomes = []
         steps = theta_c * (1 + np.array([-1e-2, -1e-3, 1e-3, 1e-2]))
         for theta in np.concatenate([np.logspace(-12, -3, 46), steps]):
             partitions = turned_partition(state, 0, theta)
             graph = build_correlation_graph(state, partitions)
-            reference = float(reference_component_residuals(state, graph).max())
+            residual = max(
+                float(np.linalg.norm(v - vectors[0]))
+                for vectors in reference_component_projections(state, graph)
+                for v in vectors
+            )
             try:
                 assemble_branches(state, partitions)
                 raised = False
             except InternalConsistencyError:
                 raised = True
-            if abs(reference - t_nindep) > 1e-12:
-                assert raised == (reference > t_nindep), (theta, reference)
+            if abs(residual - limit) > 1e-12:
+                assert raised == (residual > limit), (theta, residual)
+            if not raised:  # the pairwise bound the assembly used to check itself
+                assert float(reference_component_residuals(state, graph).max()) <= t_nindep
             outcomes.append(raised)
         assert not outcomes[0] and any(outcomes) and not outcomes[45]
         assert outcomes[-4:] == [False, False, True, True]
@@ -1624,7 +1617,7 @@ class TestDiagnostics:
         assert result.diagnostics.degenerate_subsystems == (0, 1, 2)
         assert not result.diagnostics.non_unique
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1", None, True, False])
     @pytest.mark.parametrize(
         "state",
         [z_state((0.5, 0.3, 0.2)), ghz_state(), ghz_state(2)],
@@ -1675,3 +1668,55 @@ class TestDiagnostics:
     def test_verification_attached(self):
         result = maximal_decomposition(v_state())
         assert result.verification.passed
+
+    @pytest.mark.parametrize("workload", [*sorted(bench_states.WORKLOADS), "schmidt"])
+    def test_n_independence_residual_is_the_verified_one(self, workload, tmp_path, capsys):
+        # the report's residual is verify_lo's projector_identity residual,
+        # which `lodecomp verify` recomputes from the report's supports; the
+        # Schmidt path's branch vectors are products of Schmidt vectors, not
+        # the projections verify rebuilds, so there the two agree to rounding
+        state, report = tmp_path / "state.json", tmp_path / "report.json"
+        if workload == "schmidt":
+            StateFile.from_state(random_state((3, 4), seed=21)).write(state)
+        else:
+            state.write_text(bench_states.state_json(bench_states.make_cases(workload, 0)[0]))
+        assert cli.main(["decompose", str(state), "--format", "json", "-o", str(report)]) == 0
+        residual = json.loads(report.read_text())["diagnostics"]["n_independence_residual"]
+        assert cli.main(["verify", str(state), str(report)]) == 0
+        printed = re.search(r"pass  projector_identity: residual (\S+) \(tol 4e-09\)\n",
+                            capsys.readouterr().out).group(1)
+        if workload == "schmidt":
+            assert abs(float(printed) - residual) <= 1e-15
+        else:
+            assert printed == f"{residual:.3e}"
+
+
+class TestEmptySupport:
+    """A t_supp at or above a subsystem's largest eigenvalue leaves it no
+    support: invalid input, named before any further work."""
+
+    @pytest.mark.parametrize("state, message", [
+        (ghz_state(), "t_supp 0.9 leaves subsystem 0 no support: its largest eigenvalue is 0.5"),
+        (u_state(), "t_supp 0.9 leaves subsystem 0 no support: its largest eigenvalue is 0.5"),
+        (ghz_state(2, 3), "t_supp 0.9 leaves subsystems [0] and [1] no support: "
+                          "the largest squared Schmidt coefficient is 0.333333"),
+    ], ids=["ghz", "u", "schmidt"])
+    def test_maximal_decomposition(self, state, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            maximal_decomposition(state, Tolerances(t_supp=0.9))
+
+    def test_partial_empty_support(self):
+        # u's third subsystem keeps its support; the first two do not
+        tol = Tolerances(t_supp=0.6)
+        message = "t_supp 0.6 leaves subsystem 0 no support: its largest eigenvalue is 0.5"
+        for call in (
+            lambda: maximal_decomposition(u_state(), tol),
+            lambda: sbd_refine(u_state(), 0, tol),
+            lambda: trivial_decomposition(u_state(), tol),
+            lambda: assemble_branches(u_state(), [computational_blocks(2)] * 3, tol),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+        with pytest.raises(ValueError, match=re.escape("leaves subsystem 1 no support")):
+            sbd_refine(u_state(), 1, tol)
+        assert [b.shape for b in sbd_refine(u_state(), 2, tol)] == [(2, 1)]

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -293,14 +294,9 @@ def reference_branch_sort_key(branch):
     return (-round(branch.weight, 12), reference_projector_key(branch.supports[0]))
 
 
-def reference_component_residuals(state, graph):
-    """Per component of ``graph``: the largest ||P_a^c psi - P_b^c psi|| over
-    subsystem pairs, from one full-vector projection per subsystem.
-
-    This is the projection loop that the rotated-frame residual in
-    ``decomposition._n_independence_residuals`` replaced, kept as its
-    reference.
-    """
+def reference_component_projections(state, graph):
+    """Per component c of ``graph``: the full-vector projections P_n^c psi
+    of the state, one per subsystem n, P_n^c onto c's blocks on n."""
     dims = state.dims
     out = []
     for comp in graph.components:
@@ -308,12 +304,22 @@ def reference_component_residuals(state, graph):
         for n in range(len(dims)):
             basis = np.hstack([graph.nodes[i].basis for i in comp if graph.nodes[i].subsystem == n])
             vectors.append(apply_matrix_at(state.amps, dims, n, basis @ basis.conj().T))
-        out.append(max(
-            float(np.linalg.norm(vectors[a] - vectors[b]))
-            for a in range(len(dims))
-            for b in range(a + 1, len(dims))
-        ))
-    return np.array(out)
+        out.append(vectors)
+    return out
+
+
+def reference_component_residuals(state, graph):
+    """Per component of ``graph``: the largest ||P_a^c psi - P_b^c psi|| over
+    subsystem pairs, from :func:`reference_component_projections`.
+
+    Assembly once raised when this pairwise residual exceeded ``t_nindep``;
+    ``verify_lo``'s projector identity now judges it, and every partition
+    that passes must still keep this residual within ``t_nindep``.
+    """
+    return np.array([
+        max(float(np.linalg.norm(a - b)) for a, b in itertools.combinations(vectors, 2))
+        for vectors in reference_component_projections(state, graph)
+    ])
 
 
 def reference_compress_vector(vec, dims, bases):
