@@ -8,7 +8,6 @@ stderr; reports go to stdout or the -o file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 
@@ -26,31 +25,26 @@ from .fileio import (
     summary_mismatches,
 )
 from .oracle import oracle_verify_maximality_small
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+_TOLERANCE_HELP = {
+    "t_deg": "eigenvalue gap below which a spectrum counts as degenerate",
+    "t_supp": "eigenvalue floor below which a direction is outside the support",
+    "t_edge": "squared joint-projection norm above which blocks are linked",
+}
 
 
-def _add_tolerance_flags(parser, note=""):
-    parser.add_argument(
-        "--tol-deg", type=float, default=DEFAULT_TOLERANCES.t_deg,
-        help="eigenvalue gap below which a spectrum counts as degenerate" + note,
-    )
-    parser.add_argument(
-        "--tol-supp", type=float, default=DEFAULT_TOLERANCES.t_supp,
-        help="eigenvalue floor below which a direction is outside the support" + note,
-    )
-    parser.add_argument(
-        "--tol-edge", type=float, default=DEFAULT_TOLERANCES.t_edge,
-        help="squared joint-projection norm above which blocks are linked" + note,
-    )
+def _add_tolerance_flags(parser, names=tuple(_TOLERANCE_HELP), note=""):
+    """One ``--tol-*`` flag per named :class:`Tolerances` field."""
+    for name in names:
+        parser.add_argument(
+            "--tol-" + name[2:], type=float, default=getattr(DEFAULT_TOLERANCES, name),
+            help=_TOLERANCE_HELP[name] + note,
+        )
 
 
 def _tolerances(args):
-    return dataclasses.replace(
-        DEFAULT_TOLERANCES,
-        t_deg=args.tol_deg,
-        t_supp=args.tol_supp,
-        t_edge=args.tol_edge,
-    )
+    return Tolerances(t_deg=args.tol_deg, t_supp=args.tol_supp, t_edge=args.tol_edge)
 
 
 def _emit(text: str, path) -> None:
@@ -167,11 +161,12 @@ def cmd_verify(args) -> int:
         lines.append("no branch could be rebuilt from the report")
         ok = False
     else:
-        verification = verify_lo(decomposition, _tolerances(args))
+        tol = Tolerances(t_deg=args.tol_deg, t_supp=args.tol_supp)  # a bad flag exits 2 either way
+        verification = verify_lo(decomposition)
         lines.append(verification.summary())
         ok = ok and verification.passed
         if args.oracle:
-            verdict = oracle_verify_maximality_small(decomposition, _tolerances(args))
+            verdict = oracle_verify_maximality_small(decomposition, tol)
             lines.append(f"maximality: {verdict.verdict} ({verdict.detail})")
             if verdict.failed:
                 ok = False
@@ -249,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a report against a state file")
     p.add_argument("input", help="state file (JSON)")
     p.add_argument("report", help="report file (JSON) from decompose --format json")
-    _add_tolerance_flags(p, "; read only by --oracle")
+    _add_tolerance_flags(p, ("t_deg", "t_supp"), "; read only by --oracle")
     p.add_argument("--oracle", action="store_true", help="also search for missed splits; "
                    "a larger --tol-supp shrinks the supports it searches")
     p.set_defaults(func=cmd_verify)

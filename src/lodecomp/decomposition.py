@@ -43,10 +43,16 @@ from .tensor import StateTensor, apply_matrix_at, basis_stack, partial_trace, pr
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 VERIFY_ATOL = 1e-9
+W_MIN = 1e-12  # branch weight floor: a projected component at or below it is exactly zero
+# allowed residual between branch vectors extracted via different subsystems'
+# support projectors; verify_lo allows (T_NINDEP - 2 VERIFY_ATOL) / 2 per subsystem and branch
+T_NINDEP = 1e-8
+_BLOCK_ATOL = 1e-8  # caller blocks: orthonormality, coverage and containment of the support
 # eigenvalue gaps below this are left to SBD: an eigenvector across a gap g
 # is accurate to about eps / g (Davis-Kahan), here 100x under VERIFY_ATOL
 _GUARD_GAP = 100 * np.finfo(np.float64).eps / VERIFY_ATOL
 _SBD_BATCH_ENTRIES = 1 << 20  # cap on one SBD batch's cross-block entries, rounds x layout
+SBD_STABLE_ROUNDS = 3  # consecutive rounds without a split that end one cluster's SBD search
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +212,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify_lo(d: BranchDecomposition, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
+def verify_lo(d: BranchDecomposition) -> VerificationReport:
     """Check every invariant of a branch decomposition numerically.
 
-    Failures are reported, never raised.  The checks cover weight
+    Failures are reported, never raised, and every tolerance is a module
+    constant: no caller can loosen the check.  The checks cover weight
     positivity and normalization, branch orthonormality, reconstruction of
     the state, orthonormality and mutual orthogonality of the
     per-subsystem supports, the branch-count bound, and the defining
@@ -237,9 +244,9 @@ def verify_lo(d: BranchDecomposition, tol: Tolerances = DEFAULT_TOLERANCES) -> V
     ||P_n^i P_n^j|| <= (1 + eps_s) eps_o.  So once both support checks pass,
     every term of the full identity is at most
     (1 + eps_s)(2 r + VERIFY_ATOL).  The tolerance on r is
-    (t_nindep - 2 VERIFY_ATOL) / 2, at which that bound stays below
-    t_nindep: a decomposition that passes here passes the full identity at
-    t_nindep, so this check is no looser.
+    (T_NINDEP - 2 VERIFY_ATOL) / 2 = 4e-9, at which that bound stays below
+    T_NINDEP: a decomposition that passes here passes the full identity at
+    T_NINDEP, so this check is no looser.
     """
     state = d.state
     dims = state.dims
@@ -252,7 +259,7 @@ def verify_lo(d: BranchDecomposition, tol: Tolerances = DEFAULT_TOLERANCES) -> V
         residual = float(residual)
         checks.append(CheckResult(name, residual, tolerance, residual <= tolerance))
 
-    add("weights_positive", max(0.0, tol.w_min - float(weights.min())), 0.0)
+    add("weights_positive", max(0.0, W_MIN - float(weights.min())), 0.0)
     add("weight_sum", abs(float(weights.sum()) - 1.0), VERIFY_ATOL)
 
     gram = vectors.conj() @ vectors.T
@@ -286,7 +293,7 @@ def verify_lo(d: BranchDecomposition, tol: Tolerances = DEFAULT_TOLERANCES) -> V
     add("support_orthonormality", sup_dev, VERIFY_ATOL)
     add("local_orthogonality", overlap, VERIFY_ATOL)
     add("branch_count", max(0, k - min(dims)), 0.0)
-    add("projector_identity", identity_res, (tol.t_nindep - 2 * VERIFY_ATOL) / 2)
+    add("projector_identity", identity_res, (T_NINDEP - 2 * VERIFY_ATOL) / 2)
 
     return VerificationReport(tuple(checks), all(c.passed for c in checks))
 
@@ -373,7 +380,7 @@ def common_fine_graining(
                     "an input decomposition is not locally orthogonal",
                 )
             weight = float(np.vdot(v, v).real)
-            if weight <= tol.w_min:
+            if weight <= W_MIN:
                 continue
             vec = v / math.sqrt(weight)
             branches.append(Branch(weight, vec, _supports_from_vector(vec, dims, tol.t_supp)))
@@ -456,12 +463,13 @@ def _checked_frames(state: StateTensor, blocks, t_supp: float) -> list:
         if not bases:
             raise ValueError(f"subsystem {n} has no blocks")
         stacked = np.hstack(bases)
-        if float(np.max(np.abs(stacked.conj().T @ stacked - np.eye(stacked.shape[1])))) > 1e-8:
+        gram = stacked.conj().T @ stacked - np.eye(stacked.shape[1])
+        if float(np.max(np.abs(gram))) > _BLOCK_ATOL:
             raise ValueError(f"blocks on subsystem {n} are not mutually orthonormal")
         support = _local_support(state, n, t_supp).support_basis
-        coverage = support - stacked @ (stacked.conj().T @ support)
-        containment = stacked - support @ (support.conj().T @ stacked)
-        if float(np.linalg.norm(coverage)) > 1e-8 or float(np.linalg.norm(containment)) > 1e-8:
+        coverage = float(np.linalg.norm(support - stacked @ (stacked.conj().T @ support)))
+        containment = float(np.linalg.norm(stacked - support @ (support.conj().T @ stacked)))
+        if coverage > _BLOCK_ATOL or containment > _BLOCK_ATOL:
             raise ValueError(f"blocks on subsystem {n} do not span the local support exactly")
         frames.append((stacked, np.cumsum([0] + [b.shape[1] for b in bases])))
     return frames
@@ -632,7 +640,7 @@ def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: 
     drawn = np.empty((0, count), dtype=np.complex128)  # for rounds not yet judged
     stable, left, most = 0, 50 * size, max(1, _SBD_BATCH_ENTRIES // layout.size)
     while left:
-        rounds = min(tol.sbd_stable_rounds - stable, left, most)
+        rounds = min(SBD_STABLE_ROUNDS - stable, left, most)
         fresh = rng.standard_normal(2 * count * (rounds - len(drawn))).view(np.complex128)
         drawn = np.concatenate([drawn, fresh.reshape(-1, count)])
         # X = (sum_k z_k F_k + h.c.) / 2, z_k complex normal: Tr_m[(I x H_m) rho_nm]
@@ -658,7 +666,7 @@ def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: 
             drawn, stable, left = drawn[r + 1:], 0, left - r - 1
             continue
         drawn, stable, left = drawn[:0], stable + rounds, left - rounds
-        if stable >= tol.sbd_stable_rounds:
+        if stable >= SBD_STABLE_ROUNDS:
             return [parts[i] for i in _key_order(parts)]
     raise InternalConsistencyError(
         f"block-diagonalization failed to stabilize on subsystem {subsystem}"
@@ -724,8 +732,8 @@ def sbd_refine(
     cluster of weight w is split along the eigenvalue clusters of random
     draws X = Tr_m[(I x H_m) rho_nm] / w, H_m Hermitian, restricted to it;
     parts a < b merge back whenever ||(B_b^H x I) rho_nm (B_a x I)||_F / w
-    exceeds ``tol.t_edge`` for some m, and the search stops after the
-    configured number of consecutive stable rounds.  Deterministic for a
+    exceeds ``tol.t_edge`` for some m, and the search stops after
+    ``SBD_STABLE_ROUNDS`` consecutive stable rounds.  Deterministic for a
     fixed seed.
 
     Returns
@@ -768,17 +776,17 @@ def _extract_component_branches(state, frames, tol):
     branches = []
     for vec, supports in zip(vectors, bases):
         weight = float(np.vdot(vec, vec).real)
-        if weight > tol.w_min:
+        if weight > W_MIN:
             branches.append(Branch(weight, vec / math.sqrt(weight), supports))
     return branches, graph
 
 
-def _verified(state, branches, tol) -> tuple:
+def _verified(state, branches) -> tuple:
     """The decomposition of the branches in canonical order and its
     :func:`verify_lo` report, or InternalConsistencyError with its summary
     if any check fails: no unverified decomposition is returned."""
     dec = BranchDecomposition.from_branches(state, branches)
-    report = verify_lo(dec, tol)
+    report = verify_lo(dec)
     if not report.passed:
         message = "constructed decomposition failed verification:\n" + report.summary()
         raise InternalConsistencyError(message, report=report)
@@ -802,7 +810,7 @@ def assemble_branches(
         raise UnsupportedOperationError("block assembly needs at least three subsystems")
     frames = _checked_frames(state, partitions, tol.t_supp)
     branches, _ = _extract_component_branches(state, frames, tol)
-    return _verified(state, branches, tol)[0]
+    return _verified(state, branches)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +880,7 @@ def maximal_decomposition(
         branches, graph = _extract_component_branches(state, frames, tol)
         path = "block-sbd" if degenerate else "eigenvector-graph"
         non_unique = False
-    dec, report = _verified(state, branches, tol)
+    dec, report = _verified(state, branches)
     checks = {c.name: c.residual for c in report.checks}
     diagnostics = Diagnostics(
         path=path,

@@ -24,10 +24,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .decomposition import Branch, BranchDecomposition, DecompositionResult
+from .decomposition import (SBD_STABLE_ROUNDS, T_NINDEP, W_MIN, Branch, BranchDecomposition,
+                            DecompositionResult)
 from .entanglement import EntropyReport, weight_entropy
 from .tensor import StateTensor, basis_stack, project_supports
-from .tolerances import DEFAULT_TOLERANCES
 
 SCHEMA_VERSION = 1
 ENTROPY_ATOL = 1e-12  # decompose writes entropy_bits bit-exact
@@ -218,6 +218,10 @@ def report_document(
     diagnostics = {key: list(value) if isinstance(value, tuple) else value
                    for key, value in asdict(result.diagnostics).items()}
     non_unique = diagnostics.pop("non_unique")
+    # every threshold the run was judged by, the fixed ones beside the cutoffs
+    diagnostics["tolerances"].update(
+        w_min=W_MIN, t_nindep=T_NINDEP, sbd_stable_rounds=SBD_STABLE_ROUNDS
+    )
     branches = []
     for branch in decomposition.branches:
         branches.append(
@@ -330,7 +334,7 @@ def branches_from_report(document: dict, state: StateTensor):
     problems = []
     for j, ((reported, supports), vec) in enumerate(zip(parsed, projected)):
         weight = float(np.vdot(vec, vec).real)
-        if weight <= DEFAULT_TOLERANCES.w_min:
+        if weight <= W_MIN:
             problems.append(f"branch {j}: reported supports carry no weight in the state")
             continue
         if abs(weight - reported) > WEIGHT_ATOL:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import Branch, BranchDecomposition
+from .decomposition import W_MIN, Branch, BranchDecomposition
 from .errors import DegenerateSpectrumError
 from .tensor import LocalProjector, StateTensor, apply_local_projector, joint_projection_norm, partial_trace
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -187,7 +187,7 @@ def oracle_verify_maximality_small(
                     )
                     vb = branch_state.amps - va
                     wb = float(np.vdot(vb, vb).real)
-                    if wa <= tol.w_min or wb <= tol.w_min:
+                    if wa <= W_MIN or wb <= W_MIN:
                         continue
                     if _supports_orthogonal(va, vb, dims, tol.t_supp):
                         return OracleVerdict(

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import subprocess
@@ -11,7 +12,7 @@ from lodecomp.cli import main
 from lodecomp.decomposition import coarse_grain, maximal_decomposition
 from lodecomp.entanglement import e_lo, entropy_report
 from lodecomp.fileio import StateFile, report_document, report_to_json
-from lodecomp.tolerances import DEFAULT_TOLERANCES
+from lodecomp.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 def run_cli(*argv, **kwargs):
@@ -344,7 +345,8 @@ class TestVerify:
 
     def test_tolerance_flags_reach_only_the_oracle(self, tmp_path, capsys):
         # verify_lo reads no flag, and a larger --tol-supp shrinks the
-        # supports the oracle searches until it no longer finds the split
+        # supports the oracle searches until it no longer finds the split;
+        # the oracle reads no edge threshold, so verify takes no --tol-edge
         state = z_state((0.5, 0.3, 0.2))
         result = maximal_decomposition(state)
         merged = dataclasses.replace(
@@ -355,9 +357,14 @@ class TestVerify:
         report.write_text(report_to_json(report_document(merged, entropy_report(merged))))
         assert main(["verify", str(state_path), str(report)]) == 0
         plain = capsys.readouterr().out
-        flags = ["--tol-supp", "0.9", "--tol-edge", "0.9", "--tol-deg", "0.9"]
+        flags = ["--tol-supp", "0.9", "--tol-deg", "0.9"]
         assert main(["verify", str(state_path), str(report), *flags]) == 0
         assert capsys.readouterr().out == plain
+        with pytest.raises(SystemExit) as caught:
+            main(["verify", str(state_path), str(report), "--tol-edge", "0.9"])
+        assert caught.value.code == 2
+        assert "--tol-edge" in capsys.readouterr().err
+        assert main(["verify", str(state_path), str(report), "--tol-supp", "-1"]) == 2
         assert main(["verify", str(state_path), str(report), "--oracle"]) == 1
         assert main(["verify", str(state_path), str(report), "--oracle", "--tol-supp", "0.6"]) == 0
         assert "maximality: pass" in capsys.readouterr().out
@@ -521,6 +528,59 @@ class TestCompare:
         assert "identical weight multisets: no" in proc.stdout
 
 
+class TestToleranceFlags:
+    """Every ``--tol-*`` flag of every command sets one settable cutoff."""
+
+    JUDGED = {
+        "t_deg": 1e-8, "t_supp": 1e-10, "t_edge": 1e-10,
+        "w_min": 1e-12, "t_nindep": 1e-8, "sbd_stable_rounds": 3,
+    }
+
+    @pytest.fixture
+    def z_files(self, tmp_path):
+        state = z_state((0.5, 0.3, 0.2))
+        state_path, report = tmp_path / "z.json", tmp_path / "report.json"
+        StateFile.from_state(state, name="z").write(state_path)
+        result = maximal_decomposition(state)
+        report.write_text(report_to_json(report_document(result, entropy_report(result))))
+        return state_path, report
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag)
+        for command in ("entropy", "compare", "verify")
+        for flag in ("--tol-deg", "--tol-supp", "--tol-edge")
+        if (command, flag) != ("verify", "--tol-edge")
+    ])
+    def test_invalid_tolerance_is_input_error_on_every_command(
+        self, z_files, capsys, command, flag, value
+    ):
+        # each command builds its Tolerances from its own flags, so each
+        # rejects a bad cutoff before any work; verify does so with or
+        # without --oracle, although only the oracle reads the cutoffs
+        state_path, report = z_files
+        inputs = {
+            "entropy": [str(state_path)],
+            "compare": [str(state_path), str(state_path)],
+            "verify": [str(state_path), str(report)],
+        }[command]
+        runs = [[]] if command != "verify" else [[], ["--oracle"]]
+        for extra in runs:
+            assert main([command, *inputs, *extra, f"{flag}={value}"]) == 2
+            err = capsys.readouterr().err
+            assert "must be a finite number > 0" in err and flag.replace("--tol-", "t_") in err
+
+    @pytest.mark.parametrize("name", ["t_deg", "t_supp", "t_edge"])
+    def test_each_flag_moves_only_its_threshold(self, z_files, name):
+        # the fixed thresholds stay in the report's block whatever the flags say
+        state_path, _ = z_files
+        out = state_path.with_name("tuned.json")
+        flag = "--tol-" + name.removeprefix("t_")
+        assert main(["decompose", str(state_path), flag, "0.001", "--format", "json", "-o", str(out)]) == 0
+        tolerances = json.loads(out.read_text())["diagnostics"]["tolerances"]
+        assert tolerances == {**self.JUDGED, name: 0.001}
+
+
 class TestParserReuse:
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
@@ -540,6 +600,21 @@ class TestParserReuse:
         again = parser.parse_args(["decompose", "s.json"])
         assert vars(again) == vars(cli.build_parser().parse_args(["decompose", "s.json"]))
 
+    def test_every_tolerance_field_is_a_flag(self):
+        # a Tolerances field no flag sets would be a knob only library
+        # callers can turn; verify takes only the flags its oracle reads
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        fields = {"--tol-" + f.name.removeprefix("t_") for f in dataclasses.fields(Tolerances)}
+        for command in ("decompose", "entropy", "compare", "verify"):
+            flags = {
+                option
+                for action in sub.choices[command]._actions
+                for option in action.option_strings
+                if option.startswith("--tol-")
+            }
+            assert flags == (fields - {"--tol-edge"} if command == "verify" else fields)
+
     def test_successive_main_calls_see_only_their_own_flags(self, tmp_path, capsys):
         state = tmp_path / "ghz.json"
         assert main(["generate", "--kind", "ghz", "--d", "3", "-o", str(state)]) == 0
@@ -555,9 +630,15 @@ class TestParserReuse:
         assert "maximality:" not in capsys.readouterr().out
         assert main(["decompose", str(state), "--format", "json", "-o", str(plain)]) == 0
         diagnostics = json.loads(plain.read_text())["diagnostics"]
-        assert diagnostics["tolerances"]["t_deg"] == DEFAULT_TOLERANCES.t_deg
+        # every threshold the run was judged by, settable or fixed
+        judged = {
+            "t_deg": 1e-8, "t_supp": 1e-10, "t_edge": 1e-10,
+            "w_min": 1e-12, "t_nindep": 1e-8, "sbd_stable_rounds": 3,
+        }
+        assert diagnostics["tolerances"] == judged
         assert diagnostics["seed"] == 0
-        assert json.loads(tuned.read_text())["diagnostics"]["tolerances"]["t_deg"] == 0.001
+        tuned_tolerances = json.loads(tuned.read_text())["diagnostics"]["tolerances"]
+        assert tuned_tolerances == {**judged, "t_deg": 0.001}
         # a usage error leaves the parser as it was
         with pytest.raises(SystemExit):
             main(["decompose"])

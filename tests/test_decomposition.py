@@ -24,7 +24,9 @@ from lodecomp.catalog import (
 )
 from lodecomp import cli, decomposition
 from lodecomp.decomposition import (
+    T_NINDEP,
     VERIFY_ATOL,
+    W_MIN,
     _GUARD_GAP,
     _component_roots,
     _eigenframe_slices,
@@ -350,7 +352,7 @@ class TestNoBranchSplitsAgain:
 
 def near_threshold_weights():
     """z-state weights on 3x3x3 where one tolerance decides the answer: the
-    top two weights f t_deg apart, and a third branch at multiples of w_min
+    top two weights f t_deg apart, and a third branch at multiples of W_MIN
     and of t_supp."""
     tol = DEFAULT_TOLERANCES
     out = {}
@@ -358,7 +360,7 @@ def near_threshold_weights():
         gap = f * tol.t_deg
         out[f"gap-{f}-t_deg"] = (0.45 + gap / 2, 0.45 - gap / 2, 0.1)
     for c in (0.5, 2, 10):
-        out[f"branch-{c}-w_min"] = (0.6, 0.4 - c * tol.w_min, c * tol.w_min)
+        out[f"branch-{c}-w_min"] = (0.6, 0.4 - c * W_MIN, c * W_MIN)
     for c in (0.5, 2, 10, 30):
         out[f"branch-{c}-t_supp"] = (0.6, 0.4 - c * tol.t_supp, c * tol.t_supp)
     return out
@@ -504,11 +506,11 @@ class TestVerifyAgainstReference:
             new = projector_identity(verify_lo(d)).residual
             ref = reference_projector_identity(d)
             assert new <= ref + 1e-15, (state.dims, new, ref)
-            assert new <= DEFAULT_TOLERANCES.t_nindep
+            assert new <= T_NINDEP
 
     def test_derived_tolerance(self):
         check = projector_identity(verify_lo(maximal_decomposition(ghz_state()).decomposition))
-        assert check.tolerance == pytest.approx((DEFAULT_TOLERANCES.t_nindep - 2e-9) / 2)
+        assert check.tolerance == pytest.approx((T_NINDEP - 2e-9) / 2)
 
     @pytest.mark.parametrize("toward", ["other_branch", "outside_support"])
     def test_turned_supports(self, toward):
@@ -526,7 +528,7 @@ class TestVerifyAgainstReference:
             passed = verify_lo(candidate).passed
             outcomes.append(passed)
             if passed:
-                assert reference_projector_identity(candidate) <= DEFAULT_TOLERANCES.t_nindep
+                assert reference_projector_identity(candidate) <= T_NINDEP
         assert outcomes[0] and not outcomes[-1]
 
 
@@ -653,11 +655,10 @@ class TestRotatedFrameAgainstReference:
         # extraction subsystem-dependent by about theta sqrt(w_0 + w_1); from
         # theta ~ 1e-5 the turned lines also join both components, which makes
         # it consistent again.  assemble_branches raises exactly where
-        # verify_lo's projector identity fails, at (t_nindep - 2 VERIFY_ATOL) / 2,
+        # verify_lo's projector identity fails, at (T_NINDEP - 2 VERIFY_ATOL) / 2,
         # and the steps around theta_c put the residual 4e-12 and 4e-11 either
         # side of it
-        t_nindep = DEFAULT_TOLERANCES.t_nindep
-        limit = (t_nindep - 2 * VERIFY_ATOL) / 2
+        limit = (T_NINDEP - 2 * VERIFY_ATOL) / 2
         theta_c = limit / np.sqrt(0.8)
         state = dress_state(z_state((0.5, 0.3, 0.2), dims=dims), seed=4)
         outcomes = []
@@ -678,7 +679,7 @@ class TestRotatedFrameAgainstReference:
             if abs(residual - limit) > 1e-12:
                 assert raised == (residual > limit), (theta, residual)
             if not raised:  # the pairwise bound the assembly used to check itself
-                assert float(reference_component_residuals(state, graph).max()) <= t_nindep
+                assert float(reference_component_residuals(state, graph).max()) <= T_NINDEP
             outcomes.append(raised)
         assert not outcomes[0] and any(outcomes) and not outcomes[45]
         assert outcomes[-4:] == [False, False, True, True]
@@ -1313,9 +1314,10 @@ class TestSbdMergePinned:
             return _merge_coupled(frames, labels, layout, starts, t_edge)
 
         monkeypatch.setattr(decomposition, "_merge_coupled", counting)
+        monkeypatch.setattr(decomposition, "SBD_STABLE_ROUNDS", rounds)
         for seed in range(3):
             calls.clear()
-            blocks = sbd_refine(irreducible_state(), 0, Tolerances(sbd_stable_rounds=rounds), seed)
+            blocks = sbd_refine(irreducible_state(), 0, seed=seed)
             assert len(blocks) == 1 and blocks[0].shape == (4, 4)
             assert calls == [[4] * rounds]
 
@@ -1449,20 +1451,20 @@ class TestSbdBatchedAgainstSequential:
         for b, w in zip(blocks, want):
             assert np.max(np.abs(b @ b.conj().T - w @ w.conj().T)) <= 1e-12
 
-    def test_unreachable_stable_rounds_raise_with_capped_batches(self):
+    def test_unreachable_stable_rounds_raise_with_capped_batches(self, monkeypatch):
         # 10**6 stable rounds never come within the cap of 50 rounds per
         # dimension: both loops raise after drawing exactly that many rounds,
         # and the batched one draws them in one batch of the rounds left, not
         # of the 10**6 rounds it asks for
         (n, slices, starts), = cluster_inputs(irreducible_state())[:1]
-        tol = Tolerances(sbd_stable_rounds=10**6)
+        monkeypatch.setattr(decomposition, "SBD_STABLE_ROUNDS", 10**6)
         count, size = slices.shape[:2]
         draws = np.random.default_rng(0).standard_normal(2 * count * 50 * size)
         ends = []
         for split in (_split_cluster, reference_split_cluster):
             scripted = ScriptedGenerator(draws)
             with pytest.raises(InternalConsistencyError, match="failed to stabilize"):
-                split(slices, starts, tol, scripted, n)
+                split(slices, starts, DEFAULT_TOLERANCES, scripted, n)
             ends.append(scripted.used)
             if split is _split_cluster:
                 assert scripted.requests == [len(draws)]
@@ -1472,7 +1474,7 @@ class TestSbdBatchedAgainstSequential:
     def test_batches_capped_below_the_stable_rounds(self, stable_rounds, monkeypatch):
         # with room for two rounds per batch, a search carries its stable
         # count across batches and still draws what the sequential loop draws
-        tol = Tolerances(sbd_stable_rounds=stable_rounds)
+        monkeypatch.setattr(decomposition, "SBD_STABLE_ROUNDS", stable_rounds)
         states = [two_ring_state(0.7, seed=1), dress_state(ghz_state(3, 4), seed=5)]
         for state in states + [irreducible_state()]:
             for n, slices, starts in cluster_inputs(state):
@@ -1481,7 +1483,8 @@ class TestSbdBatchedAgainstSequential:
                 runs = []
                 for split in (_split_cluster, reference_split_cluster):
                     rng = np.random.default_rng(4)
-                    runs.append((split(slices, starts, tol, rng, n), rng.bit_generator.state))
+                    blocks = split(slices, starts, DEFAULT_TOLERANCES, rng, n)
+                    runs.append((blocks, rng.bit_generator.state))
                 (blocks, end), (want, want_end) = runs
                 assert end == want_end and len(blocks) == len(want)
                 for b, w in zip(blocks, want):
@@ -1608,6 +1611,28 @@ class TestAssemble:
         bell = StateTensor((2, 2), np.array([1, 0, 0, 1.0]))
         with pytest.raises(UnsupportedOperationError):
             assemble_branches(bell, [computational_blocks(2)] * 2)
+
+    def test_no_tolerance_loosens_the_verdict(self):
+        # two eigenvector lines turned by 1e-6 rad make the extraction
+        # subsystem-dependent by 8.9e-7, far above the 4e-9 verify_lo allows;
+        # Tolerances(t_nindep=1.0) once let assembly return these 3 branches
+        state = dress_state(z_state((0.5, 0.3, 0.2)), 4)
+        with pytest.raises(InternalConsistencyError, match="FAIL  projector_identity") as caught:
+            assemble_branches(state, turned_partition(state, 0, 1e-6))
+        check = projector_identity(caught.value.report)
+        assert not check.passed and check.residual == pytest.approx(8.944e-7, rel=1e-3)
+        # the fixed thresholds are constants, not fields a caller could loosen
+        for field, value in (("t_nindep", 1.0), ("w_min", 0.5), ("sbd_stable_rounds", 1)):
+            with pytest.raises(TypeError, match=field):
+                Tolerances(**{field: value})
+
+    def test_verify_lo_takes_no_tolerances(self):
+        # the contract judges at fixed thresholds: no caller passes its own
+        d = maximal_decomposition(z_state((0.5, 0.3, 0.2))).decomposition
+        for call in (lambda: verify_lo(d, DEFAULT_TOLERANCES), lambda: verify_lo(d, tol=DEFAULT_TOLERANCES)):
+            with pytest.raises(TypeError):
+                call()
+        assert verify_lo(d).passed
 
 
 class TestDiagnostics:

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from lodecomp import decomposition
 from lodecomp.tolerances import DEFAULT_TOLERANCES, Tolerances
 
-CUTOFFS = ["t_deg", "t_supp", "t_edge", "w_min", "t_nindep"]
+CUTOFFS = ["t_deg", "t_supp", "t_edge"]
 
 
 def test_defaults_are_valid():
@@ -25,11 +27,19 @@ def test_positive_cutoffs_are_accepted(name, value):
     assert getattr(Tolerances(**{name: value}), name) == value
 
 
-@pytest.mark.parametrize("value", [0, -3, True, 2.0, 3.5, "3", None])
-def test_stable_rounds_must_be_a_positive_integer(value):
-    with pytest.raises(ValueError, match="sbd_stable_rounds"):
-        Tolerances(sbd_stable_rounds=value)
+
+@pytest.mark.parametrize("name, value", [("W_MIN", 1e-12), ("T_NINDEP", 1e-8), ("SBD_STABLE_ROUNDS", 3)])
+def test_fixed_thresholds_keep_their_values(name, value):
+    # the report's tolerance block lists these beside the cutoffs, so a
+    # changed value would change every report's bytes
+    constant = getattr(decomposition, name)
+    assert constant == value and type(constant) is type(value)
 
 
-def test_stable_rounds_accepts_positive_integers():
-    assert Tolerances(sbd_stable_rounds=1).sbd_stable_rounds == 1
+@pytest.mark.parametrize("name, value", [("w_min", 1e-12), ("t_nindep", 1e-8), ("sbd_stable_rounds", 3)])
+def test_fixed_thresholds_are_not_fields(name, value):
+    # not even their own value is accepted, by construction or by replace
+    with pytest.raises(TypeError, match=name):
+        Tolerances(**{name: value})
+    with pytest.raises(TypeError, match=name):
+        dataclasses.replace(DEFAULT_TOLERANCES, **{name: value})

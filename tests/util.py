@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from lodecomp import decomposition
 from lodecomp.errors import InternalConsistencyError
 from lodecomp.spectral import cluster_eigenvalues
 from lodecomp.tensor import StateTensor, apply_matrix_at, partial_trace
@@ -219,8 +220,9 @@ def reference_split_cluster(family, starts, tol, rng, subsystem):
     ``decomposition._split_cluster`` batched.  Each round draws one X, splits
     every part along its eigenvalue clusters on the previous round's bases and
     merges back with ``reference_round_merge``; the search stops after
-    ``tol.sbd_stable_rounds`` consecutive rounds without a change in the part
-    count, or raises after 50 rounds per dimension.
+    ``decomposition.SBD_STABLE_ROUNDS`` consecutive rounds without a change in
+    the part count, or raises after 50 rounds per dimension.  The constant is
+    read at call time, so one monkeypatch steers this loop and the batched one.
     """
     count, size = family.shape[:2]
     layout = family.transpose(1, 0, 2).reshape(size, -1)
@@ -237,7 +239,7 @@ def reference_split_cluster(family, starts, tol, rng, subsystem):
         count_before = len(parts)
         parts = reference_round_merge(candidates, layout, starts, tol.t_edge)
         stable = stable + 1 if len(parts) == count_before else 0
-        if stable >= tol.sbd_stable_rounds:
+        if stable >= decomposition.SBD_STABLE_ROUNDS:
             return parts if len(parts) == 1 else sorted(parts, key=reference_projector_key)
     raise InternalConsistencyError(
         f"block-diagonalization failed to stabilize on subsystem {subsystem}"
@@ -312,9 +314,9 @@ def reference_component_residuals(state, graph):
     """Per component of ``graph``: the largest ||P_a^c psi - P_b^c psi|| over
     subsystem pairs, from :func:`reference_component_projections`.
 
-    Assembly once raised when this pairwise residual exceeded ``t_nindep``;
+    Assembly once raised when this pairwise residual exceeded ``T_NINDEP``;
     ``verify_lo``'s projector identity now judges it, and every partition
-    that passes must still keep this residual within ``t_nindep``.
+    that passes must still keep this residual within ``T_NINDEP``.
     """
     return np.array([
         max(float(np.linalg.norm(a - b)) for a, b in itertools.combinations(vectors, 2))
