@@ -21,8 +21,9 @@ span of the pair slices, so every block lies inside one branch.
 Assembly rotates the state once into a full local frame on every
 subsystem (its partition blocks plus an orthonormal complement of the
 support).  Every graph edge is read off that one rotated vector: N
-rotations in all, with no projection per node pair.  :func:`verify_lo`
-alone then judges every assembled or Schmidt decomposition, and a failed
+rotations in all, with no projection per node pair.  Every constructor
+here builds each branch from its supports alone, v_i = P_0^i psi up to
+its norm, and :func:`verify_lo` alone then judges the result; a failed
 check raises ``InternalConsistencyError``.
 
 All functions are pure and deterministic given their seed.
@@ -167,7 +168,7 @@ def _local_support(state: StateTensor, n: int, t_supp: float, t_deg=DEFAULT_TOLE
 
 
 def _supports_from_vector(vec: np.ndarray, dims, t_supp: float) -> tuple:
-    """Per-subsystem support bases of a normalized vector's reduced states."""
+    """Per-subsystem support bases of a vector's reduced states, once normalized."""
     state = StateTensor(dims, vec)
     return tuple(_local_support(state, n, t_supp).support_basis for n in range(len(dims)))
 
@@ -175,9 +176,10 @@ def _supports_from_vector(vec: np.ndarray, dims, t_supp: float) -> tuple:
 def trivial_decomposition(
     state: StateTensor, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> BranchDecomposition:
-    """The one-branch decomposition: the state itself with its full supports."""
+    """The one-branch decomposition onto the state's full supports;
+    InternalConsistencyError when ``tol.t_supp`` drops weight from the state."""
     supports = _supports_from_vector(state.amps, state.dims, tol.t_supp)
-    return BranchDecomposition(state, [Branch(1.0, state.amps, supports)])
+    return _decomposition_from_supports(state, [supports])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,30 +305,31 @@ def verify_lo(d: BranchDecomposition) -> VerificationReport:
 
 
 def coarse_grain(d: BranchDecomposition, merge) -> BranchDecomposition:
-    """Merge branches by vector addition according to a partition.
+    """Merge branches according to a partition.
 
     Parameters
     ----------
     merge : iterable of iterables of int
         Partition of the branch indices of ``d``.  Each class becomes one
-        branch whose vector is the weighted sum of the class members and
-        whose supports are the direct sums of the members' supports.
+        branch whose supports are the direct sums of the members' supports,
+        and whose vector is the state's projection onto them.
+
+    Raises
+    ------
+    ValueError
+        If ``merge`` is not a partition of the branch indices.
+    InternalConsistencyError
+        If the merged decomposition fails :func:`verify_lo`, as it can when
+        ``d`` was not locally orthogonal to begin with.
     """
     classes = [sorted(int(i) for i in cls) for cls in merge]
     flat = sorted(i for cls in classes for i in cls)
     if flat != list(range(d.n_branches)):
         raise ValueError("merge must be a partition of the branch indices")
-    merged = []
-    for cls in classes:
-        members = [d.branches[i] for i in cls]
-        summed = sum(math.sqrt(br.weight) * br.vector for br in members)
-        weight = float(np.vdot(summed, summed).real)
-        supports = tuple(
-            np.hstack([br.supports[n] for br in members])
-            for n in range(d.state.n_subsystems)
-        )
-        merged.append(Branch(weight, summed / math.sqrt(weight), supports))
-    return BranchDecomposition.from_branches(d.state, merged)
+    supports = [
+        tuple(map(np.hstack, zip(*(d.branches[i].supports for i in cls)))) for cls in classes
+    ]
+    return _decomposition_from_supports(d.state, supports)[0]
 
 
 def common_fine_graining(
@@ -337,11 +340,10 @@ def common_fine_graining(
     """The joint refinement of two decompositions of the same state.
 
     Each output branch is the state's component inside one subspace
-    intersection: apply the full product of d1's branch-i support
-    projectors to d2's weighted branch k (equivalently, d2's projectors to
-    d1's branch i; the two evaluation orders are computed and must agree).
-    Pairs whose component vanishes are dropped.  Both inputs are
-    coarse-grainings of the result.
+    intersection: the full product of d1's branch-i support projectors
+    applied to d2's weighted branch k gives its supports, and the state's
+    projection onto them its vector.  Pairs whose component vanishes are
+    dropped.  Both inputs are coarse-grainings of the result.
 
     Raises
     ------
@@ -350,8 +352,7 @@ def common_fine_graining(
     UnsupportedOperationError
         For bipartite states, where the construction is not guaranteed.
     InternalConsistencyError
-        If the two evaluation orders disagree beyond tolerance, which
-        signals that an input was not locally orthogonal to begin with.
+        If either input fails :func:`verify_lo`, or the result does.
     """
     if d1.state.dims != d2.state.dims:
         raise ValueError(f"dimension mismatch: {d1.state.dims} vs {d2.state.dims}")
@@ -362,29 +363,18 @@ def common_fine_graining(
         raise UnsupportedOperationError(
             "common fine-graining is only available for three or more subsystems"
         )
+    for d in (d1, d2):
+        _judged(d, "input decomposition")
 
-    def project(branch, supports):  # (P_0 x ... x P_{N-1}) sqrt(w) v
-        vec = math.sqrt(branch.weight) * branch.vector
-        for n, basis in enumerate(supports):
-            vec = project_supports(vec, dims, n, basis[None]).reshape(-1)
-        return vec
-
-    branches = []
+    supports = []
     for bk in d2.branches:
         for bi in d1.branches:
-            v, u = project(bk, bi.supports), project(bi, bk.supports)
-            order_gap = float(np.linalg.norm(v - u))
-            if order_gap > VERIFY_ATOL:
-                raise InternalConsistencyError(
-                    f"fine-graining evaluation orders disagree by {order_gap:.3e}; "
-                    "an input decomposition is not locally orthogonal",
-                )
-            weight = float(np.vdot(v, v).real)
-            if weight <= W_MIN:
-                continue
-            vec = v / math.sqrt(weight)
-            branches.append(Branch(weight, vec, _supports_from_vector(vec, dims, tol.t_supp)))
-    return BranchDecomposition.from_branches(d1.state, branches)
+            vec = math.sqrt(bk.weight) * bk.vector  # (P_0^i x ... x P_{N-1}^i) sqrt(w_k) v_k
+            for n, basis in enumerate(bi.supports):
+                vec = project_supports(vec, dims, n, basis[None]).reshape(-1)
+            if float(np.vdot(vec, vec).real) > W_MIN:
+                supports.append(_supports_from_vector(vec, dims, tol.t_supp))
+    return _decomposition_from_supports(d1.state, supports)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -754,43 +744,50 @@ def sbd_refine(
 
 
 def _extract_component_branches(state, frames, tol):
-    """The branches of the correlation graph's components, and the graph.
+    """Each correlation-graph component's supports, and the graph.
 
     Component c's support on subsystem n stacks its nodes' blocks there,
     in frame-column order, as nodes are numbered subsystem by subsystem.
-    The branch vector is P_0^c psi, from one :func:`project_supports` for
-    all components; :func:`verify_lo` judges whether another subsystem's
-    projector extracts the same one.
     """
     frame = _local_frame(state, frames)
     graph = build_correlation_graph(state, None, tol.t_edge, frame=frame)
-    bases = [
+    supports = [
         tuple(
             np.hstack([frame.nodes[i].basis for i in group])
             for _, group in itertools.groupby(comp, key=lambda i: frame.nodes[i].subsystem)
         )
         for comp in graph.components
     ]
-    stack = basis_stack([b[0] for b in bases])
-    vectors = project_supports(state.amps, state.dims, 0, stack).reshape(len(bases), -1)
-    branches = []
-    for vec, supports in zip(vectors, bases):
-        weight = float(np.vdot(vec, vec).real)
-        if weight > W_MIN:
-            branches.append(Branch(weight, vec / math.sqrt(weight), supports))
-    return branches, graph
+    return supports, graph
 
 
-def _verified(state, branches) -> tuple:
-    """The decomposition of the branches in canonical order and its
-    :func:`verify_lo` report, or InternalConsistencyError with its summary
-    if any check fails: no unverified decomposition is returned."""
-    dec = BranchDecomposition.from_branches(state, branches)
-    report = verify_lo(dec)
+def branch_projections(state: StateTensor, bases) -> list:
+    """(w_i, P_0^i psi) for each subsystem-0 support basis B_0^i, all
+    projections from one :func:`project_supports` product, w_i = ||P_0^i psi||^2."""
+    vectors = project_supports(state.amps, state.dims, 0, basis_stack(bases))
+    return [(float(np.vdot(vec, vec).real), vec) for vec in vectors.reshape(len(bases), -1)]
+
+
+def _judged(d: BranchDecomposition, what: str) -> VerificationReport:
+    """The :func:`verify_lo` report of ``d``, or InternalConsistencyError
+    naming ``what`` with the report's summary if any check fails."""
+    report = verify_lo(d)
     if not report.passed:
-        message = "constructed decomposition failed verification:\n" + report.summary()
-        raise InternalConsistencyError(message, report=report)
-    return dec, report
+        raise InternalConsistencyError(f"{what} failed verification:\n" + report.summary(),
+                                       report=report)
+    return report
+
+
+def _decomposition_from_supports(state: StateTensor, supports) -> tuple:
+    """The decomposition whose branch i has the supports ``supports[i]`` and
+    v_i = P_0^i psi / sqrt(w_i), from :func:`branch_projections`, dropped if
+    w_i <= W_MIN; canonically ordered, with its :func:`verify_lo` report.
+    No unverified decomposition is returned: see :func:`_judged`."""
+    projections = zip(branch_projections(state, [s[0] for s in supports]), supports)
+    branches = [Branch(w, vec / math.sqrt(w), s) for (w, vec), s in projections if w > W_MIN]
+    del projections  # the projected vectors are not held through verify_lo
+    dec = BranchDecomposition.from_branches(state, branches)
+    return dec, _judged(dec, "constructed decomposition")
 
 
 def assemble_branches(
@@ -809,8 +806,8 @@ def assemble_branches(
     if state.n_subsystems == 2:
         raise UnsupportedOperationError("block assembly needs at least three subsystems")
     frames = _checked_frames(state, partitions, tol.t_supp)
-    branches, _ = _extract_component_branches(state, frames, tol)
-    return _verified(state, branches)[0]
+    supports, _ = _extract_component_branches(state, frames, tol)
+    return _decomposition_from_supports(state, supports)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -870,17 +867,14 @@ def maximal_decomposition(
     if state.n_subsystems == 2:
         schmidt = schmidt_decompose(state, [0], tol.t_deg, tol.t_supp)
         left, right, non_unique = schmidt.left_vectors, schmidt.right_vectors, schmidt.degenerate
-        branches = [
-            Branch(float(c**2), np.kron(left[:, k], right[:, k]), (left[:, [k]], right[:, [k]]))
-            for k, c in enumerate(schmidt.coefficients)
-        ]
+        supports = [(left[:, [k]], right[:, [k]]) for k in range(left.shape[1])]
         graph, path, seed, degenerate = None, "schmidt", None, (0, 1) if non_unique else ()
     else:
         frames, degenerate = _support_partitions(state, range(state.n_subsystems), tol, seed)
-        branches, graph = _extract_component_branches(state, frames, tol)
+        supports, graph = _extract_component_branches(state, frames, tol)
         path = "block-sbd" if degenerate else "eigenvector-graph"
         non_unique = False
-    dec, report = _verified(state, branches)
+    dec, report = _decomposition_from_supports(state, supports)
     checks = {c.name: c.residual for c in report.checks}
     diagnostics = Diagnostics(
         path=path,

@@ -10,6 +10,7 @@ block-diagonal with respect to the branch subspace pairs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,12 @@ def shannon_entropy(weights, base: float = 2.0) -> float:
     """Entropy of a probability vector, with 0 log 0 taken as 0.
 
     Weights a hair above 1 from roundoff would yield a tiny negative
-    total; the result is clamped at zero so one branch means exactly 0.
+    total; the total in nats is clamped at zero so one branch means
+    exactly 0.  ``base`` must be a finite number above 0 other than 1
+    (below 1 the entropy comes out negative); ValueError otherwise.
     """
+    if not (isinstance(base, numbers.Real) and math.isfinite(base) and base > 0 and base != 1):
+        raise ValueError(f"base must be a finite number > 0 other than 1, got {base!r}")
     total = 0.0
     for w in weights:
         w = float(w)
@@ -34,7 +39,7 @@ def shannon_entropy(weights, base: float = 2.0) -> float:
             raise ValueError(f"negative weight {w}")
         if w > 0:
             total -= w * math.log(w)
-    return max(total / math.log(base), 0.0)
+    return max(total, 0.0) / math.log(base)
 
 
 @dataclass(frozen=True)

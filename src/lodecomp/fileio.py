@@ -25,9 +25,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .decomposition import (SBD_STABLE_ROUNDS, T_NINDEP, W_MIN, Branch, BranchDecomposition,
-                            DecompositionResult)
+                            DecompositionResult, branch_projections)
 from .entanglement import EntropyReport, weight_entropy
-from .tensor import StateTensor, basis_stack, project_supports
+from .tensor import StateTensor
 
 SCHEMA_VERSION = 1
 ENTROPY_ATOL = 1e-12  # decompose writes entropy_bits bit-exact
@@ -326,14 +326,12 @@ def branches_from_report(document: dict, state: StateTensor):
     if not parsed:
         return None, []
 
-    # every branch's projection onto its subsystem-0 support, in one product
-    stack = basis_stack([supports[0] for _, supports in parsed])
-    projected = project_supports(state.amps, dims, 0, stack).reshape(len(parsed), -1)
+    # the weights and P_0 psi that decompose built its branches from
+    projected = branch_projections(state, [supports[0] for _, supports in parsed])
 
     branches = []
     problems = []
-    for j, ((reported, supports), vec) in enumerate(zip(parsed, projected)):
-        weight = float(np.vdot(vec, vec).real)
+    for j, ((reported, supports), (weight, vec)) in enumerate(zip(parsed, projected)):
         if weight <= W_MIN:
             problems.append(f"branch {j}: reported supports carry no weight in the state")
             continue

@@ -685,6 +685,27 @@ class TestRotatedFrameAgainstReference:
         assert outcomes[-4:] == [False, False, True, True]
 
 
+def hadamard_fake():
+    """GHZ's two branch vectors claimed with supports in the Hadamard basis:
+    weights, vectors and supports each look fine, but P_n psi is not
+    sqrt(w) v on any subsystem, so ``projector_identity`` fails."""
+    ghz = ghz_state()
+    good = maximal_decomposition(ghz).decomposition
+    plus = np.array([[1.0], [1.0]]) / np.sqrt(2)
+    minus = np.array([[1.0], [-1.0]]) / np.sqrt(2)
+    return BranchDecomposition(
+        ghz,
+        [
+            Branch(0.5, good.branches[0].vector, (plus, plus, plus)),
+            Branch(0.5, good.branches[1].vector, (minus, minus, minus)),
+        ],
+    )
+
+
+def failed_checks(excinfo) -> set:
+    return {c.name for c in excinfo.value.report.checks if not c.passed}
+
+
 class TestTrivial:
     def test_single_branch(self):
         d = trivial_decomposition(ghz_state())
@@ -694,6 +715,15 @@ class TestTrivial:
     def test_supports_cover_state(self):
         d = trivial_decomposition(v_state())
         assert d.branches[0].support_ranks == (2, 4, 2)
+
+    def test_support_cutoff_that_drops_weight_raises(self):
+        # t_supp = 0.05 cuts the 0.01 branch out of every support: the
+        # projected branch carries weight 0.99 and misses the state by 0.1
+        state = dress_state(z_state((0.6, 0.39, 0.01)), 2)
+        with pytest.raises(InternalConsistencyError, match="FAIL  reconstruction") as excinfo:
+            trivial_decomposition(state, Tolerances(t_supp=0.05))
+        assert failed_checks(excinfo) == {"weight_sum", "reconstruction"}
+        assert excinfo.value.report.worst.residual == pytest.approx(0.1)
 
 
 class TestCoarseGrain:
@@ -714,6 +744,11 @@ class TestCoarseGrain:
         full = maximal_decomposition(z_state((0.4, 0.3, 0.2, 0.1), 3, (4, 4, 4))).decomposition
         merged = coarse_grain(full, [[0, 3], [1], [2]])
         assert is_coarse_graining_of(merged, full)
+
+    def test_non_lo_input_raises(self):
+        with pytest.raises(InternalConsistencyError, match="FAIL  projector_identity") as excinfo:
+            coarse_grain(hadamard_fake(), [[0], [1]])
+        assert failed_checks(excinfo) == {"projector_identity"}
 
     def test_partition_validation(self):
         full = maximal_decomposition(ghz_state()).decomposition
@@ -758,22 +793,43 @@ class TestCommonFineGraining:
         with pytest.raises(UnsupportedOperationError):
             common_fine_graining(d, d)
 
-    def test_inconsistent_input_detected(self):
-        # claim branch supports in the Hadamard basis: the projector products
-        # evaluated in the two orders cannot agree
-        ghz = ghz_state()
-        good = maximal_decomposition(ghz).decomposition
-        plus = np.array([[1.0], [1.0]]) / np.sqrt(2)
-        minus = np.array([[1.0], [-1.0]]) / np.sqrt(2)
-        fake = BranchDecomposition(
-            ghz,
-            [
-                Branch(0.5, good.branches[0].vector, (plus, plus, plus)),
-                Branch(0.5, good.branches[1].vector, (minus, minus, minus)),
-            ],
-        )
-        with pytest.raises(InternalConsistencyError):
-            common_fine_graining(fake, good)
+    @pytest.mark.parametrize("fake_first", [True, False])
+    def test_inconsistent_input_detected(self, fake_first):
+        # an input that fails verify_lo is refused at the door, whichever it is
+        fake, good = hadamard_fake(), maximal_decomposition(ghz_state()).decomposition
+        inputs = (fake, good) if fake_first else (good, fake)
+        with pytest.raises(InternalConsistencyError, match="input decomposition failed") as excinfo:
+            common_fine_graining(*inputs)
+        assert failed_checks(excinfo) == {"projector_identity"}
+
+    def test_inputs_judged_and_one_projection_order(self, monkeypatch):
+        # verify_lo judges both inputs, then the result; outside verify_lo each
+        # of the k1 k2 pairs takes one projection per subsystem, and the
+        # branches come from one more product
+        full = maximal_decomposition(z_state((0.5, 0.3, 0.2))).decomposition
+        merged = coarse_grain(full, [[0, 1], [2]])
+        judged, calls, inside = [], [], []
+        verify, project = decomposition.verify_lo, decomposition.project_supports
+
+        def counting_verify(d):
+            judged.append(d)
+            inside.append(True)
+            try:
+                return verify(d)
+            finally:
+                inside.pop()
+
+        def counting_project(*args):
+            calls.append(bool(inside))
+            return project(*args)
+
+        monkeypatch.setattr(decomposition, "verify_lo", counting_verify)
+        monkeypatch.setattr(decomposition, "project_supports", counting_project)
+        fg = common_fine_graining(full, merged)
+        assert judged[0] is full and judged[1] is merged and judged[2] is fg and len(judged) == 3
+        assert calls.count(False) == 3 * 2 * 3 + 1
+        assert calls.count(True) == 3 * 3
+        assert_same_decomposition(fg, full)
 
 
 class TestComponentRoots:
@@ -1697,9 +1753,7 @@ class TestDiagnostics:
     @pytest.mark.parametrize("workload", [*sorted(bench_states.WORKLOADS), "schmidt"])
     def test_n_independence_residual_is_the_verified_one(self, workload, tmp_path, capsys):
         # the report's residual is verify_lo's projector_identity residual,
-        # which `lodecomp verify` recomputes from the report's supports; the
-        # Schmidt path's branch vectors are products of Schmidt vectors, not
-        # the projections verify rebuilds, so there the two agree to rounding
+        # which `lodecomp verify` recomputes from the report's supports
         state, report = tmp_path / "state.json", tmp_path / "report.json"
         if workload == "schmidt":
             StateFile.from_state(random_state((3, 4), seed=21)).write(state)
@@ -1710,10 +1764,7 @@ class TestDiagnostics:
         assert cli.main(["verify", str(state), str(report)]) == 0
         printed = re.search(r"pass  projector_identity: residual (\S+) \(tol 4e-09\)\n",
                             capsys.readouterr().out).group(1)
-        if workload == "schmidt":
-            assert abs(float(printed) - residual) <= 1e-15
-        else:
-            assert printed == f"{residual:.3e}"
+        assert printed == f"{residual:.3e}"
 
 
 class TestEmptySupport:

@@ -53,6 +53,16 @@ class TestShannonEntropy:
         got = shannon_entropy([0.5, 0.5], base=math.e)
         assert got == pytest.approx(math.log(2.0))
 
+    @pytest.mark.parametrize("base", [1, 1.0, 0, 0.0, -2, -0.5, math.nan, math.inf, -math.inf,
+                                      "2", None])
+    def test_bad_base_rejected(self, base):
+        with pytest.raises(ValueError, match="base must be a finite number > 0 other than 1"):
+            shannon_entropy([0.5, 0.5], base=base)
+
+    @pytest.mark.parametrize("base", [0.5, 10, np.float64(math.e), np.int64(4)])
+    def test_good_base_accepted(self, base):
+        assert shannon_entropy([0.5, 0.5], base=base) == pytest.approx(math.log(2) / math.log(base))
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             shannon_entropy([0.6, -0.1, 0.5])

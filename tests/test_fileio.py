@@ -227,6 +227,18 @@ class TestBranchesFromReport:
             reported = [entry["weight"] for entry in document["branches"]]
             assert [b.weight for b in rebuilt.branches] == reported
 
+    @pytest.mark.parametrize("state", [random_state((3, 4), seed=21), ghz_state(2, 3),
+                                       dress_state(ghz_state(2, 4), seed=1)],
+                             ids=["random-3x4", "bell-like-3x3", "bell-like-4x4-dressed"])
+    def test_schmidt_weights_recomputed_bit_exactly(self, state):
+        # the Schmidt path weighs each branch by ||P_0 psi||^2 from its
+        # reported support, as the rebuild does
+        document = parse_report(report_to_json(sample_report(state)))
+        assert document["diagnostics"]["path"] == "schmidt"
+        rebuilt, problems = branches_from_report(document, state)
+        assert problems == []
+        assert [b.weight for b in rebuilt.branches] == [e["weight"] for e in document["branches"]]
+
     def test_structural_defect_raises(self):
         state = ghz_state()
         document = sample_report(state)

@@ -44,7 +44,8 @@ def test_one_digest_per_path_label(printed_digests, tmp_path):
     tool = load_tool()
     lines = printed_digests.splitlines()
     labels = [line.split()[0] for line in lines]
-    assert labels == ["block-sbd", "eigenvector-graph", "schmidt", "verify", "layers", "states"]
+    assert labels == ["block-sbd", "eigenvector-graph", "schmidt", "verify", "layers", "algebra",
+                      "states"]
     counts = {}
     for label, line in zip(labels, lines):
         digest, count = line.split()[1:3]
@@ -54,6 +55,13 @@ def test_one_digest_per_path_label(printed_digests, tmp_path):
     # each json report and its five tampered copies
     assert all(counts[label] % 3 == 0 for label in labels[:3])
     assert counts["verify"] == 6 * sum(counts[label] for label in labels[:3]) // 3
+    # the algebra is hashed once on every catalog state with N >= 3 and two
+    # or more branches
+    catalog = tool.catalog_states().values()
+    assert counts["algebra"] == sum(
+        s.n_subsystems >= 3 and tool.maximal_decomposition(s).decomposition.n_branches >= 2
+        for s in catalog
+    )
     # the state writer is hashed once on every input state
     assert counts["states"] == len(tool.write_inputs(tmp_path, [3]))
 
@@ -104,6 +112,27 @@ def test_layer_digest_repeats_and_follows_the_layer_bytes(tmp_path, monkeypatch)
     monkeypatch.setattr(tool, "sbd_refine", lambda *args, **kw: [-b for b in refine(*args, **kw)])
     flipped = tool.layer_digest([3], [0])
     assert flipped[1] == first[1] and flipped[0] != first[0]
+
+
+def test_algebra_outputs_hash_each_raise_by_its_exception(monkeypatch):
+    tool = load_tool()
+    state = tool.ghz_state()
+    full = tool.maximal_decomposition(state).decomposition
+    genuine = tool.algebra_outputs(state, full)
+    # weight, vector and supports of the trivial branch, of the two merged
+    # into one, then of the two fine-grained back
+    per_branch = 2 + state.n_subsystems
+    assert len(genuine) == (1 + 1 + 2) * per_branch
+
+    def refused(*args):
+        raise tool.InternalConsistencyError("refused")
+
+    monkeypatch.setattr(tool, "coarse_grain", refused)
+    out = tool.algebra_outputs(state, full)
+    assert len(out) == per_branch + 2
+    assert list(map(tool._value_bytes, out[:per_branch])) == list(
+        map(tool._value_bytes, genuine[:per_branch]))
+    assert out[per_branch:] == ["raised InternalConsistencyError: refused"] * 2
 
 
 def test_root_digests_another_checkout(printed_digests, tmp_path, capsys):

@@ -22,6 +22,14 @@ supports of `assemble_branches` and the edges, components and edge margins
 of `build_correlation_graph`.  Arrays are hashed by their bytes, floats by
 their round-trip repr, and a state whose calls raise by the exception.
 
+The `algebra` label digests the decomposition algebra on the catalog
+states (plain and dressed) with three or more subsystems whose maximal
+decomposition at seed 0 has two or more branches: the weights, vectors and
+supports of `trivial_decomposition`, of `coarse_grain` with branches 0 and
+1 merged, and of `common_fine_graining` of that coarse-graining and the
+one that merges branches 1 to k - 1.  Each call that raises is hashed by
+its exception.
+
 The `states` label digests the state writer: `StateFile.to_json` of every
 input state above (workload, catalog and dressed), each re-read through
 `StateFile.from_json`.
@@ -70,7 +78,16 @@ if __name__ == "__main__":  # the package is imported from --root, so read it fi
     ROOT = ROOT.resolve()
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from lodecomp import assemble_branches, build_correlation_graph, cli, sbd_refine  # noqa: E402
+from lodecomp import (  # noqa: E402
+    assemble_branches,
+    build_correlation_graph,
+    cli,
+    coarse_grain,
+    common_fine_graining,
+    maximal_decomposition,
+    sbd_refine,
+    trivial_decomposition,
+)
 from lodecomp.catalog import (  # noqa: E402
     dress_state,
     ghz_state,
@@ -209,6 +226,47 @@ def layer_outputs(state, seeds) -> list:
     return out + [graph.edges, graph.components, graph.min_accepted_edge, graph.max_rejected_edge]
 
 
+def algebra_outputs(state, full) -> list:
+    """The algebra's outputs on one state whose maximal decomposition
+    ``full`` has k >= 2 branches, in a fixed order: each decomposition's
+    branch weights, vectors and supports, or the exception a call raised."""
+    k = full.n_branches
+    merged = [[0, 1], *([i] for i in range(2, k))]
+    calls = [
+        lambda: trivial_decomposition(state),
+        lambda: coarse_grain(full, merged),
+        lambda: common_fine_graining(coarse_grain(full, merged),
+                                     coarse_grain(full, [[0], list(range(1, k))])),
+    ]
+    out = []
+    for call in calls:
+        try:
+            decomposition = call()
+        except (ValueError, InternalConsistencyError, UnsupportedOperationError) as exc:
+            out.append(f"raised {type(exc).__name__}: {exc}")
+            continue
+        for branch in decomposition.branches:
+            out += [branch.weight, branch.vector, *branch.supports]
+    return out
+
+
+def algebra_digest() -> tuple:
+    """(sha256 hex digest, number of outputs) of :func:`algebra_outputs` on
+    each catalog state it takes, one output per state."""
+    digest, count = hashlib.sha256(), 0
+    for name, state in catalog_states().items():
+        if state.n_subsystems < 3:
+            continue
+        full = maximal_decomposition(state).decomposition
+        if full.n_branches < 2:
+            continue
+        text = b"".join(map(_value_bytes, algebra_outputs(state, full)))
+        digest.update(f"{name} algebra bytes={len(text)}\n".encode())
+        digest.update(text)
+        count += 1
+    return digest.hexdigest(), count
+
+
 def _value_bytes(value) -> bytes:
     """An array as its dtype, shape and bytes; any other value as its repr."""
     if isinstance(value, np.ndarray):
@@ -265,6 +323,7 @@ def main(argv=None) -> int:
         parser.error(f"--root takes effect only when the tool runs as a script; digesting {ROOT}")
     labels = digests(args.workload_seeds, args.seeds)
     labels["layers"] = layer_digest(args.workload_seeds, args.seeds)
+    labels["algebra"] = algebra_digest()
     labels["states"] = state_digest(args.workload_seeds)
     for label, (digest, count) in labels.items():
         print(f"{label:<18} {digest}  {count} outputs")
