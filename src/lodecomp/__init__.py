@@ -41,11 +41,9 @@ from .decomposition import (
     verify_lo,
 )
 from .entanglement import (
-    EntropyReport,
     apply_local_unitary,
     apply_pairwise_unitary,
     e_lo,
-    entropy_report,
     level_mixing_unitary,
     shannon_entropy,
 )
@@ -72,7 +70,6 @@ from .tensor import (
     LocalProjector,
     StateTensor,
     apply_local_projector,
-    inner_product,
     joint_projection_norm,
     partial_trace,
     permute_subsystems,

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .catalog import KINDS, StateSpec, generate
 from .decomposition import maximal_decomposition, verify_lo
-from .entanglement import e_lo, entropy_report
+from .entanglement import e_lo, weight_entropy
 from .errors import InternalConsistencyError, UnsupportedOperationError
 from .fileio import (
     WEIGHT_ATOL,
@@ -92,8 +93,8 @@ def _format_csv(document: dict) -> str:
 def cmd_decompose(args) -> int:
     state_file = StateFile.read(args.input)
     state = state_file.to_state()
-    result = maximal_decomposition(state, _tolerances(args), args.seed)
-    document = report_document(result, entropy_report(result), state_file.name)
+    result = maximal_decomposition(state, _tolerances(args))
+    document = report_document(result, state_file.name)
     if args.format == "json":
         text = report_to_json(document)
     elif args.format == "csv":
@@ -106,11 +107,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_entropy(args) -> int:
     state_file = StateFile.read(args.input)
-    report = e_lo(state_file.to_state(), _tolerances(args), args.seed)
+    bits = e_lo(state_file.to_state(), _tolerances(args))
     if args.nats:
-        line = f"E_LO = {report.entropy_nats:.6f} nats"
+        line = f"E_LO = {bits * math.log(2.0):.6f} nats"
     else:
-        line = f"E_LO = {report.entropy_bits:.6f} bits"
+        line = f"E_LO = {bits:.6f} bits"
     _emit(line + "\n", args.output)
     return 0
 
@@ -180,16 +181,15 @@ def cmd_compare(args) -> int:
     for path in (args.a, args.b):
         state_file = StateFile.read(path)
         state = state_file.to_state()
-        result = maximal_decomposition(state, _tolerances(args), args.seed)
-        entropy = entropy_report(result)
-        weights.append(sorted(entropy.weights))
+        found = maximal_decomposition(state, _tolerances(args)).decomposition.weights
+        weights.append(sorted(found))
         rows.append(
             {
                 "label": state_file.name or path,
                 "dims": "x".join(str(d) for d in state.dims),
-                "branches": entropy.branch_count,
-                "weights": ", ".join(f"{w:.12g}" for w in entropy.weights),
-                "entropy": f"{entropy.entropy_bits:.6f} bits",
+                "branches": len(found),
+                "weights": ", ".join(f"{w:.12g}" for w in found),
+                "entropy": f"{weight_entropy(found):.6f} bits",
             }
         )
     a, b = rows
@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="compute and report the maximal decomposition")
     p.add_argument("input", help="state file (JSON)")
     _add_tolerance_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="seed for the randomized path")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
     p.set_defaults(func=cmd_decompose)
@@ -222,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="print the branch-weight entropy")
     p.add_argument("input", help="state file (JSON)")
     _add_tolerance_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nats", action="store_true", help="report in nats instead of bits")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_entropy)
@@ -253,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", help="first state file")
     p.add_argument("b", help="second state file")
     _add_tolerance_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compare)
 
     return parser

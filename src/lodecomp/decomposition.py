@@ -26,21 +26,22 @@ here builds each branch from its supports alone, v_i = P_0^i psi up to
 its norm, and :func:`verify_lo` alone then judges the result; a failed
 check raises ``InternalConsistencyError``.
 
-All functions are pure and deterministic given their seed.
+All functions are pure and deterministic: SBD draws from a generator
+seeded with the constant ``SBD_SEED``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InternalConsistencyError, UnsupportedOperationError
 from .spectral import local_spectrum, schmidt_decompose
-from .tensor import StateTensor, apply_matrix_at, basis_stack, partial_trace, project_supports
+from .tensor import (StateTensor, _index, apply_matrix_at, basis_stack, partial_trace,
+                     project_supports)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 VERIFY_ATOL = 1e-9
@@ -54,6 +55,7 @@ _BLOCK_ATOL = 1e-8  # caller blocks: orthonormality, coverage and containment of
 _GUARD_GAP = 100 * np.finfo(np.float64).eps / VERIFY_ATOL
 _SBD_BATCH_ENTRIES = 1 << 20  # cap on one SBD batch's cross-block entries, rounds x layout
 SBD_STABLE_ROUNDS = 3  # consecutive rounds without a split that end one cluster's SBD search
+SBD_SEED = 0  # seeds the SBD generator; the draws choose bases inside blocks, not the blocks
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,7 @@ def coarse_grain(d: BranchDecomposition, merge) -> BranchDecomposition:
         If the merged decomposition fails :func:`verify_lo`, as it can when
         ``d`` was not locally orthogonal to begin with.
     """
-    classes = [sorted(int(i) for i in cls) for cls in merge]
+    classes = [sorted(_index(i, "branch index") for i in cls) for cls in merge]
     flat = sorted(i for cls in classes for i in cls)
     if flat != list(range(d.n_branches)):
         raise ValueError("merge must be a partition of the branch indices")
@@ -663,14 +665,7 @@ def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: 
     )
 
 
-def _checked_seed(seed) -> int:
-    """The decomposition seed as a plain non-negative int, else ValueError."""
-    if isinstance(seed, bool) or not hasattr(type(seed), "__index__") or operator.index(seed) < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return operator.index(seed)
-
-
-def _support_partitions(state: StateTensor, subsystems, tol: Tolerances, seed) -> tuple:
+def _support_partitions(state: StateTensor, subsystems, tol: Tolerances) -> tuple:
     """Each given subsystem's support split cluster by cluster, as a frame
     (Q_n, bounds), and the subsystems whose supports needed SBD.
 
@@ -682,7 +677,7 @@ def _support_partitions(state: StateTensor, subsystems, tol: Tolerances, seed) -
     run of indices, divided by its weight, the sum of its in-support
     eigenvalues, so ``t_deg`` and ``t_edge`` judge the SBD relative to the
     cluster.  The subsystems draw in order from one generator seeded with
-    ``seed``, built at the first cluster that needs SBD.
+    ``SBD_SEED``, built at the first cluster that needs SBD.
     """
     t_split = max(tol.t_deg, _GUARD_GAP)
     spectra = [_local_support(state, n, tol.t_supp, t_split) for n in subsystems]
@@ -698,7 +693,7 @@ def _support_partitions(state: StateTensor, subsystems, tol: Tolerances, seed) -
             elif hi - lo > 1:
                 family, starts = slices[spec.subsystem]
                 family = family[:, lo:hi, lo:hi] / spec.eigenvalues[lo:hi].sum()
-                rng = rng or np.random.default_rng(seed)
+                rng = rng or np.random.default_rng(SBD_SEED)
                 for p in _split_cluster(family, starts, tol, rng, spec.subsystem):
                     bounds.append(bounds[-1] + p.shape[1])
                     stacked[:, bounds[-2]:bounds[-1]] = spec.eigenvectors[:, lo:hi] @ p
@@ -710,7 +705,6 @@ def sbd_refine(
     state: StateTensor,
     n: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    seed: int = 0,
 ) -> list:
     """Finest partition of a subsystem's support that the state's pairwise
     correlations cannot distinguish further.
@@ -723,8 +717,8 @@ def sbd_refine(
     draws X = Tr_m[(I x H_m) rho_nm] / w, H_m Hermitian, restricted to it;
     parts a < b merge back whenever ||(B_b^H x I) rho_nm (B_a x I)||_F / w
     exceeds ``tol.t_edge`` for some m, and the search stops after
-    ``SBD_STABLE_ROUNDS`` consecutive stable rounds.  Deterministic for a
-    fixed seed.
+    ``SBD_STABLE_ROUNDS`` consecutive stable rounds.  Deterministic: the
+    draws come from a generator seeded with ``SBD_SEED``.
 
     Returns
     -------
@@ -732,10 +726,9 @@ def sbd_refine(
         Orthonormal bases (columns) of the partition, cluster by cluster in
         descending eigenvalue order.
     """
-    seed = _checked_seed(seed)
     if state.n_subsystems == 2:
         raise UnsupportedOperationError("pair-state refinement needs at least three subsystems")
-    ((stacked, bounds),) = _support_partitions(state, [n], tol, seed)[0]
+    ((stacked, bounds),) = _support_partitions(state, [n], tol)[0]
     return [stacked[:, a:b] for a, b in zip(bounds, bounds[1:])]
 
 
@@ -842,7 +835,6 @@ class DecompositionResult:
 def maximal_decomposition(
     state: StateTensor,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    seed: int = 0,
 ) -> DecompositionResult:
     """Compute the finest locally orthogonal decomposition of a state.
 
@@ -857,23 +849,22 @@ def maximal_decomposition(
     Raises
     ------
     ValueError
-        For a bad seed, or a ``t_supp`` that leaves a subsystem no support.
+        For a ``t_supp`` that leaves a subsystem no support.
     InternalConsistencyError
         If the constructed decomposition fails verification, which
         indicates a tolerance breakdown; a bad decomposition is never
         returned silently.
     """
-    seed = _checked_seed(seed)
     if state.n_subsystems == 2:
         schmidt = schmidt_decompose(state, [0], tol.t_deg, tol.t_supp)
         left, right, non_unique = schmidt.left_vectors, schmidt.right_vectors, schmidt.degenerate
         supports = [(left[:, [k]], right[:, [k]]) for k in range(left.shape[1])]
         graph, path, seed, degenerate = None, "schmidt", None, (0, 1) if non_unique else ()
     else:
-        frames, degenerate = _support_partitions(state, range(state.n_subsystems), tol, seed)
+        frames, degenerate = _support_partitions(state, range(state.n_subsystems), tol)
         supports, graph = _extract_component_branches(state, frames, tol)
         path = "block-sbd" if degenerate else "eigenvector-graph"
-        non_unique = False
+        seed, non_unique = SBD_SEED, False
     dec, report = _decomposition_from_supports(state, supports)
     checks = {c.name: c.residual for c in report.checks}
     diagnostics = Diagnostics(

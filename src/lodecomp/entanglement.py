@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,27 +41,6 @@ def shannon_entropy(weights, base: float = 2.0) -> float:
     return max(total, 0.0) / math.log(base)
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """Branch weights and their entropy, plus degeneracy flags.
-
-    ``degenerate_spectrum`` is set when some local spectrum has a
-    degenerate in-support eigenvalue cluster; ``non_unique`` only ever
-    fires for two subsystems, where degenerate coefficients make the
-    decomposition non-unique (the entropy is still well defined).
-    """
-
-    weights: tuple
-    entropy_bits: float
-    branch_count: int
-    degenerate_spectrum: bool
-    non_unique: bool
-
-    @property
-    def entropy_nats(self) -> float:
-        return self.entropy_bits * math.log(2.0)
-
-
 def weight_entropy(weights) -> float:
     """Entropy in bits of branch weights renormalized to sum to 1, which
     they do only up to roundoff; so a single branch gives exactly 0 bits."""
@@ -70,21 +48,9 @@ def weight_entropy(weights) -> float:
     return shannon_entropy([w / total for w in weights])
 
 
-def entropy_report(result) -> EntropyReport:
-    """Branch weights of a maximal decomposition result, and their entropy."""
-    weights = tuple(float(w) for w in result.decomposition.weights)
-    return EntropyReport(
-        weights=weights,
-        entropy_bits=weight_entropy(weights),
-        branch_count=len(weights),
-        degenerate_spectrum=bool(result.diagnostics.degenerate_subsystems),
-        non_unique=result.diagnostics.non_unique,
-    )
-
-
-def e_lo(state: StateTensor, tol: Tolerances = DEFAULT_TOLERANCES, seed: int = 0) -> EntropyReport:
+def e_lo(state: StateTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Shannon entropy (in bits) of the maximal decomposition's weights."""
-    return entropy_report(maximal_decomposition(state, tol, seed))
+    return weight_entropy(maximal_decomposition(state, tol).decomposition.weights)
 
 
 def _check_unitary(mat: np.ndarray, size: int) -> np.ndarray:

@@ -10,7 +10,7 @@ Two JSON document kinds, both carrying a schema_version field:
 Both kinds are written by one recursive encoder, byte for byte as
 ``json.dumps(document, indent=2, sort_keys=True)``.  Floats are written
 with Python's shortest round-trip representation, so writing and
-re-reading a document is bit-exact, and fixed inputs plus a fixed seed
+re-reading a document is bit-exact, and fixed inputs and tolerances
 yield byte-identical report text.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .decomposition import (SBD_STABLE_ROUNDS, T_NINDEP, W_MIN, Branch, BranchDecomposition,
                             DecompositionResult, branch_projections)
-from .entanglement import EntropyReport, weight_entropy
+from .entanglement import weight_entropy
 from .tensor import StateTensor
 
 SCHEMA_VERSION = 1
@@ -208,13 +208,10 @@ class StateFile:
             return cls.from_json(handle.read())
 
 
-def report_document(
-    result: DecompositionResult,
-    entropy: EntropyReport,
-    name: str | None = None,
-) -> dict:
+def report_document(result: DecompositionResult, name: str | None = None) -> dict:
     """Assemble the machine-readable decomposition report."""
     decomposition = result.decomposition
+    weights = [branch.weight for branch in decomposition.branches]
     diagnostics = {key: list(value) if isinstance(value, tuple) else value
                    for key, value in asdict(result.diagnostics).items()}
     non_unique = diagnostics.pop("non_unique")
@@ -235,8 +232,8 @@ def report_document(
         "name": name,
         "dims": [int(d) for d in decomposition.state.dims],
         "branch_count": decomposition.n_branches,
-        "weights": [branch.weight for branch in decomposition.branches],
-        "entropy_bits": entropy.entropy_bits,
+        "weights": weights,
+        "entropy_bits": weight_entropy(weights),
         "branches": branches,
         "diagnostics": diagnostics,
         "flags": {

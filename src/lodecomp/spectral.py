@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import StateTensor, partial_trace, permute_subsystems
+from .tensor import StateTensor, _index, partial_trace, permute_subsystems
 from .tolerances import DEFAULT_TOLERANCES
 
 
@@ -155,7 +155,7 @@ def schmidt_decompose(
     The right vectors carry any phase freedom; left-vector phases are fixed
     for reproducibility.
     """
-    cut = sorted({int(n) for n in cut})
+    cut = sorted({_index(n, "cut index") for n in cut})
     if not cut or len(cut) == state.n_subsystems:
         raise ValueError("cut must be a nonempty strict subset of the subsystems")
     if any(not 0 <= n < state.n_subsystems for n in cut):

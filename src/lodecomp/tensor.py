@@ -13,6 +13,7 @@ functions, so everything here is safe to share between concurrent tasks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,14 @@ NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 ORTHONORMALITY_ATOL = 1e-10
+
+
+def _index(value, what: str) -> int:
+    """``value`` as a plain int, else ValueError naming ``what``: numpy
+    integers pass, while bools, floats and strings are never truncated."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _as_complex_vector(values) -> np.ndarray:
@@ -50,7 +59,7 @@ class StateTensor:
     amps: np.ndarray = field(repr=False)
 
     def __init__(self, dims, amps):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(_index(d, "subsystem dimension") for d in dims)
         if len(dims) < 2:
             raise ValueError("a state needs at least two subsystems")
         if any(d < 1 for d in dims):
@@ -100,7 +109,7 @@ class DensityOperator:
     matrix: np.ndarray = field(repr=False)
 
     def __init__(self, subsystems, matrix):
-        subsystems = tuple(int(n) for n in subsystems)
+        subsystems = tuple(_index(n, "subsystem index") for n in subsystems)
         mat = np.asarray(matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
@@ -128,7 +137,7 @@ class LocalProjector:
     basis: np.ndarray = field(repr=False)
 
     def __init__(self, subsystem, basis):
-        subsystem = int(subsystem)
+        subsystem = _index(subsystem, "subsystem index")
         b = np.asarray(basis, dtype=np.complex128)
         if b.ndim == 1:
             b = b[:, None]
@@ -140,7 +149,7 @@ class LocalProjector:
             raise ValueError(f"basis columns are not orthonormal (max deviation {dev:.3e})")
         b = b.copy()
         b.setflags(write=False)
-        object.__setattr__(self, "subsystem", int(subsystem))
+        object.__setattr__(self, "subsystem", subsystem)
         object.__setattr__(self, "basis", b)
 
     @property
@@ -157,9 +166,10 @@ class LocalProjector:
 
 
 def _check_subsystem(dims, n: int) -> int:
+    n = _index(n, "subsystem index")
     if not 0 <= n < len(dims):
         raise ValueError(f"subsystem index {n} out of range for {len(dims)} subsystems")
-    return int(n)
+    return n
 
 
 def apply_matrix_at(amps: np.ndarray, dims, n: int, mat: np.ndarray) -> np.ndarray:
@@ -261,17 +271,6 @@ def joint_projection_norm(state: StateTensor, p: LocalProjector, q: LocalProject
     return float(np.vdot(vec, vec).real)
 
 
-def inner_product(a, b) -> complex:
-    """Hermitian inner product <a|b> of two equally shaped amplitude vectors."""
-    av = a.amps if isinstance(a, StateTensor) else np.asarray(a, dtype=np.complex128)
-    bv = b.amps if isinstance(b, StateTensor) else np.asarray(b, dtype=np.complex128)
-    if av.shape != bv.shape:
-        raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    if isinstance(a, StateTensor) and isinstance(b, StateTensor) and a.dims != b.dims:
-        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    return complex(np.vdot(av, bv))
-
-
 def tensor_compose(a: StateTensor, b: StateTensor) -> StateTensor:
     """Tensor product state on the concatenated subsystem list."""
     return StateTensor(a.dims + b.dims, np.kron(a.amps, b.amps))
@@ -279,7 +278,7 @@ def tensor_compose(a: StateTensor, b: StateTensor) -> StateTensor:
 
 def permute_subsystems(state: StateTensor, perm) -> StateTensor:
     """Reorder subsystems: new position ``k`` holds old subsystem ``perm[k]``."""
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(_index(p, "permutation entry") for p in perm)
     if sorted(perm) != list(range(state.n_subsystems)):
         raise ValueError(f"{perm} is not a permutation of 0..{state.n_subsystems - 1}")
     arr = state.as_array().transpose(perm)

@@ -46,8 +46,7 @@ from lodecomp.decomposition import (
     verify_lo,
 )
 from lodecomp.errors import InternalConsistencyError, UnsupportedOperationError
-from lodecomp.entanglement import entropy_report
-from lodecomp.fileio import StateFile, report_document, report_to_json
+from lodecomp.fileio import StateFile
 from lodecomp.oracle import oracle_verify_maximality_small
 from lodecomp.spectral import local_spectrum
 from lodecomp.tensor import (
@@ -286,11 +285,12 @@ class TestLightBranches:
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-6])
     @pytest.mark.parametrize("dressing", [None, 0, 1, 2])
-    def test_light_branches_split(self, eps, dressing):
+    def test_light_branches_split(self, eps, dressing, monkeypatch):
         state, unitaries = light_branch_state(eps, dressing)
         exact = [[u[:, [i]] @ u[:, [i]].conj().T for u in unitaries] for i in range(3)]
         for seed in range(5):
-            d = maximal_decomposition(state, seed=seed).decomposition
+            monkeypatch.setattr(decomposition, "SBD_SEED", seed)
+            d = maximal_decomposition(state).decomposition
             assert d.n_branches == 3
             assert np.max(np.abs(d.weights - [1 - eps, eps / 2, eps / 2])) <= 1e-12
             matched = []
@@ -309,13 +309,14 @@ class TestLightBranches:
         [(eps, (0.6, 0.4)) for eps in (1.2e-9, 1e-8, 1e-6)] + [(1e-8, (1.0,))],
     )
     @pytest.mark.parametrize("dressing", [None, 0, 1, 2])
-    def test_light_rings_split(self, eps, ring_weights, dressing):
+    def test_light_rings_split(self, eps, ring_weights, dressing, monkeypatch):
         # each ring's cluster lies within t_deg of the other's, and its
         # levels are t_supp-scale eigenvalues at eps = 1.2e-9
         state = light_rings_state(eps, ring_weights, dressing)
         want = [1 - eps] + [w * eps for w in ring_weights]
         for seed in range(2):
-            d = maximal_decomposition(state, seed=seed).decomposition
+            monkeypatch.setattr(decomposition, "SBD_SEED", seed)
+            d = maximal_decomposition(state).decomposition
             assert d.n_branches == 1 + len(ring_weights)
             assert np.max(np.abs(d.weights - want)) <= 1e-12
             assert [b.support_ranks for b in d.branches[1:]] == [(4, 4, 4)] * len(ring_weights)
@@ -326,7 +327,7 @@ class TestNoBranchSplitsAgain:
     the fixpoint that a recursive refinement of every branch used to
     enforce holds after one pass."""
 
-    def test_branch_sub_states_are_single_branches(self):
+    def test_branch_sub_states_are_single_branches(self, monkeypatch):
         states = [s for s in catalog_and_dressed_states() if s.n_subsystems > 2]
         states += [nested_state()]
         states += [two_ring_state(p, seed) for p in (0.6515562583499651, 0.9) for seed in (0, 260)]
@@ -336,13 +337,14 @@ class TestNoBranchSplitsAgain:
         checked = 0
         for state in states:
             for seed in range(2):
-                d = maximal_decomposition(state, seed=seed).decomposition
+                monkeypatch.setattr(decomposition, "SBD_SEED", seed)
+                d = maximal_decomposition(state).decomposition
                 for branch in d.branches:
                     ranks = branch.support_ranks
                     if min(ranks) < 2:  # a rank-one support cannot be split
                         continue
                     amps = reference_compress_vector(branch.vector, state.dims, branch.supports)
-                    sub = maximal_decomposition(StateTensor(ranks, amps), seed=seed)
+                    sub = maximal_decomposition(StateTensor(ranks, amps))
                     assert sub.decomposition.n_branches == 1, (state.dims, ranks)
                     checked += 1
                 if state.total_dim <= 256:
@@ -375,14 +377,15 @@ class TestNearThresholdSweep:
     eigenvectors are accurate only to about eps/gap, are left to SBD."""
 
     @pytest.mark.parametrize("name", sorted(near_threshold_weights()))
-    def test_verified_or_raises(self, name):
+    def test_verified_or_raises(self, name, monkeypatch):
         gap = name.startswith("gap")
         base = z_state(near_threshold_weights()[name])
         dressings, seeds = (range(4), range(5)) if gap else (range(3), range(2))
         for state in [base] + [dress_state(base, seed=d) for d in dressings]:
             for seed in seeds:
+                monkeypatch.setattr(decomposition, "SBD_SEED", seed)
                 try:
-                    result = maximal_decomposition(state, seed=seed)
+                    result = maximal_decomposition(state)
                 except InternalConsistencyError:
                     if gap:
                         raise
@@ -403,7 +406,9 @@ class TestNearThresholdSweep:
         # two clusters merge and SBD splits them, above it the eigenvectors do
         gap = f * DEFAULT_TOLERANCES.t_deg
         state = dress_state(z_state((0.45 + gap / 2, 0.45 - gap / 2, 0.1)), seed=dressing)
-        result = maximal_decomposition(state, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decomposition, "SBD_SEED", seed)
+            result = maximal_decomposition(state)
         assert result.decomposition.n_branches == 3
         if abs(gap - _GUARD_GAP) > 1e-6 * _GUARD_GAP:  # rounding decides at the edge
             in_band = gap < _GUARD_GAP
@@ -991,17 +996,20 @@ class TestSbdRefine:
         assert len(parts) == 4
         assert all(p.shape == (4, 1) for p in parts)
 
-    def test_seed_deterministic(self):
-        a = sbd_refine(ghz_state(4, 3), 2, seed=9)
-        b = sbd_refine(ghz_state(4, 3), 2, seed=9)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seed_deterministic(self, seed, monkeypatch):
+        monkeypatch.setattr(decomposition, "SBD_SEED", seed)
+        a = sbd_refine(ghz_state(4, 3), 2)
+        b = sbd_refine(ghz_state(4, 3), 2)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_seed_independent_subspaces(self):
-        a = sbd_refine(z_state((0.5, 0.5)), 0, seed=1)
-        b = sbd_refine(z_state((0.5, 0.5)), 0, seed=2)
-        pa = sorted(np.round(p @ p.conj().T, 8).real.tolist() for p in a)
-        pb = sorted(np.round(p @ p.conj().T, 8).real.tolist() for p in b)
-        assert pa == pb
+    def test_seed_independent_subspaces(self, monkeypatch):
+        projectors = []
+        for seed in range(5):
+            monkeypatch.setattr(decomposition, "SBD_SEED", seed)
+            blocks = sbd_refine(z_state((0.5, 0.5)), 0)
+            projectors.append(sorted(np.round(p @ p.conj().T, 8).real.tolist() for p in blocks))
+        assert all(p == projectors[0] for p in projectors[1:])
 
     def test_bipartite_rejected(self):
         bell = StateTensor((2, 2), np.array([1, 0, 0, 1.0]))
@@ -1294,7 +1302,7 @@ class TestBatchedSbdAgainstReference:
                 if spec.is_support_degenerate:
                     continue
                 # a subsystem that needs no SBD builds no generator
-                ((stacked, bounds),) = _support_partitions(state, [n], DEFAULT_TOLERANCES, 0)[0]
+                ((stacked, bounds),) = _support_partitions(state, [n], DEFAULT_TOLERANCES)[0]
                 assert list(bounds) == list(range(spec.support_rank + 1))
                 for k in range(spec.support_rank):
                     assert np.array_equal(stacked[:, [k]], spec.eigenvectors[:, [k]])
@@ -1343,11 +1351,12 @@ class TestSbdMergePinned:
                     with monkeypatch.context() as patch:
                         patch.setattr(decomposition, "_merge_coupled", merge)
                         patch.setattr(np.random, "default_rng", captured_rng)
+                        patch.setattr(decomposition, "SBD_SEED", seed)
                         generators.clear()
-                        ((stacked, bounds),) = _support_partitions(state, [n], tol, seed)[0]
+                        ((stacked, bounds),) = _support_partitions(state, [n], tol)[0]
                         parts = [stacked[:, a:b] for a, b in zip(bounds, bounds[1:])]
                         ends = [g.bit_generator.state for g in generators]
-                        runs.append((sbd_refine(state, n, tol, seed), parts, ends))
+                        runs.append((sbd_refine(state, n, tol), parts, ends))
                 (blocks, parts, end), (ref_blocks, ref_parts, ref_end) = runs
                 # one generator exactly when some cluster needs SBD
                 assert len(end) == (1 if layouts else 0) and end == ref_end
@@ -1372,8 +1381,9 @@ class TestSbdMergePinned:
         monkeypatch.setattr(decomposition, "_merge_coupled", counting)
         monkeypatch.setattr(decomposition, "SBD_STABLE_ROUNDS", rounds)
         for seed in range(3):
+            monkeypatch.setattr(decomposition, "SBD_SEED", seed)
             calls.clear()
-            blocks = sbd_refine(irreducible_state(), 0, seed=seed)
+            blocks = sbd_refine(irreducible_state(), 0)
             assert len(blocks) == 1 and blocks[0].shape == (4, 4)
             assert calls == [[4] * rounds]
 
@@ -1469,13 +1479,16 @@ class TestSbdBatchedAgainstSequential:
                 split += len(blocks) > 1
         assert checked >= 200 and split >= 20
 
-    def test_unsplit_cluster_keeps_the_eigenvectors(self):
+    def test_unsplit_cluster_keeps_the_eigenvectors(self, monkeypatch):
         # a cluster that no round splits comes back as the identity on the
         # cluster, so its support columns are rho_n's eigenvectors and the
         # degenerate workload's branches do not depend on the seed at all
         for c in bench_states.make_cases("degenerate", 5):
             state = StateTensor(c.dims, c.amps)
-            results = [maximal_decomposition(state, seed=seed).decomposition for seed in range(5)]
+            results = []
+            for seed in range(5):
+                monkeypatch.setattr(decomposition, "SBD_SEED", seed)
+                results.append(maximal_decomposition(state).decomposition)
             for d in results[1:]:
                 assert np.array_equal(d.weights, results[0].weights)
                 for b, b0 in zip(d.branches, results[0].branches):
@@ -1604,15 +1617,25 @@ def same_branches(d1, d2):
             raise AssertionError(f"no partner for branch of weight {b1.weight}")
 
 
+def results_over_sbd_seeds(state, seeds=range(5)):
+    """``maximal_decomposition(state)`` with ``SBD_SEED`` set to each seed."""
+    results = []
+    with pytest.MonkeyPatch.context() as patch:
+        for seed in seeds:
+            patch.setattr(decomposition, "SBD_SEED", seed)
+            results.append(maximal_decomposition(state))
+    return results
+
+
 class TestSbdMetamorphic:
-    """Block-sbd content does not depend on the seed; on a non-degenerate
-    spectrum forced SBD finds the eigenvector lines."""
+    """Block-sbd content does not depend on the SBD draws; on a
+    non-degenerate spectrum forced SBD finds the eigenvector lines."""
 
     @settings(max_examples=4, deadline=None)
     @given(st.floats(min_value=0.55, max_value=0.85), st.integers(min_value=0, max_value=10**6))
     def test_two_ring_seed_independent(self, p, dressing):
         state = two_ring_state(p, dressing)
-        results = [maximal_decomposition(state, seed=seed) for seed in range(5)]
+        results = results_over_sbd_seeds(state)
         assert all(r.diagnostics.path == "block-sbd" for r in results)
         assert results[0].decomposition.n_branches == 2
         for r in results[1:]:
@@ -1622,7 +1645,7 @@ class TestSbdMetamorphic:
     @pytest.mark.parametrize("dressing", [0, 3])
     def test_dressed_ghz_seed_independent(self, dim, dressing):
         state = dress_state(ghz_state(3, dim), seed=dressing)
-        results = [maximal_decomposition(state, seed=seed) for seed in range(5)]
+        results = results_over_sbd_seeds(state)
         assert results[0].decomposition.n_branches == dim
         for r in results[1:]:
             same_branches(results[0].decomposition, r.decomposition)
@@ -1693,38 +1716,11 @@ class TestAssemble:
 
 class TestDiagnostics:
     def test_seed_recorded(self):
-        result = maximal_decomposition(ghz_state(), seed=17)
-        assert result.diagnostics.seed == 17
-        assert result.diagnostics.degenerate_subsystems == (0, 1, 2)
-        assert not result.diagnostics.non_unique
-
-    @pytest.mark.parametrize("seed", [-1, 1.5, "1", None, True, False])
-    @pytest.mark.parametrize(
-        "state",
-        [z_state((0.5, 0.3, 0.2)), ghz_state(), ghz_state(2)],
-        ids=["eigenvector-graph", "block-sbd", "schmidt"],
-    )
-    def test_bad_seed_rejected_on_every_path_before_any_work(self, state, seed, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before the seed was checked")
-
-        monkeypatch.setattr(decomposition, "local_spectrum", no_work)
-        monkeypatch.setattr(decomposition, "schmidt_decompose", no_work)
-        message = f"seed must be a non-negative integer, got {seed!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            maximal_decomposition(state, seed=seed)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            sbd_refine(state, 0, seed=seed)
-
-    def test_integer_like_seed_recorded_as_int(self):
-        # a numpy integer used to reach the report and fail its JSON writer
-        state = ghz_state()
-        by_int, by_numpy = (maximal_decomposition(state, seed=s) for s in (3, np.int64(3)))
-        assert type(by_numpy.diagnostics.seed) is int
-        documents = [report_to_json(report_document(r, entropy_report(r))) for r in (by_int, by_numpy)]
-        assert documents[0] == documents[1]
-        blocks = [sbd_refine(state, 0, seed=s) for s in (3, np.int64(3))]
-        assert all(np.array_equal(a, b) for a, b in zip(*blocks))
+        assert maximal_decomposition(ghz_state()).diagnostics.seed == decomposition.SBD_SEED == 0
+        for seed, result in enumerate(results_over_sbd_seeds(ghz_state())):
+            assert result.diagnostics.seed == seed
+            assert result.diagnostics.degenerate_subsystems == (0, 1, 2)
+            assert not result.diagnostics.non_unique
 
     def test_weights_sorted(self):
         result = maximal_decomposition(z_state((0.2, 0.3, 0.5)))
@@ -1737,7 +1733,7 @@ class TestDiagnostics:
         assert result.diagnostics.max_rejected_edge < result.diagnostics.tolerances.t_edge * 10
 
     def test_n_independence_small(self):
-        result = maximal_decomposition(dress_state(ghz_state(), seed=3), seed=3)
+        result = maximal_decomposition(dress_state(ghz_state(), seed=3))
         assert result.diagnostics.n_independence_residual <= 1e-8
 
     def test_bipartite_path(self):

@@ -13,6 +13,7 @@ from lodecomp.catalog import (
     x_state,
     z_state,
 )
+from lodecomp.decomposition import maximal_decomposition
 from lodecomp.entanglement import (
     apply_local_unitary,
     apply_pairwise_unitary,
@@ -74,53 +75,41 @@ class TestShannonEntropy:
 
 class TestELO:
     def test_ghz_one_bit(self):
-        report = e_lo(ghz_state())
-        assert report.entropy_bits == pytest.approx(1.0, abs=1e-12)
-        assert report.branch_count == 2
-        assert report.degenerate_spectrum
-        assert not report.non_unique
+        assert type(e_lo(ghz_state())) is float
+        assert e_lo(ghz_state()) == pytest.approx(1.0, abs=1e-12)
+        result = maximal_decomposition(ghz_state())
+        assert result.decomposition.n_branches == 2
+        assert result.diagnostics.degenerate_subsystems
+        assert not result.diagnostics.non_unique
 
     def test_counterexamples_zero(self):
         for state in (u_state(), v_state(), x_state()):
-            report = e_lo(state)
-            assert report.branch_count == 1
-            assert report.entropy_bits == 0.0
+            assert maximal_decomposition(state).decomposition.n_branches == 1
+            assert e_lo(state) == 0.0
 
     def test_z_weights(self):
-        report = e_lo(z_state((0.5, 0.25, 0.25)))
-        assert report.entropy_bits == pytest.approx(1.5, abs=1e-9)
-        assert sorted(report.weights, reverse=True) == list(report.weights)
+        assert e_lo(z_state((0.5, 0.25, 0.25))) == pytest.approx(1.5, abs=1e-9)
 
     def test_w_zero(self):
-        report = e_lo(w_state())
-        assert report.branch_count == 1
-        assert report.entropy_bits == 0.0
-        assert not report.degenerate_spectrum
+        result = maximal_decomposition(w_state())
+        assert result.decomposition.n_branches == 1
+        assert not result.diagnostics.degenerate_subsystems
+        assert e_lo(w_state()) == 0.0
 
     def test_bell_one_bit_non_unique(self):
         bell = StateTensor((2, 2), np.array([1.0, 0.0, 0.0, 1.0]))
-        report = e_lo(bell)
-        assert report.entropy_bits == pytest.approx(1.0, abs=1e-12)
-        assert report.non_unique
+        assert e_lo(bell) == pytest.approx(1.0, abs=1e-12)
+        assert maximal_decomposition(bell).diagnostics.non_unique
 
     def test_product_exactly_zero(self):
-        report = e_lo(product_state((2, 3, 2), split=1, seed=5))
-        assert report.branch_count == 1
-        assert report.entropy_bits == 0.0
+        state = product_state((2, 3, 2), split=1, seed=5)
+        assert maximal_decomposition(state).decomposition.n_branches == 1
+        assert e_lo(state) == 0.0
 
     def test_entropy_bounded_by_log_branch_count(self):
-        report = e_lo(z_state((0.4, 0.35, 0.25)))
-        assert 0.0 < report.entropy_bits <= math.log2(report.branch_count) + 1e-12
-
-    def test_nats_property(self):
-        report = e_lo(ghz_state())
-        assert report.entropy_nats == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_weights_tuple_of_floats(self):
-        report = e_lo(z_state((0.5, 0.3, 0.2)))
-        assert isinstance(report.weights, tuple)
-        assert all(isinstance(w, float) for w in report.weights)
-        assert sum(report.weights) == pytest.approx(1.0, abs=1e-9)
+        state = z_state((0.4, 0.35, 0.25))
+        branches = maximal_decomposition(state).decomposition.n_branches
+        assert 0.0 < e_lo(state) <= math.log2(branches) + 1e-12
 
 
 class TestApplyLocalUnitary:
@@ -164,7 +153,7 @@ class TestApplyLocalUnitary:
         state = z_state((0.5, 0.3, 0.2))
         before = e_lo(state)
         after = e_lo(apply_local_unitary(state, 2, ROTATION_D3))
-        assert after.entropy_bits == pytest.approx(before.entropy_bits, abs=1e-9)
+        assert after == pytest.approx(before, abs=1e-9)
 
 
 class TestApplyPairwiseUnitary:
@@ -230,24 +219,23 @@ class TestLevelMixing:
         # branch's subspaces, so the weights survive
         state = z_state((0.6, 0.4), 3, (3, 3, 3))
         u = level_mixing_unitary(3, 3, 0, 2)
-        before = e_lo(state)
-        after = e_lo(apply_pairwise_unitary(state, 1, 2, u))
-        assert np.allclose(sorted(after.weights), sorted(before.weights), atol=1e-9)
-        assert after.branch_count == before.branch_count
+        before = maximal_decomposition(state).decomposition.weights
+        after = maximal_decomposition(apply_pairwise_unitary(state, 1, 2, u)).decomposition.weights
+        assert after.shape == before.shape
+        assert np.allclose(sorted(after), sorted(before), atol=1e-9)
 
     def test_equal_weight_branch_mixing_rotates(self):
         # mixing two equally weighted populated levels only rotates the
         # branch bases; the decomposition keeps both branches
         mixed = apply_pairwise_unitary(ghz_state(), 0, 1, level_mixing_unitary(2, 2, 0, 1))
-        report = e_lo(mixed)
-        assert report.branch_count == 2
-        assert report.entropy_bits == pytest.approx(1.0, abs=1e-9)
+        assert maximal_decomposition(mixed).decomposition.n_branches == 2
+        assert e_lo(mixed) == pytest.approx(1.0, abs=1e-9)
 
     def test_unequal_weight_branch_mixing_destroys_records(self):
         # mixing two unequally weighted populated levels leaks each branch
         # into the other's subspaces and the split disappears
         state = z_state((0.6, 0.4))
         u = level_mixing_unitary(2, 2, 0, 1)
-        report = e_lo(apply_pairwise_unitary(state, 0, 1, u))
-        assert report.branch_count == 1
-        assert report.entropy_bits == 0.0
+        mixed = apply_pairwise_unitary(state, 0, 1, u)
+        assert maximal_decomposition(mixed).decomposition.n_branches == 1
+        assert e_lo(mixed) == 0.0

@@ -18,7 +18,6 @@ from lodecomp.catalog import (
     z_state,
 )
 from lodecomp.decomposition import maximal_decomposition, verify_lo
-from lodecomp.entanglement import e_lo
 from lodecomp.tensor import StateTensor
 from lodecomp.fileio import (
     SCHEMA_VERSION,
@@ -38,7 +37,7 @@ import states  # noqa: E402
 
 def sample_report(state):
     result = maximal_decomposition(state)
-    return report_document(result, e_lo(state), name="sample")
+    return report_document(result, name="sample")
 
 
 class TestStateFile:
@@ -363,9 +362,7 @@ def malformed_reports():
 class TestBulkWriter:
     @pytest.mark.parametrize("name, state", list(catalog_states()) + list(workload_states()))
     def test_report_bytes_equal_json_dumps(self, name, state):
-        document = report_document(
-            maximal_decomposition(state), e_lo(state), name=name
-        )
+        document = report_document(maximal_decomposition(state), name=name)
         assert report_to_json(document) == dumps(document)
 
     @pytest.mark.parametrize("name, state", list(catalog_states()) + list(workload_states()))

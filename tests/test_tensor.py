@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,14 +15,15 @@ from lodecomp.tensor import (
     apply_local_projector,
     apply_matrix_at,
     basis_stack,
-    inner_product,
     joint_projection_norm,
     partial_trace,
     permute_subsystems,
     project_supports,
     tensor_compose,
 )
+from lodecomp.decomposition import coarse_grain, maximal_decomposition
 from lodecomp.entanglement import apply_pairwise_unitary
+from lodecomp.spectral import local_spectrum, schmidt_decompose
 
 import util  # noqa: F401  (puts bench/ on the path)
 import states as bench_states  # noqa: E402
@@ -400,13 +402,6 @@ class TestProjectors:
 
 
 class TestComposition:
-    def test_inner_product(self):
-        a = StateTensor((2, 2), [1, 0, 0, 0])
-        b = StateTensor((2, 2), np.array([1, 0, 0, 1.0]) / np.sqrt(2))
-        assert abs(inner_product(a, b) - 1 / np.sqrt(2)) < 1e-12
-        with pytest.raises(ValueError):
-            inner_product(a, StateTensor((2, 2, 2), np.ones(8)))
-
     def test_tensor_compose(self):
         a = StateTensor((2, 2), [1, 0, 0, 0])
         b = StateTensor((3, 2), np.eye(6)[4])
@@ -434,3 +429,32 @@ class TestComposition:
         state = StateTensor((2, 2), [1, 0, 0, 0])
         with pytest.raises(ValueError):
             permute_subsystems(state, (0, 0))
+
+
+def _z3():
+    return z_state((0.5, 0.3, 0.2))
+
+
+# every door that takes a subsystem dimension, subsystem or branch index,
+# called with the value in an index position; 1 is valid at each
+INDEX_DOORS = {
+    "StateTensor dims": lambda v: StateTensor((2, v), np.ones(2)),
+    "DensityOperator": lambda v: DensityOperator((v,), np.eye(2) / 2),
+    "LocalProjector": lambda v: LocalProjector(v, np.eye(2)[:, :1]),
+    "partial_trace": lambda v: partial_trace(_z3(), [v]),
+    "local_spectrum": lambda v: local_spectrum(_z3(), v),
+    "permute_subsystems": lambda v: permute_subsystems(_z3(), (0, v, 2)),
+    "schmidt_decompose": lambda v: schmidt_decompose(_z3(), [v]),
+    "coarse_grain": lambda v: coarse_grain(
+        maximal_decomposition(_z3()).decomposition, [[0, v], [2]]
+    ),
+}
+
+
+@pytest.mark.parametrize("door", sorted(INDEX_DOORS))
+@pytest.mark.parametrize("value", [1.5, True, "1", np.float64(1.0)], ids=repr)
+def test_index_arguments_are_never_truncated(door, value):
+    # int() used to turn 1.5 and True into 1; numpy integers stay accepted
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {value!r}")):
+        INDEX_DOORS[door](value)
+    INDEX_DOORS[door](np.int64(1))

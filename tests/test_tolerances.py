@@ -28,10 +28,13 @@ def test_positive_cutoffs_are_accepted(name, value):
 
 
 
-@pytest.mark.parametrize("name, value", [("W_MIN", 1e-12), ("T_NINDEP", 1e-8), ("SBD_STABLE_ROUNDS", 3)])
+@pytest.mark.parametrize(
+    "name, value",
+    [("W_MIN", 1e-12), ("T_NINDEP", 1e-8), ("SBD_STABLE_ROUNDS", 3), ("SBD_SEED", 0)],
+)
 def test_fixed_thresholds_keep_their_values(name, value):
-    # the report's tolerance block lists these beside the cutoffs, so a
-    # changed value would change every report's bytes
+    # the report's tolerance block lists these beside the cutoffs, and its
+    # diagnostics the SBD seed, so a changed value would change report bytes
     constant = getattr(decomposition, name)
     assert constant == value and type(constant) is type(value)
 

@@ -21,7 +21,7 @@ def load_tool(name="report_digest"):
     return module
 
 
-DIGEST_ARGS = ["--workload-seeds", "3", "--seeds", "0"]
+DIGEST_ARGS = ["--workload-seeds", "3"]
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +36,8 @@ def printed_digests():
 
 @pytest.fixture(scope="module")
 def seed_digests():
-    """One ``digests([3], [0])`` run, the baseline that fresh runs are compared with."""
-    return load_tool().digests([3], [0])
+    """One ``digests([3])`` run, the baseline that fresh runs are compared with."""
+    return load_tool().digests([3])
 
 
 def test_one_digest_per_path_label(printed_digests, tmp_path):
@@ -66,13 +66,8 @@ def test_one_digest_per_path_label(printed_digests, tmp_path):
     assert counts["states"] == len(tool.write_inputs(tmp_path, [3]))
 
 
-def test_digests_repeat_and_follow_the_seeds(seed_digests):
-    tool = load_tool()
-    first = seed_digests
-    assert tool.digests([3], [0]) == first
-    # a second decomposition seed adds outputs to every label
-    both = tool.digests([3], [0, 1])
-    assert all(both[label][1] == 2 * first[label][1] for label in first)
+def test_digests_repeat(seed_digests):
+    assert load_tool().digests([3]) == seed_digests
 
 
 def test_verify_passes_the_genuine_report_and_rejects_each_tamper(tmp_path):
@@ -80,7 +75,7 @@ def test_verify_passes_the_genuine_report_and_rejects_each_tamper(tmp_path):
     path = tmp_path / "z.json"
     tool.StateFile.from_state(tool.z_state((0.5, 0.3, 0.2)), name="z").write(path)
     out = tmp_path / "report.json"
-    assert tool.decompose(path, "json", 0, out)[0] == 0
+    assert tool.decompose(path, "json", out)[0] == 0
     runs = tool.verify(path, out.read_bytes(), tmp_path)
     codes = {name: code for name, code, _ in runs}
     assert codes == {"genuine": 0, "weight": 1, "weights": 1, "entropy": 1, "dims": 2, "support": 1}
@@ -94,7 +89,7 @@ def test_verify_digest_follows_the_verify_output(seed_digests, monkeypatch):
     first = seed_digests
     # without the tampered copies, only the genuine runs are hashed
     monkeypatch.setattr(tool, "tampered", lambda document: [])
-    genuine = tool.digests([3], [0])
+    genuine = tool.digests([3])
     assert genuine["verify"][1] * 6 == first["verify"][1]
     assert genuine["verify"][0] != first["verify"][0]
     assert all(genuine[label] == first[label] for label in first if label != "verify")
@@ -102,15 +97,15 @@ def test_verify_digest_follows_the_verify_output(seed_digests, monkeypatch):
 
 def test_layer_digest_repeats_and_follows_the_layer_bytes(tmp_path, monkeypatch):
     tool = load_tool()
-    first = tool.layer_digest([3], [0])
-    assert tool.layer_digest([3], [0]) == first
+    first = tool.layer_digest([3])
+    assert tool.layer_digest([3]) == first
     # one output per state with three or more subsystems
     states = [tool.StateFile.read(path).dims for _, path in tool.write_inputs(tmp_path, [3])]
     assert first[1] == sum(len(dims) >= 3 for dims in states)
     # the same blocks with their signs flipped: the same partitions, other bytes
     refine = tool.sbd_refine
     monkeypatch.setattr(tool, "sbd_refine", lambda *args, **kw: [-b for b in refine(*args, **kw)])
-    flipped = tool.layer_digest([3], [0])
+    flipped = tool.layer_digest([3])
     assert flipped[1] == first[1] and flipped[0] != first[0]
 
 

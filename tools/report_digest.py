@@ -1,8 +1,8 @@
 """One sha256 per path label over `lodecomp decompose` output, and one over `verify`.
 
-Runs `decompose` in-process, in json, table and csv format and at each
-decomposition seed, on the benchmark workloads' states and on catalog
-states (plain and dressed), and hashes every output of one path label
+Runs `decompose` in-process, in json, table and csv format, on the
+benchmark workloads' states and on catalog states (plain and dressed),
+and hashes every output of one path label
 (`schmidt`, `eigenvector-graph`, `block-sbd`) in a fixed order.  Two
 checkouts that print the same digest for a label wrote byte-identical
 output for every state of that label.  A run that exits non-zero is
@@ -16,15 +16,14 @@ one support column turned by 1e-3 rad toward the next branch's, as
 `bench/check.py`'s `rotate_support` turns it).
 
 The `layers` label digests the layer API on the same states with three or
-more subsystems: the `sbd_refine` blocks of every subsystem at each
-decomposition seed, then, from the seed-0 blocks, the weights, vectors and
-supports of `assemble_branches` and the edges, components and edge margins
-of `build_correlation_graph`.  Arrays are hashed by their bytes, floats by
+more subsystems: the `sbd_refine` blocks of every subsystem, then, from
+those blocks, the weights, vectors and supports of `assemble_branches` and
+the edges, components and edge margins of `build_correlation_graph`.  Arrays are hashed by their bytes, floats by
 their round-trip repr, and a state whose calls raise by the exception.
 
 The `algebra` label digests the decomposition algebra on the catalog
 states (plain and dressed) with three or more subsystems whose maximal
-decomposition at seed 0 has two or more branches: the weights, vectors and
+decomposition has two or more branches: the weights, vectors and
 supports of `trivial_decomposition`, of `coarse_grain` with branches 0 and
 1 merged, and of `common_fine_graining` of that coarse-graining and the
 one that merges branches 1 to k - 1.  Each call that raises is hashed by
@@ -35,7 +34,7 @@ input state above (workload, catalog and dressed), each re-read through
 `StateFile.from_json`.
 
     python3 tools/report_digest.py                       # workload seeds 0-4
-    python3 tools/report_digest.py --workload-seeds 3,11 --seeds 0,1,2
+    python3 tools/report_digest.py --workload-seeds 3,11
     python3 tools/report_digest.py --root ../other       # another checkout
 
 It imports the package from `DIR/src` and the workload states from
@@ -148,12 +147,11 @@ def write_inputs(work: Path, workload_seeds) -> list:
     return files
 
 
-def decompose(path: Path, fmt: str, seed: int, out: Path):
+def decompose(path: Path, fmt: str, out: Path):
     """(exit code, output bytes or standard error) of one decompose call."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        argv = ["decompose", str(path), "--format", fmt, "--seed", str(seed), "-o", str(out)]
-        code = cli.main(argv)
+        code = cli.main(["decompose", str(path), "--format", fmt, "-o", str(out)])
     return code, out.read_bytes() if code == 0 else err.getvalue().encode()
 
 
@@ -183,7 +181,7 @@ def verify(path: Path, report: bytes, work: Path) -> list:
     return out
 
 
-def digests(workload_seeds, seeds) -> dict:
+def digests(workload_seeds) -> dict:
     """{label: (sha256 hex digest, number of outputs)}."""
     hashes, counts = {}, {}
 
@@ -197,30 +195,25 @@ def digests(workload_seeds, seeds) -> dict:
         work = Path(tmp)
         out = work / "out"
         for name, path in write_inputs(work, workload_seeds):
-            for seed in seeds:
-                code, text = decompose(path, "json", seed, out)
-                label = json.loads(text)["diagnostics"]["path"] if code == 0 else f"exit {code}"
-                outputs = [("json", code, text)]
-                if code == 0:
-                    for tamper, vcode, vtext in verify(path, text, work):
-                        add("verify", f"{name} seed={seed} {tamper} exit={vcode}", vtext)
-                    outputs += [(fmt, *decompose(path, fmt, seed, out)) for fmt in FORMATS[1:]]
-                for fmt, code, text in outputs:
-                    add(label, f"{name} seed={seed} {fmt} exit={code}", text)
+            code, text = decompose(path, "json", out)
+            label = json.loads(text)["diagnostics"]["path"] if code == 0 else f"exit {code}"
+            outputs = [("json", code, text)]
+            if code == 0:
+                for tamper, vcode, vtext in verify(path, text, work):
+                    add("verify", f"{name} {tamper} exit={vcode}", vtext)
+                outputs += [(fmt, *decompose(path, fmt, out)) for fmt in FORMATS[1:]]
+            for fmt, code, text in outputs:
+                add(label, f"{name} {fmt} exit={code}", text)
     return {label: (hashes[label].hexdigest(), counts[label]) for label in sorted(hashes)}
 
 
-def layer_outputs(state, seeds) -> list:
+def layer_outputs(state) -> list:
     """The layer API's outputs on one state, in a fixed order: the
-    ``sbd_refine`` blocks at each seed, then the branches and the graph
-    built from the seed-0 blocks."""
-    def blocks(seed):
-        return [sbd_refine(state, n, seed=seed) for n in range(state.n_subsystems)]
-
-    partitions = blocks(0)
+    ``sbd_refine`` blocks, then the branches and the graph built from them."""
+    partitions = [sbd_refine(state, n) for n in range(state.n_subsystems)]
     decomposition = assemble_branches(state, partitions)
     graph = build_correlation_graph(state, partitions)
-    out = [b for seed in seeds for per_subsystem in blocks(seed) for b in per_subsystem]
+    out = [b for per_subsystem in partitions for b in per_subsystem]
     for branch in decomposition.branches:
         out += [branch.weight, branch.vector, *branch.supports]
     return out + [graph.edges, graph.components, graph.min_accepted_edge, graph.max_rejected_edge]
@@ -275,7 +268,7 @@ def _value_bytes(value) -> bytes:
     return f"{value!r}\n".encode()
 
 
-def layer_digest(workload_seeds, seeds) -> tuple:
+def layer_digest(workload_seeds) -> tuple:
     """(sha256 hex digest, number of outputs) of :func:`layer_outputs` on
     each input state with three or more subsystems, one output per state."""
     digest, count = hashlib.sha256(), 0
@@ -285,7 +278,7 @@ def layer_digest(workload_seeds, seeds) -> tuple:
             if state.n_subsystems < 3:
                 continue
             try:
-                outputs = layer_outputs(state, seeds)
+                outputs = layer_outputs(state)
             except (ValueError, InternalConsistencyError, UnsupportedOperationError) as exc:
                 outputs = [f"raised {type(exc).__name__}: {exc}"]
             text = b"".join(map(_value_bytes, outputs))
@@ -316,13 +309,11 @@ def main(argv=None) -> int:
     parser = _root_option(argparse.ArgumentParser(description=__doc__.splitlines()[0]))
     parser.add_argument("--workload-seeds", type=_int_list, default=[0, 1, 2, 3, 4],
                         help="comma-separated seeds of the benchmark workloads' states")
-    parser.add_argument("--seeds", type=_int_list, default=[0, 1],
-                        help="comma-separated decomposition seeds (decompose --seed)")
     args = parser.parse_args(argv)
     if args.root.resolve() != ROOT:
         parser.error(f"--root takes effect only when the tool runs as a script; digesting {ROOT}")
-    labels = digests(args.workload_seeds, args.seeds)
-    labels["layers"] = layer_digest(args.workload_seeds, args.seeds)
+    labels = digests(args.workload_seeds)
+    labels["layers"] = layer_digest(args.workload_seeds)
     labels["algebra"] = algebra_digest()
     labels["states"] = state_digest(args.workload_seeds)
     for label, (digest, count) in labels.items():
