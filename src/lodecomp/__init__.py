@@ -45,7 +45,7 @@ from .entanglement import (
     apply_pairwise_unitary,
     e_lo,
     level_mixing_unitary,
-    shannon_entropy,
+    weight_entropy,
 )
 from .errors import (
     DegenerateSpectrumError,
@@ -66,11 +66,7 @@ from .spectral import (
     schmidt_decompose,
 )
 from .tensor import (
-    DensityOperator,
-    LocalProjector,
     StateTensor,
-    apply_local_projector,
-    joint_projection_norm,
     partial_trace,
     permute_subsystems,
     tensor_compose,

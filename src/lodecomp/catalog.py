@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import StateTensor, apply_matrix_at
+from .tensor import StateTensor, _dims, _index, apply_matrix_at
 
 KINDS = ("ghz", "w", "z", "u", "v", "x", "product", "random", "random_local_dressing")
 
@@ -39,14 +39,24 @@ class StateSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown state kind {self.kind!r}; expected one of {KINDS}")
+        for name in ("n_subsystems", "seed", "split"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.dims is not None:
-            object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+            object.__setattr__(self, "dims", _dims(self.dims))
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
 
+def _seed(seed):
+    """``seed`` for ``np.random.default_rng``: None (fresh entropy) or an
+    integer, by :func:`tensor._index`."""
+    return None if seed is None else _index(seed, "seed")
+
+
 def ghz_state(n_subsystems: int = 3, dim: int = 2) -> StateTensor:
     """(|0...0> + |1...1> + ... + |d-1 ... d-1>)/sqrt(d) on n equal subsystems."""
+    n_subsystems, dim = _index(n_subsystems, "n_subsystems"), _index(dim, "dim")
     if n_subsystems < 2 or dim < 2:
         raise ValueError("ghz needs at least two subsystems of dimension at least 2")
     dims = (dim,) * n_subsystems
@@ -58,6 +68,7 @@ def ghz_state(n_subsystems: int = 3, dim: int = 2) -> StateTensor:
 
 def w_state(n_subsystems: int = 3) -> StateTensor:
     """Equal superposition of the single-excitation qubit basis states."""
+    n_subsystems = _index(n_subsystems, "n_subsystems")
     if n_subsystems < 2:
         raise ValueError("w needs at least two subsystems")
     dims = (2,) * n_subsystems
@@ -79,8 +90,8 @@ def z_state(weights, n_subsystems: int = 3, dims=None) -> StateTensor:
     if abs(sum(weights) - 1.0) > WEIGHT_SUM_ATOL:
         raise ValueError(f"weights must sum to 1, got {sum(weights)}")
     if dims is None:
-        dims = (len(weights),) * n_subsystems
-    dims = tuple(int(d) for d in dims)
+        dims = (len(weights),) * _index(n_subsystems, "n_subsystems")
+    dims = _dims(dims)
     if len(dims) < 2:
         raise ValueError("need at least two subsystems")
     if len(weights) > min(dims):
@@ -137,8 +148,8 @@ def x_state() -> StateTensor:
 
 def random_state(dims, seed: int = 0) -> StateTensor:
     """Normalized complex Gaussian amplitudes: rotation-invariant ensemble."""
-    dims = tuple(int(d) for d in dims)
-    rng = np.random.default_rng(seed)
+    dims = _dims(dims)
+    rng = np.random.default_rng(_seed(seed))
     total = math.prod(dims)
     amps = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     return StateTensor(dims, amps / np.linalg.norm(amps))
@@ -150,10 +161,10 @@ def product_state(dims, split: int = 1, seed: int = 0) -> StateTensor:
     Either factor may cover a single subsystem, so the factors are drawn
     as raw normalized Gaussian vectors and only the product is a state.
     """
-    dims = tuple(int(d) for d in dims)
+    dims, split = _dims(dims), _index(split, "split")
     if not 1 <= split <= len(dims) - 1:
         raise ValueError(f"split must fall strictly inside dims, got {split}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
 
     def factor(size):
         vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -166,6 +177,7 @@ def product_state(dims, split: int = 1, seed: int = 0) -> StateTensor:
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
+    dim = _index(dim, "dim")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
@@ -174,7 +186,7 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
 
 def dress_state(state: StateTensor, seed: int = 0) -> StateTensor:
     """Apply an independent seeded random unitary to every subsystem."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     amps = state.amps
     for n, d in enumerate(state.dims):
         amps = apply_matrix_at(amps, state.dims, n, haar_unitary(d, rng))

@@ -581,7 +581,7 @@ def _eigenframe_slices(state: StateTensor, spectra, degenerate) -> dict:
     groups = {n: [] for n in degenerate}
     for a, m in itertools.combinations(range(state.n_subsystems), 2):
         if a in groups or m in groups:
-            rho = partial_trace(rotated, [a, m]).matrix.reshape(dims[a], dims[m], dims[a], dims[m])
+            rho = partial_trace(rotated, [a, m]).reshape(dims[a], dims[m], dims[a], dims[m])
             if a in groups:
                 groups[a].append(rho.transpose(1, 3, 0, 2))
             if m in groups:

@@ -10,42 +10,34 @@ block-diagonal with respect to the branch subspace pairs.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .decomposition import maximal_decomposition
-from .tensor import StateTensor, apply_matrix_at, _check_subsystem
+from .tensor import StateTensor, _check_subsystem, _index, apply_matrix_at
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 UNITARITY_ATOL = 1e-10
 
 
-def shannon_entropy(weights, base: float = 2.0) -> float:
-    """Entropy of a probability vector, with 0 log 0 taken as 0.
-
-    Weights a hair above 1 from roundoff would yield a tiny negative
-    total; the total in nats is clamped at zero so one branch means
-    exactly 0.  ``base`` must be a finite number above 0 other than 1
-    (below 1 the entropy comes out negative); ValueError otherwise.
-    """
-    if not (isinstance(base, numbers.Real) and math.isfinite(base) and base > 0 and base != 1):
-        raise ValueError(f"base must be a finite number > 0 other than 1, got {base!r}")
-    total = 0.0
-    for w in weights:
-        w = float(w)
-        if w < 0:
-            raise ValueError(f"negative weight {w}")
-        if w > 0:
-            total -= w * math.log(w)
-    return max(total, 0.0) / math.log(base)
-
-
 def weight_entropy(weights) -> float:
-    """Entropy in bits of branch weights renormalized to sum to 1, which
-    they do only up to roundoff; so a single branch gives exactly 0 bits."""
+    """Shannon entropy in bits of branch weights renormalized to sum to 1,
+    with 0 log 0 taken as 0.
+
+    The weights sum to 1 only up to roundoff, and a sum a hair above 1
+    would yield a tiny negative entropy, so the total in nats is clamped
+    at zero: a single branch gives exactly 0 bits.  ValueError unless
+    every weight is finite and nonnegative and their sum is above 0.
+    """
     total = sum(weights)
-    return shannon_entropy([w / total for w in weights])
+    if not (all(math.isfinite(w) and w >= 0 for w in weights) and total > 0):
+        raise ValueError("weights must be finite and nonnegative with a sum above 0")
+    nats = 0.0
+    for w in weights:
+        w = float(w / total)
+        if w > 0:
+            nats -= w * math.log(w)
+    return max(nats, 0.0) / math.log(2.0)
 
 
 def e_lo(state: StateTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -95,6 +87,8 @@ def level_mixing_unitary(d_n: int, d_m: int, a: int, b: int) -> np.ndarray:
     one branch's subspaces without leaking into the others, so the branch
     weights are unchanged.
     """
+    d_n, d_m = _index(d_n, "subsystem dimension"), _index(d_m, "subsystem dimension")
+    a, b = _index(a, "level"), _index(b, "level")
     if not (0 <= a < min(d_n, d_m) and 0 <= b < min(d_n, d_m)):
         raise ValueError("levels must exist on both subsystems")
     if a == b:

@@ -17,10 +17,16 @@ import numpy as np
 
 from .decomposition import W_MIN, Branch, BranchDecomposition
 from .errors import DegenerateSpectrumError
-from .tensor import LocalProjector, StateTensor, apply_local_projector, joint_projection_norm, partial_trace
+from .tensor import StateTensor, apply_matrix_at, partial_trace
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 ORACLE_MAX_DIM = 256
+
+
+def _project(amps: np.ndarray, dims, n: int, basis: np.ndarray) -> np.ndarray:
+    """``amps`` projected at subsystem ``n`` onto the span of the orthonormal
+    columns of ``basis``, by the dense projector basis basis^H."""
+    return apply_matrix_at(amps, dims, n, basis @ basis.conj().T)
 
 
 def _descending_eigensystem(matrix: np.ndarray):
@@ -52,7 +58,7 @@ def oracle_maximal_nondegenerate(
     """
     spectra = []
     for n in range(state.n_subsystems):
-        rho = partial_trace(state, [n]).matrix
+        rho = partial_trace(state, [n])
         sup_vals, sup_vecs, rest = _support_eigensystem(rho, tol.t_supp)
         all_vals = np.concatenate([sup_vals, rest])
         for k in range(min(len(sup_vals), len(all_vals) - 1)):
@@ -67,15 +73,15 @@ def oracle_maximal_nondegenerate(
     nodes = [
         (n, k) for n in range(state.n_subsystems) for k in range(spectra[n].shape[1])
     ]
-    projectors = {
-        (n, k): LocalProjector(n, spectra[n][:, k]) for (n, k) in nodes
-    }
+    columns = {(n, k): spectra[n][:, [k]] for (n, k) in nodes}
     adjacency = {node: [] for node in nodes}
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
             if a[0] == b[0]:
                 continue
-            weight = joint_projection_norm(state, projectors[a], projectors[b])
+            vec = _project(state.amps, state.dims, a[0], columns[a])
+            vec = _project(vec, state.dims, b[0], columns[b])
+            weight = float(np.vdot(vec, vec).real)
             if weight > tol.t_edge:
                 adjacency[a].append(b)
                 adjacency[b].append(a)
@@ -108,7 +114,8 @@ def oracle_maximal_nondegenerate(
                     "this oracle's non-degenerate regime"
                 )
             bases.append(np.hstack(cols))
-        vec, weight = apply_local_projector(state, LocalProjector(0, bases[0]))
+        vec = _project(state.amps, state.dims, 0, bases[0])
+        weight = float(np.vdot(vec, vec).real)
         branches.append(Branch(weight, vec / math.sqrt(weight), tuple(bases)))
     return BranchDecomposition.from_branches(state, branches)
 
@@ -140,8 +147,8 @@ def _supports_orthogonal(va: np.ndarray, vb: np.ndarray, dims, t_supp: float) ->
     sa = StateTensor(dims, va)
     sb = StateTensor(dims, vb)
     for n in range(len(dims)):
-        _, basis_a, _ = _support_eigensystem(partial_trace(sa, [n]).matrix, t_supp)
-        _, basis_b, _ = _support_eigensystem(partial_trace(sb, [n]).matrix, t_supp)
+        _, basis_a, _ = _support_eigensystem(partial_trace(sa, [n]), t_supp)
+        _, basis_b, _ = _support_eigensystem(partial_trace(sb, [n]), t_supp)
         overlap = float(np.linalg.norm(basis_a.conj().T @ basis_b, 2))
         if overlap > 1e-8:
             return False
@@ -171,7 +178,7 @@ def oracle_verify_maximality_small(
     for i, branch in enumerate(d.branches):
         branch_state = StateTensor(dims, branch.vector)
         for n in range(len(dims)):
-            rho = partial_trace(branch_state, [n]).matrix
+            rho = partial_trace(branch_state, [n])
             sup_vals, sup_vecs, _ = _support_eigensystem(rho, tol.t_supp)
             rank = len(sup_vals)
             if rank >= 2 and np.min(sup_vals[:-1] - sup_vals[1:]) <= tol.t_deg:
@@ -182,9 +189,8 @@ def oracle_verify_maximality_small(
             for r in range(0, rank - 1):
                 for rest in itertools.combinations(range(1, rank), r):
                     basis = sup_vecs[:, [0] + list(rest)]
-                    va, wa = apply_local_projector(
-                        branch_state, LocalProjector(n, basis)
-                    )
+                    va = _project(branch_state.amps, dims, n, basis)
+                    wa = float(np.vdot(va, va).real)
                     vb = branch_state.amps - va
                     wb = float(np.vdot(vb, vb).real)
                     if wa <= W_MIN or wb <= W_MIN:

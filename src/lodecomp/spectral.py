@@ -94,8 +94,7 @@ def local_spectrum(
     t_supp : float
         Eigenvalues at or below this cutoff are flagged outside the support.
     """
-    rho = partial_trace(state, [n])
-    vals, vecs = np.linalg.eigh(rho.matrix)
+    vals, vecs = np.linalg.eigh(partial_trace(state, [n]))
     vals, vecs = vals[::-1].copy(), fix_phases(vecs[:, ::-1])  # no sort: ties keep eigh's order
     clusters = tuple(tuple(c) for c in cluster_eigenvalues(vals, t_deg))
     support_rank = int(np.sum(vals > t_supp))

@@ -6,8 +6,10 @@ layout: subsystem 0 is the slowest-varying index, so
 ``amps.reshape(dims)`` recovers the natural multi-index array.  Subsystems
 are addressed by 0-based index everywhere in this package.
 
-All values are immutable after construction and all operations are pure
-functions, so everything here is safe to share between concurrent tasks.
+A ``StateTensor`` is immutable after construction and all operations are
+pure functions, so everything here is safe to share between concurrent
+tasks.  A partial trace or a projection is a fresh plain ``ndarray`` that
+the caller owns.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NORM_ATOL = 1e-12
-HERMITICITY_ATOL = 1e-12
-TRACE_ATOL = 1e-10
-ORTHONORMALITY_ATOL = 1e-10
 
 
 def _index(value, what: str) -> int:
@@ -30,6 +29,11 @@ def _index(value, what: str) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def _dims(dims) -> tuple:
+    """Subsystem dimensions as a tuple of plain ints, by :func:`_index`."""
+    return tuple(_index(d, "subsystem dimension") for d in dims)
 
 
 def _as_complex_vector(values) -> np.ndarray:
@@ -59,7 +63,7 @@ class StateTensor:
     amps: np.ndarray = field(repr=False)
 
     def __init__(self, dims, amps):
-        dims = tuple(_index(d, "subsystem dimension") for d in dims)
+        dims = _dims(dims)
         if len(dims) < 2:
             raise ValueError("a state needs at least two subsystems")
         if any(d < 1 for d in dims):
@@ -95,70 +99,6 @@ class StateTensor:
     def as_array(self) -> np.ndarray:
         """Amplitudes reshaped to the multi-index array of shape ``dims``."""
         return self.amps.reshape(self.dims)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Reduced density operator on an ordered subset of subsystems.
-
-    Hermiticity and (for reduced states of a normalized pure state) unit
-    trace are validated at construction.
-    """
-
-    subsystems: tuple
-    matrix: np.ndarray = field(repr=False)
-
-    def __init__(self, subsystems, matrix):
-        subsystems = tuple(_index(n, "subsystem index") for n in subsystems)
-        mat = np.asarray(matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        herm = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        if herm > HERMITICITY_ATOL:
-            raise ValueError(f"matrix is not Hermitian (max deviation {herm:.3e})")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"matrix trace {tr} deviates from 1 beyond {TRACE_ATOL:.0e}")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "subsystems", subsystems)
-        object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True, eq=False)
-class LocalProjector:
-    """Projector onto a subspace of one subsystem, identity elsewhere.
-
-    ``basis`` holds orthonormal columns spanning the subspace of that
-    subsystem's local space.
-    """
-
-    subsystem: int
-    basis: np.ndarray = field(repr=False)
-
-    def __init__(self, subsystem, basis):
-        subsystem = _index(subsystem, "subsystem index")
-        b = np.asarray(basis, dtype=np.complex128)
-        if b.ndim == 1:
-            b = b[:, None]
-        if b.ndim != 2 or b.shape[1] < 1 or b.shape[1] > b.shape[0]:
-            raise ValueError(f"basis must be a (d, k) column set with 1 <= k <= d, got {b.shape}")
-        gram = b.conj().T @ b
-        dev = float(np.max(np.abs(gram - np.eye(b.shape[1]))))
-        if dev > ORTHONORMALITY_ATOL:
-            raise ValueError(f"basis columns are not orthonormal (max deviation {dev:.3e})")
-        b = b.copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "subsystem", subsystem)
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    def matrix(self) -> np.ndarray:
-        """Dense projector matrix on the local space."""
-        return self.basis @ self.basis.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +158,8 @@ def project_supports(amps: np.ndarray, dims, n: int, stack: np.ndarray) -> np.nd
 # operations
 
 
-def partial_trace(state: StateTensor, keep) -> DensityOperator:
-    """Reduced density operator on the ``keep`` subsystems.
+def partial_trace(state: StateTensor, keep) -> np.ndarray:
+    """Reduced density matrix on the ``keep`` subsystems, a fresh array.
 
     Parameters
     ----------
@@ -236,39 +176,7 @@ def partial_trace(state: StateTensor, keep) -> DensityOperator:
     dim = math.prod(state.dims[n] for n in keep)
     # one transpose, one product: np.dot keeps tensordot's bits (matmul not always)
     kept = state.as_array().transpose(keep + traced).reshape(dim, -1)
-    return DensityOperator(keep, np.dot(kept, kept.conj().T))
-
-
-def apply_local_projector(state: StateTensor, proj: LocalProjector):
-    """Project the state onto a local subspace without renormalizing.
-
-    Returns
-    -------
-    (numpy.ndarray, float)
-        The projected flat vector and its squared norm.
-    """
-    n = _check_subsystem(state.dims, proj.subsystem)
-    if proj.basis.shape[0] != state.dims[n]:
-        raise ValueError(
-            f"projector acts on dimension {proj.basis.shape[0]}, "
-            f"subsystem {n} has dimension {state.dims[n]}"
-        )
-    vec = apply_matrix_at(state.amps, state.dims, n, proj.matrix())
-    weight = float(np.vdot(vec, vec).real)
-    return vec, weight
-
-
-def joint_projection_norm(state: StateTensor, p: LocalProjector, q: LocalProjector) -> float:
-    """Squared norm of the state after projecting two distinct subsystems.
-
-    Symmetric in its projector arguments because projectors on different
-    subsystems commute.
-    """
-    if p.subsystem == q.subsystem:
-        raise ValueError("joint projection requires projectors on distinct subsystems")
-    vec, _ = apply_local_projector(state, p)
-    vec = apply_matrix_at(vec, state.dims, q.subsystem, q.matrix())
-    return float(np.vdot(vec, vec).real)
+    return np.dot(kept, kept.conj().T)
 
 
 def tensor_compose(a: StateTensor, b: StateTensor) -> StateTensor:

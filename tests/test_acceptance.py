@@ -31,7 +31,7 @@ from lodecomp.entanglement import (
     apply_pairwise_unitary,
     e_lo,
     level_mixing_unitary,
-    shannon_entropy,
+    weight_entropy,
 )
 from lodecomp.oracle import oracle_maximal_nondegenerate, oracle_verify_maximality_small
 from lodecomp.spectral import schmidt_decompose
@@ -90,7 +90,7 @@ def test_criterion_2_z_state_family(monkeypatch):
         want = np.sort(np.array(weights))[::-1]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= WEIGHT_ATOL
-        assert abs(e_lo(state) - shannon_entropy(weights)) <= ENTROPY_ATOL
+        assert abs(e_lo(state) - weight_entropy(weights)) <= ENTROPY_ATOL
     print("ACCEPTANCE 2 (z-state family, 50 dressed cases): PASS")
 
 

@@ -19,7 +19,7 @@ from lodecomp.tensor import partial_trace
 
 
 def purity(state, keep):
-    rho = partial_trace(state, keep).matrix
+    rho = partial_trace(state, keep)
     return float(np.trace(rho @ rho).real)
 
 
@@ -94,7 +94,7 @@ class TestNamedStates:
     def test_x_reduced_states_maximally_mixed(self):
         x = x_state()
         for n in range(3):
-            rho = partial_trace(x, [n]).matrix
+            rho = partial_trace(x, [n])
             assert np.allclose(rho, np.eye(4) / 4, atol=1e-12)
 
     def test_x_pair_purity(self):
@@ -135,14 +135,20 @@ class TestRandomFamilies:
         state = z_state((0.5, 0.3, 0.2))
         dressed = dress_state(state, seed=11)
         for n in range(3):
-            before = np.linalg.eigvalsh(partial_trace(state, [n]).matrix)
-            after = np.linalg.eigvalsh(partial_trace(dressed, [n]).matrix)
+            before = np.linalg.eigvalsh(partial_trace(state, [n]))
+            after = np.linalg.eigvalsh(partial_trace(dressed, [n]))
             assert np.allclose(before, after, atol=1e-12)
 
     def test_dress_state_deterministic(self):
         a = dress_state(ghz_state(), seed=2)
         b = dress_state(ghz_state(), seed=2)
         assert np.array_equal(a.amps, b.amps)
+
+    def test_none_seed_stays_allowed(self):
+        # a seed must be an integer, but None still draws fresh entropy
+        assert random_state((2, 2), seed=None).dims == (2, 2)
+        assert product_state((2, 2), seed=None).dims == (2, 2)
+        assert dress_state(ghz_state(), seed=None).dims == (2, 2, 2)
 
 
 class TestStateSpec:

@@ -19,7 +19,7 @@ from lodecomp.entanglement import (
     apply_pairwise_unitary,
     e_lo,
     level_mixing_unitary,
-    shannon_entropy,
+    weight_entropy,
 )
 from lodecomp.tensor import StateTensor
 
@@ -38,39 +38,35 @@ ROTATION_D3 = np.array(
 
 class TestShannonEntropy:
     def test_uniform_dyadic(self):
-        assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0)
-        assert shannon_entropy([0.25] * 4) == pytest.approx(2.0)
+        assert weight_entropy([0.5, 0.5]) == pytest.approx(1.0)
+        assert weight_entropy([0.25] * 4) == pytest.approx(2.0)
+        # renormalized first
+        assert weight_entropy([2.0, 2.0]) == pytest.approx(1.0)
 
     def test_certain_outcome(self):
-        assert shannon_entropy([1.0]) == 0.0
+        assert weight_entropy([1.0]) == 0.0
 
     def test_zero_weight_ignored(self):
-        assert shannon_entropy([0.5, 0.5, 0.0]) == pytest.approx(1.0)
+        assert weight_entropy([0.5, 0.5, 0.0]) == pytest.approx(1.0)
 
     def test_mixed(self):
-        assert shannon_entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5)
+        assert weight_entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5)
 
-    def test_natural_log_base(self):
-        got = shannon_entropy([0.5, 0.5], base=math.e)
-        assert got == pytest.approx(math.log(2.0))
-
-    @pytest.mark.parametrize("base", [1, 1.0, 0, 0.0, -2, -0.5, math.nan, math.inf, -math.inf,
-                                      "2", None])
-    def test_bad_base_rejected(self, base):
-        with pytest.raises(ValueError, match="base must be a finite number > 0 other than 1"):
-            shannon_entropy([0.5, 0.5], base=base)
-
-    @pytest.mark.parametrize("base", [0.5, 10, np.float64(math.e), np.int64(4)])
-    def test_good_base_accepted(self, base):
-        assert shannon_entropy([0.5, 0.5], base=base) == pytest.approx(math.log(2) / math.log(base))
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            shannon_entropy([0.6, -0.1, 0.5])
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.6, -0.1, 0.5], [0.5, -0.5], [0.0], np.array([0.0]), [], [math.nan, 1.0],
+         [1.0, math.inf], [-math.inf, 1.0]],
+        ids=repr,
+    )
+    def test_bad_weights_rejected(self, weights):
+        # [0.0] and [0.5, -0.5] used to divide by zero, and np.array([0.0]),
+        # [], a nan or an inf gave 0 bits
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            weight_entropy(weights)
 
     def test_never_negative(self):
         # weights summing slightly above 1 must not produce -0.0
-        assert shannon_entropy([1.0 + 2e-16]) == 0.0
+        assert weight_entropy([1.0 + 2e-16]) == 0.0
 
 
 class TestELO:

@@ -138,7 +138,7 @@ class TestLocalSpectrum:
         # plain ghz has rho_n = diag(1/2, 1/2): exactly equal eigenvalues,
         # among which no sort order is specified; the order is eigh's, reversed
         for n in range(state.n_subsystems):
-            vals, vecs = np.linalg.eigh(partial_trace(state, [n]).matrix)
+            vals, vecs = np.linalg.eigh(partial_trace(state, [n]))
             spec = local_spectrum(state, n)
             assert np.array_equal(spec.eigenvalues, vals[::-1])
             assert np.array_equal(spec.eigenvectors, fix_phases(vecs[:, ::-1]))
@@ -149,7 +149,7 @@ class TestLocalSpectrum:
         spec = local_spectrum(state, 1)
         from lodecomp.tensor import partial_trace
 
-        rho = partial_trace(state, [1]).matrix
+        rho = partial_trace(state, [1])
         recon = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.conj().T
         assert np.allclose(recon, rho, atol=1e-12)
 

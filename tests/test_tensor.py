@@ -9,25 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodecomp.tensor import (
-    DensityOperator,
-    LocalProjector,
     StateTensor,
-    apply_local_projector,
     apply_matrix_at,
     basis_stack,
-    joint_projection_norm,
     partial_trace,
     permute_subsystems,
     project_supports,
     tensor_compose,
 )
 from lodecomp.decomposition import coarse_grain, maximal_decomposition
-from lodecomp.entanglement import apply_pairwise_unitary
+from lodecomp.entanglement import apply_pairwise_unitary, level_mixing_unitary
 from lodecomp.spectral import local_spectrum, schmidt_decompose
 
 import util  # noqa: F401  (puts bench/ on the path)
 import states as bench_states  # noqa: E402
 from lodecomp.catalog import (  # noqa: E402
+    StateSpec,
     dress_state,
     ghz_state,
     haar_unitary,
@@ -259,30 +256,30 @@ class TestPartialTrace:
         rng = np.random.default_rng(7)
         state = StateTensor((2, 3, 2), random_amps(rng, 12))
         rho = partial_trace(state, [1])
-        assert rho.matrix.shape == (3, 3)
-        assert abs(np.trace(rho.matrix) - 1) < 1e-12
-        assert np.allclose(rho.matrix, rho.matrix.conj().T)
+        assert type(rho) is np.ndarray and rho.shape == (3, 3)
+        assert abs(np.trace(rho) - 1) < 1e-12
+        assert np.allclose(rho, rho.conj().T)
 
     def test_product_state_is_pure(self):
         rng = np.random.default_rng(8)
         a = random_amps(rng, 2)
         b = random_amps(rng, 6)
         state = StateTensor((2, 3, 2), np.kron(a, b))
-        rho = partial_trace(state, [0]).matrix
+        rho = partial_trace(state, [0])
         assert abs(np.trace(rho @ rho).real - 1) < 1e-12
 
     def test_bell_half_is_maximally_mixed(self):
         bell = StateTensor((2, 2), np.array([1, 0, 0, 1.0]) / np.sqrt(2))
-        rho = partial_trace(bell, [0]).matrix
+        rho = partial_trace(bell, [0])
         assert np.allclose(rho, np.eye(2) / 2)
 
     def test_pair_ordering(self):
         # keep-set comes back in ascending subsystem order
         rng = np.random.default_rng(9)
-        state = StateTensor((2, 3, 2), random_amps(rng, 12))
-        rho = partial_trace(state, [2, 0])
-        assert rho.subsystems == (0, 2)
-        assert rho.matrix.shape == (4, 4)
+        a, b, c = random_amps(rng, 2), random_amps(rng, 3), random_amps(rng, 2)
+        state = StateTensor((2, 3, 2), np.kron(np.kron(a, b), c))
+        want = np.kron(np.outer(a, a.conj()), np.outer(c, c.conj()))
+        assert np.allclose(partial_trace(state, [2, 0]), want, atol=1e-14)
 
     def test_validation(self):
         state = StateTensor((2, 2), [1, 0, 0, 0])
@@ -296,7 +293,7 @@ class TestPartialTrace:
     def test_purity_bounds(self, seed):
         rng = np.random.default_rng(seed)
         state = StateTensor((2, 2, 3), random_amps(rng, 12))
-        rho = partial_trace(state, [2]).matrix
+        rho = partial_trace(state, [2])
         purity = float(np.trace(rho @ rho).real)
         assert 1 / 3 - 1e-12 <= purity <= 1 + 1e-12
 
@@ -308,6 +305,13 @@ def reference_partial_trace(state, keep):
     arr = state.as_array()
     dim = math.prod(state.dims[n] for n in keep)
     return np.tensordot(arr, arr.conj(), axes=(traced, traced)).reshape(dim, dim)
+
+
+def assert_density_bounds(rho):
+    """Hermitian to 1e-12 and of trace 1 to 1e-10, as every reduced state of
+    a normalized state is."""
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+    assert abs(np.trace(rho) - 1) <= 1e-10
 
 
 def keep_sets(n_subsystems):
@@ -334,7 +338,8 @@ class TestPartialTraceBits:
         for state in cases:
             for keep in keep_sets(state.n_subsystems):
                 want = reference_partial_trace(state, keep)
-                assert np.array_equal(partial_trace(state, keep).matrix, want)
+                assert np.array_equal(partial_trace(state, keep), want)
+                assert_density_bounds(want)
                 checked += 1
         assert checked > 500
 
@@ -350,55 +355,8 @@ class TestPartialTraceBits:
             st.sets(st.integers(0, len(dims) - 1), min_size=1, max_size=len(dims) - 1)
         )
         want = reference_partial_trace(state, keep)
-        assert np.array_equal(partial_trace(state, keep).matrix, want)
-
-
-class TestDensityOperator:
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            DensityOperator([0], np.array([[0.5, 1.0], [0.0, 0.5]]))
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            DensityOperator([0], np.eye(2))
-
-
-class TestProjectors:
-    def test_vector_promoted_to_column(self):
-        proj = LocalProjector(0, np.array([1.0, 0.0]))
-        assert proj.basis.shape == (2, 1)
-        assert proj.rank == 1
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
-            LocalProjector(0, np.array([[1.0, 1.0], [0.0, 0.0]]))
-
-    def test_apply_weight(self):
-        ghz = StateTensor((2, 2), np.array([1, 0, 0, 1.0]) / np.sqrt(2))
-        vec, weight = apply_local_projector(ghz, LocalProjector(0, np.array([1.0, 0.0])))
-        assert abs(weight - 0.5) < 1e-12
-        assert np.allclose(vec, [1 / np.sqrt(2), 0, 0, 0])
-
-    def test_joint_projection_symmetric(self):
-        rng = np.random.default_rng(11)
-        state = StateTensor((2, 2, 2), random_amps(rng, 8))
-        p = LocalProjector(0, np.array([1.0, 0.0]))
-        q = LocalProjector(2, np.array([0.0, 1.0]))
-        assert abs(joint_projection_norm(state, p, q) - joint_projection_norm(state, q, p)) < 1e-14
-
-    def test_joint_projection_same_subsystem_rejected(self):
-        state = StateTensor((2, 2), [1, 0, 0, 0])
-        p = LocalProjector(0, np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            joint_projection_norm(state, p, p)
-
-    def test_ghz_diagonal_vs_cross(self):
-        ghz = StateTensor((2, 2, 2), np.array([1, 0, 0, 0, 0, 0, 0, 1.0]) / np.sqrt(2))
-        p0 = LocalProjector(0, np.array([1.0, 0.0]))
-        q0 = LocalProjector(1, np.array([1.0, 0.0]))
-        q1 = LocalProjector(1, np.array([0.0, 1.0]))
-        assert abs(joint_projection_norm(ghz, p0, q0) - 0.5) < 1e-12
-        assert joint_projection_norm(ghz, p0, q1) < 1e-12
+        assert np.array_equal(partial_trace(state, keep), want)
+        assert_density_bounds(want)
 
 
 class TestComposition:
@@ -435,19 +393,36 @@ def _z3():
     return z_state((0.5, 0.3, 0.2))
 
 
-# every door that takes a subsystem dimension, subsystem or branch index,
-# called with the value in an index position; 1 is valid at each
+# every door that takes a subsystem dimension or count, a subsystem, branch
+# or level index, a split or a seed, called with the value in an index
+# position; 2 is valid at each
 INDEX_DOORS = {
-    "StateTensor dims": lambda v: StateTensor((2, v), np.ones(2)),
-    "DensityOperator": lambda v: DensityOperator((v,), np.eye(2) / 2),
-    "LocalProjector": lambda v: LocalProjector(v, np.eye(2)[:, :1]),
+    "StateTensor dims": lambda v: StateTensor((2, v), np.ones(4)),
     "partial_trace": lambda v: partial_trace(_z3(), [v]),
     "local_spectrum": lambda v: local_spectrum(_z3(), v),
-    "permute_subsystems": lambda v: permute_subsystems(_z3(), (0, v, 2)),
+    "permute_subsystems": lambda v: permute_subsystems(_z3(), (v, 0, 1)),
     "schmidt_decompose": lambda v: schmidt_decompose(_z3(), [v]),
     "coarse_grain": lambda v: coarse_grain(
-        maximal_decomposition(_z3()).decomposition, [[0, v], [2]]
+        maximal_decomposition(_z3()).decomposition, [[0, v], [1]]
     ),
+    "ghz_state n_subsystems": lambda v: ghz_state(v),
+    "ghz_state dim": lambda v: ghz_state(3, v),
+    "w_state": lambda v: w_state(v),
+    "z_state n_subsystems": lambda v: z_state((0.5, 0.5), v),
+    "z_state dims": lambda v: z_state((0.5, 0.5), 3, (2, v, 2)),
+    "random_state dims": lambda v: random_state((2, v)),
+    "random_state seed": lambda v: random_state((2, 2), seed=v),
+    "product_state dims": lambda v: product_state((2, v)),
+    "product_state split": lambda v: product_state((2, 2, 2), split=v),
+    "product_state seed": lambda v: product_state((2, 2), seed=v),
+    "haar_unitary": lambda v: haar_unitary(v, np.random.default_rng(0)),
+    "dress_state": lambda v: dress_state(ghz_state(), v),
+    "StateSpec n_subsystems": lambda v: StateSpec("ghz", n_subsystems=v),
+    "StateSpec dims": lambda v: StateSpec("z", weights=(0.5, 0.5), dims=(2, v, 2)),
+    "StateSpec seed": lambda v: StateSpec("random", dims=(2, 2), seed=v),
+    "StateSpec split": lambda v: StateSpec("product", dims=(2, 2, 2), split=v),
+    "level_mixing_unitary dims": lambda v: level_mixing_unitary(v, 3, 0, 1),
+    "level_mixing_unitary level": lambda v: level_mixing_unitary(3, 3, 0, v),
 }
 
 
@@ -457,4 +432,4 @@ def test_index_arguments_are_never_truncated(door, value):
     # int() used to turn 1.5 and True into 1; numpy integers stay accepted
     with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {value!r}")):
         INDEX_DOORS[door](value)
-    INDEX_DOORS[door](np.int64(1))
+    INDEX_DOORS[door](np.int64(2))

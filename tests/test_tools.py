@@ -45,7 +45,7 @@ def test_one_digest_per_path_label(printed_digests, tmp_path):
     lines = printed_digests.splitlines()
     labels = [line.split()[0] for line in lines]
     assert labels == ["block-sbd", "eigenvector-graph", "schmidt", "verify", "layers", "algebra",
-                      "states"]
+                      "oracle", "states"]
     counts = {}
     for label, line in zip(labels, lines):
         digest, count = line.split()[1:3]
@@ -62,6 +62,8 @@ def test_one_digest_per_path_label(printed_digests, tmp_path):
         s.n_subsystems >= 3 and tool.maximal_decomposition(s).decomposition.n_branches >= 2
         for s in catalog
     )
+    # the oracle once on every catalog state it takes
+    assert counts["oracle"] == sum(s.total_dim <= tool.ORACLE_MAX_DIM for s in catalog)
     # the state writer is hashed once on every input state
     assert counts["states"] == len(tool.write_inputs(tmp_path, [3]))
 

@@ -147,12 +147,12 @@ def reference_correlation_family(state, n, support):
     """
     dims = state.dims
     d_n = dims[n]
-    members = [support.conj().T @ partial_trace(state, [n]).matrix @ support]
+    members = [support.conj().T @ partial_trace(state, [n]) @ support]
     for m in range(state.n_subsystems):
         if m == n:
             continue
         d_m = dims[m]
-        rho_pair = partial_trace(state, [n, m]).matrix
+        rho_pair = partial_trace(state, [n, m])
         if n < m:
             rho4 = rho_pair.reshape(d_n, d_m, d_n, d_m)
         else:
@@ -257,7 +257,7 @@ def reference_pair_states(state, n=None):
     """
     dims = state.dims
     return {
-        (a, m): partial_trace(state, [a, m]).matrix.reshape(dims[a], dims[m], dims[a], dims[m])
+        (a, m): partial_trace(state, [a, m]).reshape(dims[a], dims[m], dims[a], dims[m])
         for a in range(state.n_subsystems)
         for m in range(a + 1, state.n_subsystems)
         if n is None or n in (a, m)

@@ -29,6 +29,13 @@ supports of `trivial_decomposition`, of `coarse_grain` with branches 0 and
 one that merges branches 1 to k - 1.  Each call that raises is hashed by
 its exception.
 
+The `oracle` label digests the brute-force reference on the catalog
+states (plain and dressed) of total dimension at most `ORACLE_MAX_DIM`:
+the weights, vectors and supports of `oracle_maximal_nondegenerate`, then
+the verdict and detail of `oracle_verify_maximality_small` on the maximal
+decomposition and on the one that merges branches 0 and 1, each call that
+raises hashed by its exception.
+
 The `states` label digests the state writer: `StateFile.to_json` of every
 input state above (workload, catalog and dressed), each re-read through
 `StateFile.from_json`.
@@ -100,11 +107,18 @@ from lodecomp.catalog import (  # noqa: E402
 )
 from lodecomp.errors import InternalConsistencyError, UnsupportedOperationError  # noqa: E402
 from lodecomp.fileio import StateFile  # noqa: E402
+from lodecomp.oracle import (  # noqa: E402
+    ORACLE_MAX_DIM,
+    OracleVerdict,
+    oracle_maximal_nondegenerate,
+    oracle_verify_maximality_small,
+)
 
 import check  # noqa: E402
 import states  # noqa: E402
 
 FORMATS = ("json", "table", "csv")
+ERRORS = (ValueError, InternalConsistencyError, UnsupportedOperationError)
 
 
 def catalog_states() -> dict:
@@ -231,33 +245,77 @@ def algebra_outputs(state, full) -> list:
         lambda: common_fine_graining(coarse_grain(full, merged),
                                      coarse_grain(full, [[0], list(range(1, k))])),
     ]
+    return call_outputs(calls)
+
+
+def oracle_outputs(state) -> list:
+    """The oracle's outputs on one state, in a fixed order: the branch
+    weights, vectors and supports of ``oracle_maximal_nondegenerate``, then
+    the verdict and detail of ``oracle_verify_maximality_small`` on the
+    maximal decomposition and on the one that merges branches 0 and 1, or
+    the exception a call raised."""
+    full = maximal_decomposition(state).decomposition
+    merged = [[0, 1], *([i] for i in range(2, full.n_branches))]
+    calls = [
+        lambda: oracle_maximal_nondegenerate(state),
+        lambda: oracle_verify_maximality_small(full),
+        lambda: oracle_verify_maximality_small(coarse_grain(full, merged)),
+    ]
+    return call_outputs(calls)
+
+
+def call_outputs(calls) -> list:
+    """What each call returns, in order: a decomposition's branch weights,
+    vectors and supports, an oracle verdict and its detail, or the
+    exception the call raised."""
     out = []
     for call in calls:
         try:
-            decomposition = call()
-        except (ValueError, InternalConsistencyError, UnsupportedOperationError) as exc:
+            result = call()
+        except ERRORS as exc:
             out.append(f"raised {type(exc).__name__}: {exc}")
             continue
-        for branch in decomposition.branches:
+        if isinstance(result, OracleVerdict):
+            out += [result.verdict, result.detail]
+            continue
+        for branch in result.branches:
             out += [branch.weight, branch.vector, *branch.supports]
     return out
 
 
-def algebra_digest() -> tuple:
-    """(sha256 hex digest, number of outputs) of :func:`algebra_outputs` on
-    each catalog state it takes, one output per state."""
+def catalog_digest(label: str, outputs) -> tuple:
+    """(sha256 hex digest, number of outputs) of ``outputs(state)`` on each
+    catalog state for which it does not return None, one output per state."""
     digest, count = hashlib.sha256(), 0
     for name, state in catalog_states().items():
-        if state.n_subsystems < 3:
+        values = outputs(state)
+        if values is None:
             continue
-        full = maximal_decomposition(state).decomposition
-        if full.n_branches < 2:
-            continue
-        text = b"".join(map(_value_bytes, algebra_outputs(state, full)))
-        digest.update(f"{name} algebra bytes={len(text)}\n".encode())
+        text = b"".join(map(_value_bytes, values))
+        digest.update(f"{name} {label} bytes={len(text)}\n".encode())
         digest.update(text)
         count += 1
     return digest.hexdigest(), count
+
+
+def algebra_digest() -> tuple:
+    """:func:`catalog_digest` of :func:`algebra_outputs` on the catalog
+    states with three or more subsystems and two or more branches."""
+    def outputs(state):
+        if state.n_subsystems < 3:
+            return None
+        full = maximal_decomposition(state).decomposition
+        return algebra_outputs(state, full) if full.n_branches >= 2 else None
+
+    return catalog_digest("algebra", outputs)
+
+
+def oracle_digest() -> tuple:
+    """:func:`catalog_digest` of :func:`oracle_outputs` on the catalog states
+    the oracle takes."""
+    return catalog_digest(
+        "oracle", lambda state: oracle_outputs(state) if state.total_dim <= ORACLE_MAX_DIM else None
+    )
 
 
 def _value_bytes(value) -> bytes:
@@ -279,7 +337,7 @@ def layer_digest(workload_seeds) -> tuple:
                 continue
             try:
                 outputs = layer_outputs(state)
-            except (ValueError, InternalConsistencyError, UnsupportedOperationError) as exc:
+            except ERRORS as exc:
                 outputs = [f"raised {type(exc).__name__}: {exc}"]
             text = b"".join(map(_value_bytes, outputs))
             digest.update(f"{name} layers bytes={len(text)}\n".encode())
@@ -315,6 +373,7 @@ def main(argv=None) -> int:
     labels = digests(args.workload_seeds)
     labels["layers"] = layer_digest(args.workload_seeds)
     labels["algebra"] = algebra_digest()
+    labels["oracle"] = oracle_digest()
     labels["states"] = state_digest(args.workload_seeds)
     for label, (digest, count) in labels.items():
         print(f"{label:<18} {digest}  {count} outputs")
