@@ -59,11 +59,9 @@ from .oracle import (
     oracle_verify_maximality_small,
 )
 from .spectral import (
-    SchmidtDecomposition,
     SpectralData,
     cluster_eigenvalues,
     local_spectrum,
-    schmidt_decompose,
 )
 from .tensor import (
     StateTensor,

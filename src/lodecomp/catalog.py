@@ -2,7 +2,8 @@
 
 Covers the named multipartite examples (GHZ, W, weighted diagonal states,
 the three pairwise-entangled counterexamples) plus seeded random families.
-Every generator is deterministic given its arguments and seed.
+Every generator is deterministic given its arguments and seed; a seed is
+an integer (``None`` raises ValueError, it never draws fresh entropy).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ class StateSpec:
     """Declarative recipe for a catalog state.
 
     Only the fields a kind actually consumes may be set; the rest must be
-    left at None.  ``base`` names the state that ``random_local_dressing``
-    dresses with seeded random local unitaries.
+    left at None, which means unset (an unset seed is 0).  ``base`` names
+    the state that ``random_local_dressing`` dresses with seeded random
+    local unitaries.
     """
 
     kind: str
@@ -46,12 +48,6 @@ class StateSpec:
             object.__setattr__(self, "dims", _dims(self.dims))
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-
-
-def _seed(seed):
-    """``seed`` for ``np.random.default_rng``: None (fresh entropy) or an
-    integer, by :func:`tensor._index`."""
-    return None if seed is None else _index(seed, "seed")
 
 
 def ghz_state(n_subsystems: int = 3, dim: int = 2) -> StateTensor:
@@ -149,7 +145,7 @@ def x_state() -> StateTensor:
 def random_state(dims, seed: int = 0) -> StateTensor:
     """Normalized complex Gaussian amplitudes: rotation-invariant ensemble."""
     dims = _dims(dims)
-    rng = np.random.default_rng(_seed(seed))
+    rng = np.random.default_rng(_index(seed, "seed"))
     total = math.prod(dims)
     amps = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     return StateTensor(dims, amps / np.linalg.norm(amps))
@@ -164,7 +160,7 @@ def product_state(dims, split: int = 1, seed: int = 0) -> StateTensor:
     dims, split = _dims(dims), _index(split, "split")
     if not 1 <= split <= len(dims) - 1:
         raise ValueError(f"split must fall strictly inside dims, got {split}")
-    rng = np.random.default_rng(_seed(seed))
+    rng = np.random.default_rng(_index(seed, "seed"))
 
     def factor(size):
         vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -186,7 +182,7 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
 
 def dress_state(state: StateTensor, seed: int = 0) -> StateTensor:
     """Apply an independent seeded random unitary to every subsystem."""
-    rng = np.random.default_rng(_seed(seed))
+    rng = np.random.default_rng(_index(seed, "seed"))
     amps = state.amps
     for n, d in enumerate(state.dims):
         amps = apply_matrix_at(amps, state.dims, n, haar_unitary(d, rng))

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalConsistencyError, UnsupportedOperationError
-from .spectral import local_spectrum, schmidt_decompose
+from .spectral import fix_phases, local_spectrum
 from .tensor import (StateTensor, _index, apply_matrix_at, basis_stack, partial_trace,
                      project_supports)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -326,7 +326,7 @@ def coarse_grain(d: BranchDecomposition, merge) -> BranchDecomposition:
     """
     classes = [sorted(_index(i, "branch index") for i in cls) for cls in merge]
     flat = sorted(i for cls in classes for i in cls)
-    if flat != list(range(d.n_branches)):
+    if flat != list(range(d.n_branches)) or not all(classes):
         raise ValueError("merge must be a partition of the branch indices")
     supports = [
         tuple(map(np.hstack, zip(*(d.branches[i].supports for i in cls)))) for cls in classes
@@ -807,6 +807,28 @@ def assemble_branches(
 # the maximal decomposition
 
 
+def _schmidt_supports(state: StateTensor, tol: Tolerances) -> tuple:
+    """Per-branch supports of a two-subsystem state, one branch per squared
+    singular value of its d_0 x d_1 amplitude matrix above ``t_supp``, and
+    whether two of those weights lie within ``t_deg`` (a non-unique choice).
+
+    Left-vector phases are fixed by :func:`spectral.fix_phases`; the right
+    vectors carry the phase.  ValueError if no weight is above ``t_supp``.
+    """
+    u, s, vh = np.linalg.svd(state.as_array(), full_matrices=False)
+    keep = s**2 > tol.t_supp
+    if not keep.any():  # s[0] exists: every dimension is at least 1
+        raise ValueError(
+            f"t_supp {tol.t_supp:g} leaves subsystems [0] and [1] no support: "
+            f"the largest squared Schmidt coefficient is {s[0] ** 2:.6g}"
+        )
+    s, left, right = s[keep], u[:, keep], vh[keep, :].T
+    fixed = fix_phases(left)
+    right = right * np.einsum("ik,ik->k", fixed.conj(), left)
+    supports = [(fixed[:, [k]], right[:, [k]]) for k in range(s.size)]
+    return supports, bool(np.any(-np.diff(s**2) <= tol.t_deg))
+
+
 @dataclass(frozen=True)
 class Diagnostics:
     """How a maximal decomposition was obtained, and how cleanly.
@@ -839,8 +861,9 @@ def maximal_decomposition(
     """Compute the finest locally orthogonal decomposition of a state.
 
     For two subsystems this is a Schmidt decomposition (one branch per
-    retained singular value); degenerate coefficients make the choice
-    non-unique, which is flagged in the diagnostics rather than resolved.
+    retained singular value); two squared coefficients within ``t_deg``
+    make the choice non-unique, which is flagged in the diagnostics rather
+    than resolved.
     For three or more subsystems the decomposition is unique and built as
     the module docstring describes; the diagnostics' path reads "block-sbd"
     when some eigenvalue cluster has several members, also when its gaps are
@@ -856,9 +879,7 @@ def maximal_decomposition(
         returned silently.
     """
     if state.n_subsystems == 2:
-        schmidt = schmidt_decompose(state, [0], tol.t_deg, tol.t_supp)
-        left, right, non_unique = schmidt.left_vectors, schmidt.right_vectors, schmidt.degenerate
-        supports = [(left[:, [k]], right[:, [k]]) for k in range(left.shape[1])]
+        supports, non_unique = _schmidt_supports(state, tol)
         graph, path, seed, degenerate = None, "schmidt", None, (0, 1) if non_unique else ()
     else:
         frames, degenerate = _support_partitions(state, range(state.n_subsystems), tol)

@@ -352,7 +352,10 @@ def summary_mismatches(document: dict) -> list:
         for j, listed in enumerate(document["weights"])
         if listed != weights[j]
     ]
-    entropy = weight_entropy(weights) if min(weights) >= 0 and sum(weights) > 0 else math.nan
+    try:
+        entropy = weight_entropy(weights)
+    except ValueError:  # outside the entropy's domain: no entropy_bits matches
+        entropy = math.nan
     if not abs(entropy - document["entropy_bits"]) <= ENTROPY_ATOL:
         problems.append(f"entropy_bits is not the branch weights' entropy {entropy!r}")
     return problems

@@ -34,7 +34,6 @@ from lodecomp.entanglement import (
     weight_entropy,
 )
 from lodecomp.oracle import oracle_maximal_nondegenerate, oracle_verify_maximality_small
-from lodecomp.spectral import schmidt_decompose
 from lodecomp.tensor import apply_matrix_at, permute_subsystems, tensor_compose
 
 from util import (
@@ -176,8 +175,7 @@ def test_criterion_5_bipartite_reduction():
             dims = (int(rng.integers(2, 7)), int(rng.integers(2, 7)))
             state = random_state(dims, seed=1234 + trial)
         result = maximal_decomposition(state)
-        schmidt = schmidt_decompose(state, [0])
-        want = np.sort(np.asarray(schmidt.coefficients) ** 2)[::-1]
+        want = np.linalg.svd(state.as_array(), compute_uv=False) ** 2
         got = np.sort(result.decomposition.weights)[::-1]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= WEIGHT_ATOL

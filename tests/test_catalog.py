@@ -144,11 +144,24 @@ class TestRandomFamilies:
         b = dress_state(ghz_state(), seed=2)
         assert np.array_equal(a.amps, b.amps)
 
-    def test_none_seed_stays_allowed(self):
-        # a seed must be an integer, but None still draws fresh entropy
-        assert random_state((2, 2), seed=None).dims == (2, 2)
-        assert product_state((2, 2), seed=None).dims == (2, 2)
-        assert dress_state(ghz_state(), seed=None).dims == (2, 2, 2)
+    def test_none_seed_rejected(self):
+        # a seed is an integer: None would draw fresh entropy, so it raises
+        for call in (
+            lambda: random_state((2, 2), seed=None),
+            lambda: product_state((2, 2), seed=None),
+            lambda: dress_state(ghz_state(), seed=None),
+        ):
+            with pytest.raises(ValueError, match="seed must be an integer, got None"):
+                call()
+
+    def test_unset_spec_seed_is_zero(self):
+        base = StateSpec("ghz")
+        for spec, want in (
+            (StateSpec("random", dims=(2, 2)), random_state((2, 2), 0)),
+            (StateSpec("product", dims=(2, 2)), product_state((2, 2), 1, 0)),
+            (StateSpec("random_local_dressing", base=base), dress_state(ghz_state(), 0)),
+        ):
+            assert np.array_equal(generate(spec).amps, want.amps)
 
 
 class TestStateSpec:

@@ -758,6 +758,9 @@ class TestCoarseGrain:
             coarse_grain(full, [[0, 1], [1]])
         with pytest.raises(ValueError):
             coarse_grain(full, [[0, 1, 2]])
+        z = maximal_decomposition(z_state((0.5, 0.3, 0.2))).decomposition
+        with pytest.raises(ValueError, match="merge must be a partition of the branch indices"):
+            coarse_grain(z, [[], [0, 1, 2]])
 
 
 class TestCommonFineGraining:
@@ -1756,6 +1759,63 @@ class TestDiagnostics:
         printed = re.search(r"pass  projector_identity: residual (\S+) \(tol 4e-09\)\n",
                             capsys.readouterr().out).group(1)
         assert printed == f"{residual:.3e}"
+
+
+class TestBipartite:
+    """N = 2: one branch per squared singular value of the amplitude matrix."""
+
+    def test_bell_two_equal_branches(self):
+        result = maximal_decomposition(StateTensor((2, 2), np.array([1, 0, 0, 1.0])))
+        assert np.allclose(result.decomposition.weights, [0.5, 0.5])
+        assert result.diagnostics.non_unique
+        assert result.diagnostics.degenerate_subsystems == (0, 1)
+
+    def test_three_term_weights(self):
+        # eigenvalues of [[2, 1], [1, 1]]/3, the reduced state of (|00>+|01>+|10>)/sqrt(3)
+        result = maximal_decomposition(StateTensor((2, 2), np.array([1, 1, 1, 0.0])))
+        want = ((3 + np.sqrt(5)) / 6, (3 - np.sqrt(5)) / 6)
+        assert np.allclose(result.decomposition.weights, want)
+        assert not result.diagnostics.non_unique
+
+    def test_weights_descending(self):
+        weights = maximal_decomposition(random_state((4, 4), seed=13)).decomposition.weights
+        assert weights.size == 4 and np.all(np.diff(weights) <= 0)
+
+    def test_rank_deficient_keeps_the_support(self):
+        # a 3x4 amplitude matrix of rank 2: the third singular value is 0
+        result = maximal_decomposition(z_state((0.6, 0.4), dims=(3, 4)))
+        assert np.allclose(result.decomposition.weights, [0.6, 0.4])
+        assert [b.shape for b in result.decomposition.branches[0].supports] == [(3, 1), (4, 1)]
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4), (2, 5), (5, 2)], ids=str)
+    def test_branches_are_the_schmidt_terms(self, dims):
+        # reference: numpy's singular values; the branches must sum back to the state
+        state = random_state(dims, seed=11)
+        d = maximal_decomposition(state).decomposition
+        want = np.linalg.svd(state.as_array(), compute_uv=False) ** 2
+        assert np.allclose(d.weights, want, atol=1e-12)
+        total = sum(np.sqrt(br.weight) * br.vector for br in d.branches)
+        assert np.allclose(total, state.amps, atol=1e-12)
+        for br in d.branches:
+            assert br.support_ranks == (1, 1)
+            product = np.kron(br.supports[0][:, 0], br.supports[1][:, 0])
+            assert np.allclose(br.vector, product, atol=1e-12)
+
+    def test_deterministic_supports(self):
+        state = random_state((3, 3), seed=15)
+        a, b = (maximal_decomposition(state).decomposition for _ in range(2))
+        for x, y in zip(a.branches, b.branches):
+            assert all(np.array_equal(p, q) for p, q in zip(x.supports, y.supports))
+
+    @pytest.mark.parametrize("weights, non_unique", [
+        ((0.98, 0.01 + 2.5e-9, 0.01 - 2.5e-9), True),  # weights 5e-9 apart
+        ((0.5 + 6e-9, 0.5 - 6e-9), False),  # weights 1.2e-8 apart
+    ], ids=["within-t_deg", "beyond-t_deg"])
+    def test_t_deg_judges_weights(self, weights, non_unique):
+        # t_deg = 1e-8 is a gap between weights, not between their square roots
+        diagnostics = maximal_decomposition(z_state(weights, 2)).diagnostics
+        assert diagnostics.non_unique is non_unique
+        assert diagnostics.degenerate_subsystems == ((0, 1) if non_unique else ())
 
 
 class TestEmptySupport:

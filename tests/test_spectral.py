@@ -4,16 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodecomp.catalog import dress_state, ghz_state, random_state, u_state, w_state, z_state
-from lodecomp.spectral import (
-    cluster_eigenvalues,
-    fix_phases,
-    local_spectrum,
-    schmidt_decompose,
-)
-from lodecomp.tensor import StateTensor, partial_trace
-
-# eigenvalues of [[2, 1], [1, 1]]/3, the reduced state of (|00>+|01>+|10>)/sqrt(3)
-THREE_TERM_SCHMIDT_SQ = ((3 + np.sqrt(5)) / 6, (3 - np.sqrt(5)) / 6)
+from lodecomp.spectral import cluster_eigenvalues, fix_phases, local_spectrum
+from lodecomp.tensor import partial_trace
 
 
 class TestClustering:
@@ -152,54 +144,3 @@ class TestLocalSpectrum:
         rho = partial_trace(state, [1])
         recon = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.conj().T
         assert np.allclose(recon, rho, atol=1e-12)
-
-
-class TestSchmidt:
-    def test_bell_degenerate(self):
-        bell = StateTensor((2, 2), np.array([1, 0, 0, 1.0]))
-        sd = schmidt_decompose(bell, [0])
-        assert sd.rank == 2
-        assert sd.degenerate
-        assert np.allclose(sd.coefficients, [1 / np.sqrt(2)] * 2)
-
-    def test_three_term_coefficients(self):
-        state = StateTensor((2, 2), np.array([1, 1, 1, 0.0]))
-        sd = schmidt_decompose(state, [0])
-        assert np.allclose(np.sort(sd.coefficients**2)[::-1], THREE_TERM_SCHMIDT_SQ)
-        assert not sd.degenerate
-
-    def test_reconstruct(self):
-        state = random_state((2, 3, 2), seed=11)
-        sd = schmidt_decompose(state, [1])
-        assert np.allclose(sd.reconstruct().amps, state.amps, atol=1e-12)
-
-    def test_multi_subsystem_cut(self):
-        state = random_state((2, 2, 2, 2), seed=12)
-        sd = schmidt_decompose(state, [0, 2])
-        assert np.allclose(sd.reconstruct().amps, state.amps, atol=1e-12)
-        assert abs(float(np.sum(sd.coefficients**2)) - 1.0) < 1e-12
-
-    def test_rank_deficient_cut(self):
-        sd = schmidt_decompose(u_state(), [2])
-        assert sd.rank == 1
-
-    def test_coefficients_descending(self):
-        state = random_state((4, 4), seed=13)
-        sd = schmidt_decompose(state, [0])
-        assert np.all(np.diff(sd.coefficients) <= 0)
-
-    def test_cut_validation(self):
-        state = random_state((2, 2, 2), seed=14)
-        with pytest.raises(ValueError):
-            schmidt_decompose(state, [])
-        with pytest.raises(ValueError):
-            schmidt_decompose(state, [0, 1, 2])
-        with pytest.raises(ValueError):
-            schmidt_decompose(state, [3])
-
-    def test_deterministic_phases(self):
-        state = random_state((3, 3), seed=15)
-        a = schmidt_decompose(state, [0])
-        b = schmidt_decompose(state, [0])
-        assert np.array_equal(a.left_vectors, b.left_vectors)
-        assert np.array_equal(a.right_vectors, b.right_vectors)

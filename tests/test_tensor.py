@@ -19,7 +19,7 @@ from lodecomp.tensor import (
 )
 from lodecomp.decomposition import coarse_grain, maximal_decomposition
 from lodecomp.entanglement import apply_pairwise_unitary, level_mixing_unitary
-from lodecomp.spectral import local_spectrum, schmidt_decompose
+from lodecomp.spectral import local_spectrum
 
 import util  # noqa: F401  (puts bench/ on the path)
 import states as bench_states  # noqa: E402
@@ -401,7 +401,6 @@ INDEX_DOORS = {
     "partial_trace": lambda v: partial_trace(_z3(), [v]),
     "local_spectrum": lambda v: local_spectrum(_z3(), v),
     "permute_subsystems": lambda v: permute_subsystems(_z3(), (v, 0, 1)),
-    "schmidt_decompose": lambda v: schmidt_decompose(_z3(), [v]),
     "coarse_grain": lambda v: coarse_grain(
         maximal_decomposition(_z3()).decomposition, [[0, v], [1]]
     ),

@@ -137,6 +137,10 @@ def catalog_states() -> dict:
         "random-2x3x4": random_state((2, 3, 4), seed=5),
         "random-3x4": random_state((3, 4), seed=1),
         "bell-like-4x4": ghz_state(2, 4),
+        # two weights 5e-9 apart (non-unique) and 1.2e-8 apart (unique): one
+        # state on each side of t_deg = 1e-8
+        "z-2-within-t_deg": z_state((0.98, 0.01 + 2.5e-9, 0.01 - 2.5e-9), 2),
+        "z-2-beyond-t_deg": z_state((0.5 + 6e-9, 0.5 - 6e-9), 2),
     }
     out = dict(plain)
     for name in ("ghz-3x4", "z-4x4x4", "x", "w-4", "bell-like-4x4"):
