@@ -241,9 +241,8 @@ def generate(spec: StateSpec) -> StateTensor:
         if spec.dims is None:
             raise ValueError("random requires dims")
         return random_state(spec.dims, spec.seed or 0)
-    if kind == "random_local_dressing":
-        _require(spec, {"base", "seed"})
-        if spec.base is None:
-            raise ValueError("random_local_dressing requires a base spec")
-        return dress_state(generate(spec.base), spec.seed or 0)
-    raise ValueError(f"unknown state kind {kind!r}")
+    # random_local_dressing: StateSpec has rejected every kind not in KINDS
+    _require(spec, {"base", "seed"})
+    if spec.base is None:
+        raise ValueError("random_local_dressing requires a base spec")
+    return dress_state(generate(spec.base), spec.seed or 0)

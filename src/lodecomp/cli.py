@@ -20,10 +20,9 @@ from .fileio import (
     WEIGHT_ATOL,
     StateFile,
     branches_from_report,
-    read_report,
+    parse_report,
     report_document,
     report_to_json,
-    summary_mismatches,
 )
 from .oracle import oracle_verify_maximality_small
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -35,12 +34,11 @@ _TOLERANCE_HELP = {
 }
 
 
-def _add_tolerance_flags(parser, names=tuple(_TOLERANCE_HELP), note=""):
-    """One ``--tol-*`` flag per named :class:`Tolerances` field."""
-    for name in names:
+def _add_tolerance_flags(parser):
+    """One ``--tol-*`` flag per :class:`Tolerances` field."""
+    for name, text in _TOLERANCE_HELP.items():
         parser.add_argument(
-            "--tol-" + name[2:], type=float, default=getattr(DEFAULT_TOLERANCES, name),
-            help=_TOLERANCE_HELP[name] + note,
+            "--tol-" + name[2:], type=float, default=getattr(DEFAULT_TOLERANCES, name), help=text
         )
 
 
@@ -151,23 +149,20 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    state_file = StateFile.read(args.input)
-    state = state_file.to_state()
-    document = read_report(args.report)
-    decomposition, problems = branches_from_report(document, state)
-    problems += summary_mismatches(document)
-    ok = not problems
-    lines = list(problems)
+    state = StateFile.read(args.input).to_state()
+    with open(args.report, "r", encoding="utf-8") as handle:
+        document = parse_report(handle.read())
+    decomposition, lines = branches_from_report(document, state)
+    ok = not lines
     if decomposition is None:
         lines.append("no branch could be rebuilt from the report")
         ok = False
     else:
-        tol = Tolerances(t_deg=args.tol_deg, t_supp=args.tol_supp)  # a bad flag exits 2 either way
         verification = verify_lo(decomposition)
         lines.append(verification.summary())
         ok = ok and verification.passed
         if args.oracle:
-            verdict = oracle_verify_maximality_small(decomposition, tol)
+            verdict = oracle_verify_maximality_small(decomposition)
             lines.append(f"maximality: {verdict.verdict} ({verdict.detail})")
             if verdict.failed:
                 ok = False
@@ -242,9 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a report against a state file")
     p.add_argument("input", help="state file (JSON)")
     p.add_argument("report", help="report file (JSON) from decompose --format json")
-    _add_tolerance_flags(p, ("t_deg", "t_supp"), "; read only by --oracle")
-    p.add_argument("--oracle", action="store_true", help="also search for missed splits; "
-                   "a larger --tol-supp shrinks the supports it searches")
+    p.add_argument("--oracle", action="store_true",
+                   help="also search for missed splits, at the default tolerances")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="side-by-side decomposition of two states")

@@ -528,6 +528,13 @@ def build_correlation_graph(
     frame : optional
         The state's frame when the caller has one, and ``blocks`` is then
         not read; otherwise the blocks are checked and the frame built here.
+
+    Raises
+    ------
+    ValueError
+        If a component misses a subsystem: ``t_edge`` then rejects every
+        edge from some block to that subsystem.  The message names the
+        largest rejected edge weight.
     """
     if frame is None:
         frame = _local_frame(state, _checked_frames(state, blocks, t_supp))
@@ -546,15 +553,15 @@ def build_correlation_graph(
     for a, root in enumerate(_component_roots(linked | linked.T).tolist()):
         groups.setdefault(root, []).append(a)  # in order of first nodes
     components = tuple(map(tuple, groups.values()))
-    for comp in components:
-        touched = {frame.nodes[i].subsystem for i in comp}
-        if touched != set(range(len(frame.bounds))):
-            raise InternalConsistencyError(
-                "a correlation-graph component misses a subsystem with nontrivial support; "
-                "edge threshold is inconsistent with the state"
-            )
     min_accepted = min((w for _, _, w in edges), default=None)
     max_rejected = float(rejected.max()) if rejected.size else None
+    for comp in components:
+        missed = set(range(len(frame.bounds))) - {frame.nodes[i].subsystem for i in comp}
+        if missed:  # so some edge was rejected
+            raise ValueError(
+                f"t_edge {t_edge:g} leaves a correlation-graph component without subsystem "
+                f"{min(missed)}: the largest rejected edge weight is {max_rejected:.6g}"
+            )
     return CorrelationGraph(frame.nodes, tuple(edges), components, min_accepted, max_rejected)
 
 
@@ -754,11 +761,19 @@ def _extract_component_branches(state, frames, tol):
     return supports, graph
 
 
-def branch_projections(state: StateTensor, bases) -> list:
-    """(w_i, P_0^i psi) for each subsystem-0 support basis B_0^i, all
-    projections from one :func:`project_supports` product, w_i = ||P_0^i psi||^2."""
-    vectors = project_supports(state.amps, state.dims, 0, basis_stack(bases))
-    return [(float(np.vdot(vec, vec).real), vec) for vec in vectors.reshape(len(bases), -1)]
+def branches_from_supports(state: StateTensor, supports) -> list:
+    """Branch i from its per-subsystem supports ``supports[i]``: weight
+    w_i = ||P_0^i psi||^2 and vector P_0^i psi / sqrt(w_i), every P_0^i psi
+    from one :func:`project_supports` product.  None stands in for a branch
+    with w_i <= W_MIN, which the state does not hold."""
+    if not supports:
+        return []
+    vectors = project_supports(state.amps, state.dims, 0, basis_stack([s[0] for s in supports]))
+    branches = []
+    for vec, sup in zip(vectors.reshape(len(supports), -1), supports):
+        weight = float(np.vdot(vec, vec).real)
+        branches.append(Branch(weight, vec / math.sqrt(weight), sup) if weight > W_MIN else None)
+    return branches
 
 
 def _judged(d: BranchDecomposition, what: str) -> VerificationReport:
@@ -772,13 +787,11 @@ def _judged(d: BranchDecomposition, what: str) -> VerificationReport:
 
 
 def _decomposition_from_supports(state: StateTensor, supports) -> tuple:
-    """The decomposition whose branch i has the supports ``supports[i]`` and
-    v_i = P_0^i psi / sqrt(w_i), from :func:`branch_projections`, dropped if
-    w_i <= W_MIN; canonically ordered, with its :func:`verify_lo` report.
-    No unverified decomposition is returned: see :func:`_judged`."""
-    projections = zip(branch_projections(state, [s[0] for s in supports]), supports)
-    branches = [Branch(w, vec / math.sqrt(w), s) for (w, vec), s in projections if w > W_MIN]
-    del projections  # the projected vectors are not held through verify_lo
+    """The decomposition of the :func:`branches_from_supports` branches of
+    ``supports``, those at or below W_MIN dropped; canonically ordered, with
+    its :func:`verify_lo` report.  No unverified decomposition is returned:
+    see :func:`_judged`."""
+    branches = [br for br in branches_from_supports(state, supports) if br is not None]
     dec = BranchDecomposition.from_branches(state, branches)
     return dec, _judged(dec, "constructed decomposition")
 

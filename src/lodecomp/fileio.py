@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .decomposition import (SBD_STABLE_ROUNDS, T_NINDEP, W_MIN, Branch, BranchDecomposition,
-                            DecompositionResult, branch_projections)
+from .decomposition import (SBD_STABLE_ROUNDS, T_NINDEP, W_MIN, BranchDecomposition,
+                            DecompositionResult, branches_from_supports)
 from .entanglement import weight_entropy
 from .tensor import StateTensor
 
@@ -273,19 +273,18 @@ def parse_report(text: str) -> dict:
     return document
 
 
-def read_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_report(handle.read())
-
-
 def branches_from_report(document: dict, state: StateTensor):
-    """Rebuild a decomposition from a report's supports against a state.
+    """Rebuild a decomposition from a :func:`parse_report` document's
+    supports against a state, and list every problem of the report.
 
-    Branch vectors are recovered by projecting the state onto each
-    reported subsystem-0 support.  Structural defects in the document, and
-    report dims other than the state's, raise ValueError; semantic
-    mismatches against the state (weights that disagree, supports carrying
-    no weight) are verification findings, returned as problem strings.
+    The branches are those :func:`decomposition.branches_from_supports`
+    builds from the reported supports, as ``decompose`` built them.
+    Structural defects in the document, and report dims other than the
+    state's, raise ValueError.  Mismatches are verification findings,
+    returned as problem strings in this order: a branch whose supports
+    carry no weight in the state or whose reported weight is not the
+    weight they carry, a ``weights[j]`` that is not branch j's weight, and
+    an ``entropy_bits`` that is not the entropy of the branch weights.
 
     Returns
     -------
@@ -296,17 +295,17 @@ def branches_from_report(document: dict, state: StateTensor):
     dims = state.dims
     if list(dims) != document["dims"]:
         raise ValueError(f"report dims {document['dims']} do not match state dims {list(dims)}")
-    parsed = []  # (reported weight, supports) per branch
+    reported, supports = [], []  # per branch
     for j, entry in enumerate(document["branches"]):
         if not isinstance(entry, dict):
             raise ValueError(f"branch {j} must be an object")
-        reported = entry.get("weight")
-        if not _is_finite_number(reported):
+        reported.append(entry.get("weight"))
+        if not _is_finite_number(reported[j]):
             raise ValueError(f"branch {j} weight must be a finite number")
-        supports = []
         raw = entry.get("supports")
         if not isinstance(raw, list) or len(raw) != len(dims):
             raise ValueError(f"branch {j} must list one support per subsystem")
+        supports.append([])
         for n, columns in enumerate(raw):
             if not isinstance(columns, list) or not columns:
                 raise ValueError(f"branch {j} subsystem {n} support is empty")
@@ -318,44 +317,28 @@ def branches_from_report(document: dict, state: StateTensor):
             if flat is None:  # column by column, to name the bad entry
                 flat = np.concatenate([_pairs_to_complex(col, f"branch {j} support {n} column {c}")
                                        for c, col in enumerate(columns)])
-            supports.append(flat.reshape(len(columns), dims[n]).T)
-        parsed.append((reported, supports))
-    if not parsed:
-        return None, []
+            supports[j].append(flat.reshape(len(columns), dims[n]).T)
 
-    # the weights and P_0 psi that decompose built its branches from
-    projected = branch_projections(state, [supports[0] for _, supports in parsed])
-
-    branches = []
+    branches = branches_from_supports(state, supports)
     problems = []
-    for j, ((reported, supports), (weight, vec)) in enumerate(zip(parsed, projected)):
-        if weight <= W_MIN:
+    for j, (weight, branch) in enumerate(zip(reported, branches)):
+        if branch is None:
             problems.append(f"branch {j}: reported supports carry no weight in the state")
-            continue
-        if abs(weight - reported) > WEIGHT_ATOL:
+        elif abs(branch.weight - weight) > WEIGHT_ATOL:
             problems.append(
-                f"branch {j}: reported weight {reported!r} does not match the state "
-                f"(recomputed {weight!r})"
+                f"branch {j}: reported weight {weight!r} does not match the state "
+                f"(recomputed {branch.weight!r})"
             )
-        branches.append(Branch(weight, vec / math.sqrt(weight), tuple(supports)))
-    if not branches:
-        return None, problems
-    return BranchDecomposition(state, branches), problems
-
-
-def summary_mismatches(document: dict) -> list:
-    """Where a report's ``weights`` and ``entropy_bits`` disagree with its
-    branch weights, once :func:`branches_from_report` has checked those."""
-    weights = [entry["weight"] for entry in document["branches"]]
-    problems = [
-        f"weights[{j}] {listed!r} is not branch {j}'s weight {weights[j]!r}"
+    problems += [
+        f"weights[{j}] {listed!r} is not branch {j}'s weight {reported[j]!r}"
         for j, listed in enumerate(document["weights"])
-        if listed != weights[j]
+        if listed != reported[j]
     ]
     try:
-        entropy = weight_entropy(weights)
+        entropy = weight_entropy(reported)
     except ValueError:  # outside the entropy's domain: no entropy_bits matches
         entropy = math.nan
     if not abs(entropy - document["entropy_bits"]) <= ENTROPY_ATOL:
         problems.append(f"entropy_bits is not the branch weights' entropy {entropy!r}")
-    return problems
+    branches = [branch for branch in branches if branch is not None]
+    return (BranchDecomposition(state, branches) if branches else None), problems

@@ -155,9 +155,7 @@ def _supports_orthogonal(va: np.ndarray, vb: np.ndarray, dims, t_supp: float) ->
     return True
 
 
-def oracle_verify_maximality_small(
-    d: BranchDecomposition, tol: Tolerances = DEFAULT_TOLERANCES
-) -> OracleVerdict:
+def oracle_verify_maximality_small(d: BranchDecomposition) -> OracleVerdict:
     """Exhaustively search every branch for a nontrivial locally orthogonal split.
 
     For each branch and each subsystem, enumerates all bipartitions of the
@@ -166,8 +164,10 @@ def oracle_verify_maximality_small(
     subsystem.  Any split found is a definitive failure certificate, even
     when spectra are degenerate; a clean sweep is only a pass when every
     branch-local spectrum was non-degenerate, and is reported inconclusive
-    otherwise.
+    otherwise.  Supports and degeneracy are judged at ``DEFAULT_TOLERANCES``,
+    which no caller sets: a larger cutoff could hide a split.
     """
+    tol = DEFAULT_TOLERANCES
     state = d.state
     dims = state.dims
     if state.total_dim > ORACLE_MAX_DIM:

@@ -12,7 +12,7 @@ from lodecomp.cli import main
 from lodecomp.decomposition import coarse_grain, maximal_decomposition
 from lodecomp.entanglement import e_lo
 from lodecomp.fileio import StateFile, report_document, report_to_json
-from lodecomp.tolerances import DEFAULT_TOLERANCES, Tolerances
+from lodecomp.tolerances import Tolerances
 
 
 def run_cli(*argv, **kwargs):
@@ -252,6 +252,26 @@ class TestDecompose:
         assert main([command, str(path), "--tol-supp", tol_supp]) == 2
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("command, kind, tol_edge, message", [
+        ("decompose", ["--kind", "ghz"], "0.6",
+         "error: t_edge 0.6 leaves a correlation-graph component without subsystem 1: "
+         "the largest rejected edge weight is 0.5\n"),
+        ("decompose", ["--kind", "z", "--weights", "0.5,0.3,0.2"], "0.25",
+         "error: t_edge 0.25 leaves a correlation-graph component without subsystem 1: "
+         "the largest rejected edge weight is 0.2\n"),
+        ("entropy", ["--kind", "z", "--weights", "0.5,0.3,0.2"], "0.25",
+         "error: t_edge 0.25 leaves a correlation-graph component without subsystem 1: "
+         "the largest rejected edge weight is 0.2\n"),
+    ], ids=["decompose-ghz", "decompose-z", "entropy-z"])
+    def test_edge_threshold_that_strands_a_block_is_input_error(
+        self, tmp_path, capsys, command, kind, tol_edge, message
+    ):
+        # these used to exit 3 with "a correlation-graph component misses a subsystem"
+        path = tmp_path / "state.json"
+        assert main(["generate", *kind, "-o", str(path)]) == 0
+        assert main([command, str(path), "--tol-edge", tol_edge]) == 2
+        assert capsys.readouterr().err == message
+
     def test_json_byte_identical_across_runs(self, ghz_file, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -339,31 +359,45 @@ class TestVerify:
         assert "maximality: fail (branch 0 splits along subsystem 0" in out
         assert out.endswith("FAIL\n")
 
-    def test_tolerance_flags_reach_only_the_oracle(self, tmp_path, capsys):
-        # verify_lo reads no flag, and a larger --tol-supp shrinks the
-        # supports the oracle searches until it no longer finds the split;
-        # the oracle reads no edge threshold, so verify takes no --tol-edge
-        state = z_state((0.5, 0.3, 0.2))
+    @pytest.mark.parametrize("state, verdict", [
+        (z_state((0.5, 0.3, 0.2)), "fail"),
+        (dress_state(ghz_state(3, 3), 1), "inconclusive"),
+    ], ids=["z", "dressed-ghz-3x3"])
+    def test_no_flag_turns_a_merged_report_into_a_pass(self, tmp_path, capsys, state, verdict):
+        # every locally orthogonal decomposition coarse-grains the maximal
+        # one, so no setting may pass a merge: --tol-supp 0.6 used to pass
+        # the z merge and --tol-deg 1e-30 the dressed ghz one
         result = maximal_decomposition(state)
-        merged = dataclasses.replace(
-            result, decomposition=coarse_grain(result.decomposition, [[0, 1], [2]])
-        )
-        state_path, report = tmp_path / "z.json", tmp_path / "merged.json"
-        StateFile.from_state(state, name="z").write(state_path)
+        k = result.decomposition.n_branches
+        merged = dataclasses.replace(result, decomposition=coarse_grain(
+            result.decomposition, [[0, 1], *([i] for i in range(2, k))]))
+        state_path, report = tmp_path / "state.json", tmp_path / "merged.json"
+        StateFile.from_state(state).write(state_path)
         report.write_text(report_to_json(report_document(merged)))
-        assert main(["verify", str(state_path), str(report)]) == 0
-        plain = capsys.readouterr().out
-        flags = ["--tol-supp", "0.9", "--tol-deg", "0.9"]
-        assert main(["verify", str(state_path), str(report), *flags]) == 0
-        assert capsys.readouterr().out == plain
-        with pytest.raises(SystemExit) as caught:
-            main(["verify", str(state_path), str(report), "--tol-edge", "0.9"])
-        assert caught.value.code == 2
-        assert "--tol-edge" in capsys.readouterr().err
-        assert main(["verify", str(state_path), str(report), "--tol-supp", "-1"]) == 2
-        assert main(["verify", str(state_path), str(report), "--oracle"]) == 1
-        assert main(["verify", str(state_path), str(report), "--oracle", "--tol-supp", "0.6"]) == 0
-        assert "maximality: pass" in capsys.readouterr().out
+        assert main(["verify", str(state_path), str(report), "--oracle"]) == int(verdict == "fail")
+        assert f"maximality: {verdict} (" in capsys.readouterr().out
+        for flag in ("--tol-supp=0.6", "--tol-deg=1e-30", "--tol-edge=0.9"):
+            with pytest.raises(SystemExit) as caught:
+                main(["verify", str(state_path), str(report), "--oracle", flag])
+            assert caught.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_negative_branch_weight_fails_with_three_findings(self, tmp_path, capsys):
+        # -0.5 is outside the entropy's domain, so no entropy_bits can match it
+        state_path, report = tmp_path / "z.json", tmp_path / "report.json"
+        StateFile.from_state(z_state((0.5, 0.3, 0.2))).write(state_path)
+        assert main(["decompose", str(state_path), "--format", "json", "-o", str(report)]) == 0
+        document = json.loads(report.read_text())
+        document["branches"][0]["weight"] = -0.5
+        report.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main(["verify", str(state_path), str(report)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        weight = document["weights"][0]
+        assert lines[0].startswith("branch 0: reported weight -0.5 does not match the state")
+        assert lines[1] == f"weights[0] {weight!r} is not branch 0's weight -0.5"
+        assert lines[2] == "entropy_bits is not the branch weights' entropy nan"
+        assert lines[-1] == "FAIL"
 
     def test_tampered_weight_fails(self, z_file, tmp_path):
         report = tmp_path / "report.json"
@@ -507,6 +541,47 @@ class TestTamperedReports:
         assert out.strip().endswith("FAIL") if code == 1 else err.startswith("error: ")
 
 
+def set_branch_count(doc):
+    doc["branch_count"] += 1
+    doc["weights"].append(0.0)
+
+
+# (file, edit, message): each edit of a genuine ghz state file or report
+# exits 2 with exactly this message
+MALFORMED_FILES = {
+    "state_not_object": ("state", lambda doc: [doc], "state file must be a JSON object"),
+    "amps_not_list": ("state", lambda doc: {**doc, "amps": 5}, "amps must be a list of [re, im] pairs"),
+    "name_not_string": ("state", lambda doc: {**doc, "name": 5}, "name must be a string"),
+    "metadata_not_object": ("state", lambda doc: {**doc, "metadata": [1]},
+                            "metadata must be an object"),
+    "entropy_string": ("report", lambda doc: {**doc, "entropy_bits": "1.0"},
+                       "entropy_bits must be a finite number"),
+    "branch_count_beyond_list": ("report", set_branch_count,
+                                 "branch_count does not match the branch list"),
+    "branch_not_object": ("report", lambda doc: doc["branches"].__setitem__(0, 1.0),
+                          "branch 0 must be an object"),
+    "support_empty": ("report", lambda doc: doc["branches"][0]["supports"].__setitem__(0, []),
+                      "branch 0 subsystem 0 support is empty"),
+    "column_not_list": ("report", lambda doc: doc["branches"][0]["supports"].__setitem__(0, [5]),
+                        "branch 0 support 0 columns must be lists of [re, im] pairs"),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+    def test_input_error_names_the_defect(self, tmp_path, capsys, name):
+        which, edit, message = MALFORMED_FILES[name]
+        state, report = tmp_path / "state.json", tmp_path / "report.json"
+        StateFile.from_state(ghz_state(), name="ghz").write(state)
+        assert main(["decompose", str(state), "--format", "json", "-o", str(report)]) == 0
+        path = {"state": state, "report": report}[which]
+        document = json.loads(path.read_text())
+        edited = edit(document)  # None: edited in place
+        path.write_text(json.dumps(document if edited is None else edited))
+        assert main(["verify", str(state), str(report)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestCompare:
     def test_side_by_side(self, ghz_file, tmp_path):
         other = tmp_path / "dressed.json"
@@ -544,27 +619,19 @@ class TestToleranceFlags:
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
     @pytest.mark.parametrize("command, flag", [
         (command, flag)
-        for command in ("entropy", "compare", "verify")
+        for command in ("entropy", "compare")
         for flag in ("--tol-deg", "--tol-supp", "--tol-edge")
-        if (command, flag) != ("verify", "--tol-edge")
     ])
     def test_invalid_tolerance_is_input_error_on_every_command(
         self, z_files, capsys, command, flag, value
     ):
         # each command builds its Tolerances from its own flags, so each
-        # rejects a bad cutoff before any work; verify does so with or
-        # without --oracle, although only the oracle reads the cutoffs
-        state_path, report = z_files
-        inputs = {
-            "entropy": [str(state_path)],
-            "compare": [str(state_path), str(state_path)],
-            "verify": [str(state_path), str(report)],
-        }[command]
-        runs = [[]] if command != "verify" else [[], ["--oracle"]]
-        for extra in runs:
-            assert main([command, *inputs, *extra, f"{flag}={value}"]) == 2
-            err = capsys.readouterr().err
-            assert "must be a finite number > 0" in err and flag.replace("--tol-", "t_") in err
+        # rejects a bad cutoff before any work; verify takes no cutoff
+        state_path, _ = z_files
+        inputs = [str(state_path)] * (2 if command == "compare" else 1)
+        assert main([command, *inputs, f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert "must be a finite number > 0" in err and flag.replace("--tol-", "t_") in err
 
     @pytest.mark.parametrize("name", ["t_deg", "t_supp", "t_edge"])
     def test_each_flag_moves_only_its_threshold(self, z_files, name):
@@ -590,15 +657,15 @@ class TestParserReuse:
         assert (first.tol_deg, first.format) == (0.001, "csv")
         verify = parser.parse_args(["verify", "s.json", "r.json"])
         assert verify.func is cli.cmd_verify
-        assert verify.tol_deg == DEFAULT_TOLERANCES.t_deg
         assert verify.oracle is False
+        assert not hasattr(verify, "tol_deg")
         assert not hasattr(verify, "seed") and not hasattr(verify, "format")
         again = parser.parse_args(["decompose", "s.json"])
         assert vars(again) == vars(cli.build_parser().parse_args(["decompose", "s.json"]))
 
     def test_every_tolerance_field_is_a_flag(self):
         # a Tolerances field no flag sets would be a knob only library
-        # callers can turn; verify takes only the flags its oracle reads
+        # callers can turn; verify judges at fixed tolerances and takes none
         parser = cli.build_parser()
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         fields = {"--tol-" + f.name.removeprefix("t_") for f in dataclasses.fields(Tolerances)}
@@ -609,7 +676,7 @@ class TestParserReuse:
                 for option in action.option_strings
                 if option.startswith("--tol-")
             }
-            assert flags == (fields - {"--tol-edge"} if command == "verify" else fields)
+            assert flags == (set() if command == "verify" else fields)
 
     def test_successive_main_calls_see_only_their_own_flags(self, tmp_path, capsys):
         state = tmp_path / "ghz.json"

@@ -210,6 +210,18 @@ class TestBranch:
             Branch(1.0, [2.0, 0.0], [np.eye(2)])
 
 
+class TestBranchDecompositionShapes:
+    @pytest.mark.parametrize("branch, message", [
+        (Branch(1.0, [1.0, 0.0], [np.eye(2)] * 3), "branch vector length does not match the state"),
+        (Branch(1.0, np.eye(8)[0], [np.eye(2)] * 2), "branch must carry one support basis per subsystem"),
+        (Branch(1.0, np.eye(8)[0], [np.eye(2), np.eye(3), np.eye(2)]),
+         "support basis on subsystem 1 has dimension 3, expected 2"),
+    ], ids=["vector_length", "support_count", "support_dimension"])
+    def test_rejects_a_branch_that_does_not_fit_the_state(self, branch, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BranchDecomposition(ghz_state(), [branch])
+
+
 class TestCanonicalOrder:
     def test_weights_descending(self):
         result = maximal_decomposition(z_state((0.2, 0.5, 0.3)))
@@ -784,6 +796,12 @@ class TestCommonFineGraining:
         assert is_coarse_graining_of(c1, fg)
         assert is_coarse_graining_of(c2, fg)
 
+    def test_dimension_mismatch_rejected(self):
+        d1 = maximal_decomposition(ghz_state()).decomposition
+        d2 = maximal_decomposition(ghz_state(3, 3)).decomposition
+        with pytest.raises(ValueError, match=re.escape("dimension mismatch: (2, 2, 2) vs (3, 3, 3)")):
+            common_fine_graining(d1, d2)
+
     def test_state_mismatch_rejected(self):
         d1 = maximal_decomposition(ghz_state()).decomposition
         d2 = maximal_decomposition(w_state()).decomposition
@@ -908,6 +926,14 @@ class TestCorrelationGraph:
     def test_wrong_block_count(self):
         with pytest.raises(ValueError):
             build_correlation_graph(ghz_state(), [computational_blocks(2)] * 2)
+
+    def test_edge_threshold_that_strands_a_block_raises(self):
+        # every ghz edge weighs 0.5: at t_edge 0.6 each block stands alone,
+        # which used to raise InternalConsistencyError
+        message = ("t_edge 0.6 leaves a correlation-graph component without subsystem 1: "
+                   "the largest rejected edge weight is 0.5")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_correlation_graph(ghz_state(), [computational_blocks(2)] * 3, t_edge=0.6)
 
 
 QUBIT = computational_blocks(2)

@@ -26,7 +26,6 @@ from lodecomp.fileio import (
     _pairs_to_complex,
     branches_from_report,
     parse_report,
-    read_report,
     report_document,
     report_to_json,
 )
@@ -138,13 +137,9 @@ class TestReportDocument:
         assert document["diagnostics"]["path"] == "eigenvector-graph"
         assert document["flags"] == {"degenerate_spectrum": False, "non_unique": False}
 
-    def test_round_trip_through_parse(self, tmp_path):
+    def test_round_trip_through_parse(self):
         document = sample_report(ghz_state())
-        text = report_to_json(document)
-        assert parse_report(text) == document
-        path = tmp_path / "report.json"
-        path.write_text(text, encoding="utf-8")
-        assert read_report(path) == document
+        assert parse_report(report_to_json(document)) == document
 
     def test_serialization_deterministic(self):
         state = z_state((0.5, 0.25, 0.25))
@@ -189,13 +184,26 @@ class TestBranchesFromReport:
             assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_tampered_weight_reported(self):
+        # one edit, three findings: the weight against the state, then the
+        # weights list and the entropy against the edited weight
         state = z_state((0.5, 0.3, 0.2))
         document = sample_report(state)
         document["branches"][0]["weight"] = 0.45
         rebuilt, problems = branches_from_report(document, state)
         assert rebuilt is not None
-        assert len(problems) == 1
-        assert "does not match" in problems[0]
+        assert len(problems) == 3
+        assert problems[0].startswith("branch 0: reported weight 0.45 does not match the state")
+        assert problems[1].startswith("weights[0] ") and problems[1].endswith("weight 0.45")
+        assert problems[2].startswith("entropy_bits is not the branch weights' entropy ")
+
+    def test_summary_fields_checked_against_the_branch_weights(self):
+        state = z_state((0.5, 0.3, 0.2))
+        document = sample_report(state)
+        document["weights"][1] += 1e-6
+        document["entropy_bits"] += 1e-6
+        rebuilt, problems = branches_from_report(document, state)
+        assert rebuilt.n_branches == 3
+        assert [p.split()[0] for p in problems] == ["weights[1]", "entropy_bits"]
 
     def test_foreign_support_carries_no_weight(self):
         # supports on a level the state never populates
@@ -237,6 +245,12 @@ class TestBranchesFromReport:
         rebuilt, problems = branches_from_report(document, state)
         assert problems == []
         assert [b.weight for b in rebuilt.branches] == [e["weight"] for e in document["branches"]]
+
+    def test_no_branch_rebuilds_nothing(self):
+        # parse_report refuses this document; a library caller still gets a finding
+        document = {"dims": [2, 2, 2], "branches": [], "weights": [], "entropy_bits": 0.0}
+        assert branches_from_report(document, ghz_state()) == (
+            None, ["entropy_bits is not the branch weights' entropy nan"])
 
     def test_structural_defect_raises(self):
         state = ghz_state()

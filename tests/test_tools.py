@@ -44,17 +44,20 @@ def test_one_digest_per_path_label(printed_digests, tmp_path):
     tool = load_tool()
     lines = printed_digests.splitlines()
     labels = [line.split()[0] for line in lines]
-    assert labels == ["block-sbd", "eigenvector-graph", "schmidt", "verify", "layers", "algebra",
-                      "oracle", "states"]
+    assert labels == ["block-sbd", "eigenvector-graph", "schmidt", "verify", "verify-oracle",
+                      "layers", "algebra", "oracle", "states"]
     counts = {}
     for label, line in zip(labels, lines):
         digest, count = line.split()[1:3]
         assert len(digest) == 64 and int(digest, 16) >= 0 and int(count) > 0
         counts[label] = int(count)
-    # a path label hashes every run in three formats, and verify runs on
-    # each json report and its five tampered copies
+    # a path label hashes every run in three formats, verify runs on each
+    # json report and its five tampered copies, and verify --oracle on each
+    # json report
     assert all(counts[label] % 3 == 0 for label in labels[:3])
-    assert counts["verify"] == 6 * sum(counts[label] for label in labels[:3]) // 3
+    reports = sum(counts[label] for label in labels[:3]) // 3
+    assert counts["verify"] == 6 * reports
+    assert counts["verify-oracle"] == reports
     # the algebra is hashed once on every catalog state with N >= 3 and two
     # or more branches
     catalog = tool.catalog_states().values()

@@ -15,6 +15,10 @@ one `weights[]` entry, `entropy_bits` and the report `dims` changed, and
 one support column turned by 1e-3 rad toward the next branch's, as
 `bench/check.py`'s `rotate_support` turns it).
 
+The `verify-oracle` label digests `lodecomp verify --oracle` on every
+genuine json report: its exit code, standard output and standard error.
+On a state above `ORACLE_MAX_DIM` that is exit 2 and the oracle's message.
+
 The `layers` label digests the layer API on the same states with three or
 more subsystems: the `sbd_refine` blocks of every subsystem, then, from
 those blocks, the weights, vectors and supports of `assemble_branches` and
@@ -184,19 +188,21 @@ def tampered(document: dict) -> list:
     return list(copies.items())
 
 
+def run_verify(path: Path, report: bytes, work: Path, *flags) -> tuple:
+    """(exit code, standard output and error) of one ``verify`` call on ``report``."""
+    (work / "report.json").write_bytes(report)
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(stream):
+        code = cli.main(["verify", str(path), str(work / "report.json"), *flags])
+    return code, stream.getvalue().encode()
+
+
 def verify(path: Path, report: bytes, work: Path) -> list:
     """(name, exit code, standard output and error) of ``verify`` on the
     genuine report and on each of its tampered copies."""
-    out = []
     reports = [("genuine", report)]
     reports += [(name, json.dumps(doc).encode()) for name, doc in tampered(json.loads(report))]
-    for name, text in reports:
-        (work / "report.json").write_bytes(text)
-        stream = io.StringIO()
-        with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(stream):
-            code = cli.main(["verify", str(path), str(work / "report.json")])
-        out.append((name, code, stream.getvalue().encode()))
-    return out
+    return [(name, *run_verify(path, text, work)) for name, text in reports]
 
 
 def digests(workload_seeds) -> dict:
@@ -219,6 +225,8 @@ def digests(workload_seeds) -> dict:
             if code == 0:
                 for tamper, vcode, vtext in verify(path, text, work):
                     add("verify", f"{name} {tamper} exit={vcode}", vtext)
+                vcode, vtext = run_verify(path, text, work, "--oracle")
+                add("verify-oracle", f"{name} exit={vcode}", vtext)
                 outputs += [(fmt, *decompose(path, fmt, out)) for fmt in FORMATS[1:]]
             for fmt, code, text in outputs:
                 add(label, f"{name} {fmt} exit={code}", text)
