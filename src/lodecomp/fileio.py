@@ -7,11 +7,12 @@ Two JSON document kinds, both carrying a schema_version field:
 * report document: branch weights, entropy, per-branch per-subsystem
   support basis vectors, diagnostics, and flags.
 
-Both kinds are written by one recursive encoder, byte for byte as
-``json.dumps(document, indent=2, sort_keys=True)``.  Floats are written
-with Python's shortest round-trip representation, so writing and
-re-reading a document is bit-exact, and fixed inputs and tolerances
-yield byte-identical report text.
+Both kinds are written as ``json.dumps(document, sort_keys=True)``: one
+line, keys sorted, then a newline (``python3 -m json.tool FILE``
+pretty-prints one).  Floats are written with Python's shortest
+round-trip representation, so writing and re-reading a document is
+bit-exact, and fixed inputs and tolerances yield byte-identical report
+text.
 """
 
 from __future__ import annotations
@@ -108,43 +109,6 @@ def _load(text: str, kind: str) -> dict:
     return document
 
 
-def _is_float_pairs(value) -> bool:
-    """A list of [re, im] lists of finite floats: amplitudes, a support column."""
-    if type(value) is not list or set(map(type, value)) != {list} or set(map(len, value)) != {2}:
-        return False
-    flat = list(itertools.chain.from_iterable(value))
-    return set(map(type, flat)) == {float} and all(map(math.isfinite, flat))
-
-
-def _dump(value, opened: tuple = ()) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
-    ``value`` inside the open lists and objects whose ids are ``opened``;
-    meeting one of them again raises json's circular-reference ValueError.
-
-    Lists and objects are written here, scalars and keys by ``json.dumps``.
-    A list of [re, im] pairs of finite floats (amplitudes, a support column:
-    the bulk of a document) is joined from ``float.__repr__``, which is what
-    ``json`` writes for a float, without a ``json.dumps`` call per float."""
-    if not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)
-    if id(value) in opened:
-        raise ValueError("Circular reference detected")
-    depth, opened = len(opened), opened + (id(value),)
-    indent = "\n" + "  " * (depth + 1)
-    if isinstance(value, dict):
-        # json quotes a number, boolean or null key ('{"1": 0}') and rejects others
-        items = [f"{json.dumps(k if isinstance(k, str) else json.dumps({k: 0})[2:-5])}: "
-                 f"{_dump(v, opened)}" for k, v in sorted(value.items())]
-    elif _is_float_pairs(value):
-        items = [f"[{indent}  {re!r},{indent}  {im!r}{indent}]" for re, im in value]
-    else:
-        items = [_dump(v, opened) for v in value]
-    opening, closing = "{}" if isinstance(value, dict) else "[]"
-    if not items:
-        return opening + closing
-    return f"{opening}{indent}{(',' + indent).join(items)}\n{'  ' * depth}{closing}"
-
-
 @dataclass(frozen=True, eq=False)
 class StateFile:
     """On-disk form of a state: raw amplitudes plus layout and labels.
@@ -174,7 +138,7 @@ class StateFile:
             document["name"] = self.name
         if self.metadata is not None:
             document["metadata"] = self.metadata
-        return _dump(document) + "\n"
+        return json.dumps(document, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "StateFile":
@@ -244,8 +208,8 @@ def report_document(result: DecompositionResult, name: str | None = None) -> dic
 
 
 def report_to_json(document: dict) -> str:
-    """``json.dumps(document, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
-    return _dump(document) + "\n"
+    """The report as one line of JSON, keys sorted, ending in a newline."""
+    return json.dumps(document, sort_keys=True) + "\n"
 
 
 def parse_report(text: str) -> dict:

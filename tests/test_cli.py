@@ -110,6 +110,16 @@ class TestGenerate:
         assert main([*args, "--base", "ghz"]) == 0
         assert json.loads(path.read_text())["dims"] == [3, 3, 3]
 
+    @pytest.mark.parametrize("args, message", [
+        (("--kind", "z", "--dims", "2,x"), "--dims must be a comma-separated integer list"),
+        (("--kind", "product"), "product requires dims"),
+    ])
+    def test_dims_input_error_names_the_defect(self, tmp_path, capsys, args, message):
+        path = tmp_path / "state.json"
+        assert main(["generate", *args, "-o", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not path.exists()
+
     def test_dressing_without_base_is_input_error(self, tmp_path):
         proc = run_cli("generate", "--kind", "random_local_dressing")
         assert proc.returncode == 2
@@ -339,6 +349,20 @@ class TestVerify:
         assert "maximality: inconclusive" in proc.stdout
         assert proc.stdout.strip().endswith("PASS")
 
+    def test_report_whose_supports_carry_no_weight_fails(self, tmp_path, capsys):
+        # |2> on every subsystem of z(0.5, 0.5) on 3x3x3: no branch is left to judge
+        state = z_state((0.5, 0.5), dims=(3, 3, 3))
+        document = report_document(maximal_decomposition(state))
+        for branch in document["branches"]:
+            branch["supports"] = [[[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]] * 3
+        state_path, report = tmp_path / "z.json", tmp_path / "report.json"
+        StateFile.from_state(state).write(state_path)
+        report.write_text(report_to_json(document))
+        assert main(["verify", str(state_path), str(report)]) == 1
+        out = capsys.readouterr().out
+        assert "branch 0: reported supports carry no weight in the state" in out
+        assert out.endswith("no branch could be rebuilt from the report\nFAIL\n")
+
     def test_merged_report_passes_without_the_oracle(self, tmp_path, capsys):
         # verify checks local orthogonality, not maximality: a report that
         # merges two genuine branches is self-consistent and locally
@@ -556,6 +580,8 @@ MALFORMED_FILES = {
                             "metadata must be an object"),
     "entropy_string": ("report", lambda doc: {**doc, "entropy_bits": "1.0"},
                        "entropy_bits must be a finite number"),
+    "no_branches": ("report", lambda doc: {**doc, "branches": [], "branch_count": 0, "weights": []},
+                    "report must contain at least one branch"),
     "branch_count_beyond_list": ("report", set_branch_count,
                                  "branch_count does not match the branch list"),
     "branch_not_object": ("report", lambda doc: doc["branches"].__setitem__(0, 1.0),

@@ -221,6 +221,10 @@ class TestBranchDecompositionShapes:
         with pytest.raises(ValueError, match=re.escape(message)):
             BranchDecomposition(ghz_state(), [branch])
 
+    def test_rejects_no_branches(self):
+        with pytest.raises(ValueError, match="a decomposition needs at least one branch"):
+            BranchDecomposition(ghz_state(), [])
+
 
 class TestCanonicalOrder:
     def test_weights_descending(self):

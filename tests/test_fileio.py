@@ -269,7 +269,7 @@ class TestBranchesFromReport:
 
 def dumps(document) -> str:
     """What the writers must produce, byte for byte."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return json.dumps(document, sort_keys=True) + "\n"
 
 
 CATALOG = {
@@ -297,6 +297,23 @@ def workload_states():
             yield f"{workload}-{k}", StateFile.from_json(states.state_json(case)).to_state()
 
 
+def assert_bit_identical(got, want):
+    """``got``, a parsed document, is ``want`` with every float's float64 bits."""
+    if isinstance(want, dict):
+        assert type(got) is dict and sorted(got) == sorted(want)
+        for key, value in want.items():
+            assert_bit_identical(got[key], value)
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is list and len(got) == len(want)
+        for got_item, want_item in zip(got, want):
+            assert_bit_identical(got_item, want_item)
+    elif isinstance(want, float):
+        assert type(got) is float
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+    else:
+        assert type(got) is type(want) and got == want
+
+
 def reference_state_document(state_file):
     # StateFile.to_json's document, with amplitudes converted one at a time
     document = {
@@ -311,7 +328,7 @@ def reference_state_document(state_file):
     return document
 
 
-# JSON-like values with the floats and strings a bulk writer can get wrong
+# JSON-like values with the floats and strings a writer can get wrong
 special_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e16, 1e-7])
 finite_floats = st.one_of(special_floats, st.floats(allow_nan=False, allow_infinity=False))
 pair_floats = st.one_of(finite_floats, finite_floats.map(np.float64))
@@ -373,16 +390,27 @@ def malformed_reports():
     )
 
 
-class TestBulkWriter:
-    @pytest.mark.parametrize("name, state", list(catalog_states()) + list(workload_states()))
+WRITER_STATES = list(catalog_states()) + list(workload_states())
+
+
+class TestWritersAreSortedJsonDumps:
+    @pytest.mark.parametrize("name, state", WRITER_STATES)
     def test_report_bytes_equal_json_dumps(self, name, state):
         document = report_document(maximal_decomposition(state), name=name)
         assert report_to_json(document) == dumps(document)
 
-    @pytest.mark.parametrize("name, state", list(catalog_states()) + list(workload_states()))
+    @pytest.mark.parametrize("name, state", WRITER_STATES)
     def test_state_file_bytes_equal_json_dumps(self, name, state):
         state_file = StateFile.from_state(state, name=name, metadata={"seed": 3, "x": [-0.0]})
         assert state_file.to_json() == dumps(reference_state_document(state_file))
+
+    @pytest.mark.parametrize("name, state", WRITER_STATES)
+    def test_files_read_back_bit_identical(self, name, state):
+        document = report_document(maximal_decomposition(state), name=name)
+        assert_bit_identical(json.loads(report_to_json(document)), document)
+        state_file = StateFile.from_state(state, name=name, metadata={"seed": 3, "x": [-0.0]})
+        assert_bit_identical(json.loads(state_file.to_json()),
+                             reference_state_document(state_file))
 
     @given(report_shaped(good_pairs))
     @settings(max_examples=150, deadline=None)

@@ -99,6 +99,16 @@ class TestStateTensor:
         with pytest.raises(ValueError):
             StateTensor((2, 2), [np.nan, 0, 0, 0])
 
+    def test_rejects_matrix_amplitudes(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "amplitude data must be one-dimensional, got shape (2, 2)")):
+            StateTensor((2, 2), np.ones((2, 2)))
+
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "subsystem dimensions must be >= 1, got (0, 2)")):
+            StateTensor((0, 2), [])
+
     def test_normalizes_amplitudes_whose_squares_overflow(self):
         # |1e300|^2 overflows: this Bell state used to normalize to zero, with a warning
         with warnings.catch_warnings():
@@ -162,6 +172,10 @@ class TestApplyMatrixAt:
         want = np.einsum("ab,pbq->paq", mat, amps.reshape(pre, dims[n], post)).reshape(-1)
         assert got.shape == want.shape
         assert np.allclose(got, want, atol=1e-13)
+
+    def test_rejects_a_matrix_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="matrix acts on dimension 3, subsystem 0 has 2"):
+            apply_matrix_at(np.ones(4, dtype=np.complex128), (2, 2), 0, np.eye(3))
 
     # the pair route: apply_pairwise_unitary against dense operators
 
