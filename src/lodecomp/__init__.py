@@ -27,12 +27,10 @@ from .catalog import (
 from .decomposition import (
     Branch,
     BranchDecomposition,
-    CorrelationGraph,
     DecompositionResult,
     Diagnostics,
     VerificationReport,
     assemble_branches,
-    build_correlation_graph,
     coarse_grain,
     common_fine_graining,
     maximal_decomposition,

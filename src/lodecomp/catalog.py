@@ -81,9 +81,9 @@ def z_state(weights, n_subsystems: int = 3, dims=None) -> StateTensor:
     every subsystem as there are weights.
     """
     weights = [float(w) for w in weights]
-    if not weights or any(w < 0 for w in weights):
+    if not weights or any(not w >= 0 for w in weights):  # so NaN fails too
         raise ValueError("weights must be nonempty and nonnegative")
-    if abs(sum(weights) - 1.0) > WEIGHT_SUM_ATOL:
+    if not abs(sum(weights) - 1.0) <= WEIGHT_SUM_ATOL:
         raise ValueError(f"weights must sum to 1, got {sum(weights)}")
     if dims is None:
         dims = (len(weights),) * _index(n_subsystems, "n_subsystems")

@@ -19,12 +19,12 @@ P_n^i is a polynomial in w_i rho_n^i = Tr_m[(I x P_m^i) rho_nm], in the
 span of the pair slices, so every block lies inside one branch.
 
 Assembly rotates the state once into a full local frame on every
-subsystem (its partition blocks plus an orthonormal complement of the
-support).  Every graph edge is read off that one rotated vector: N
-rotations in all, with no projection per node pair.  Every constructor
-here builds each branch from its supports alone, v_i = P_0^i psi up to
-its norm, and :func:`verify_lo` alone then judges the result; a failed
-check raises ``InternalConsistencyError``.
+subsystem: rho_n's eigenbasis, each split cluster's columns turned into
+its blocks, so no QR is needed.  Every graph edge is read off that one
+rotated vector: N rotations in all, with no projection per node pair.
+Every constructor here builds each branch from its supports alone,
+v_i = P_0^i psi up to its norm, and :func:`verify_lo` alone then judges
+the result; a failed check raises ``InternalConsistencyError``.
 
 All functions are pure and deterministic: SBD draws from a generator
 seeded with the constant ``SBD_SEED``.
@@ -74,7 +74,7 @@ class Branch:
         object.__setattr__(self, "weight", float(self.weight))
         vector = np.asarray(self.vector, dtype=np.complex128).flatten()
         norm = float(np.linalg.norm(vector))
-        if abs(norm - 1.0) > VERIFY_ATOL:
+        if not abs(norm - 1.0) <= VERIFY_ATOL:  # so NaN fails too
             raise ValueError(f"branch vector must be normalized, got norm {norm}")
         supports = (np.asarray(b, dtype=np.complex128) for b in self.supports)
         supports = tuple((b[:, None] if b.ndim == 1 else b).copy() for b in supports)
@@ -395,7 +395,6 @@ def _component_roots(linked: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GraphNode:
     subsystem: int
-    block: int
     basis: np.ndarray = field(repr=False)
 
 
@@ -403,11 +402,11 @@ class GraphNode:
 class CorrelationGraph:
     """Graph over local subspace blocks, joined by nonzero joint projections.
 
-    Nodes are (subsystem, block) pairs; an edge connects blocks on distinct
-    subsystems whose joint projection of the state has squared norm above
-    the edge threshold.  ``components`` partitions the node indices; the
-    extreme accepted/rejected edge weights are kept for diagnosing marginal
-    cases.
+    Nodes are (subsystem, block) pairs, numbered subsystem by subsystem; an
+    edge connects blocks on distinct subsystems whose joint projection of
+    the state has squared norm above the edge threshold.  ``components``
+    partitions the node indices; the extreme accepted/rejected edge weights
+    are kept for diagnosing marginal cases.
     """
 
     nodes: tuple
@@ -417,28 +416,11 @@ class CorrelationGraph:
     max_rejected_edge: float | None
 
 
-@dataclass(frozen=True, eq=False)
-class _LocalFrame:
-    """A state rotated once into a full local frame on every subsystem.
-
-    U_n = (Q_n | C_n): Q_n stacks subsystem n's blocks in node order, block
-    k in columns ``bounds[n][k]`` to ``bounds[n][k + 1]``, the last bound
-    being the rank, and C_n is an orthonormal complement of their span.
-    The nodes are numbered subsystem by subsystem, and ``marginals[n, m]``
-    (n < m) is the (d_n, d_m) marginal of |psi'|^2,
-    psi' = (U_0^H x ... x U_{N-1}^H) psi, summed over the complete bases of
-    all other subsystems.
-    """
-
-    nodes: tuple
-    bounds: tuple
-    marginals: dict
-
-
 def _checked_frames(state: StateTensor, blocks, t_supp: float) -> list:
-    """Caller-given blocks as per-subsystem frames (Q_n, bounds), once checked
-    to be orthonormal and to span exactly each local support.  The pipeline's
-    own blocks are orthonormal by construction and do not come through here."""
+    """Caller-given blocks as per-subsystem frames (U_n, bounds), once checked
+    to be orthonormal and to span exactly each local support, and completed
+    by the trailing columns of a complete QR.  The pipeline's own frames come
+    complete from rho_n's eigenbasis and do not come through here."""
     dims = state.dims
     if len(blocks) != state.n_subsystems:
         raise ValueError("need one block list per subsystem")
@@ -455,61 +437,36 @@ def _checked_frames(state: StateTensor, blocks, t_supp: float) -> list:
         if not bases:
             raise ValueError(f"subsystem {n} has no blocks")
         stacked = np.hstack(bases)
-        gram = stacked.conj().T @ stacked - np.eye(stacked.shape[1])
-        if float(np.max(np.abs(gram))) > _BLOCK_ATOL:
+        rank = stacked.shape[1]
+        gram = stacked.conj().T @ stacked - np.eye(rank)
+        if not float(np.max(np.abs(gram))) <= _BLOCK_ATOL:  # so NaN fails too
             raise ValueError(f"blocks on subsystem {n} are not mutually orthonormal")
         support = _local_support(state, n, t_supp).support_basis
         coverage = float(np.linalg.norm(support - stacked @ (stacked.conj().T @ support)))
         containment = float(np.linalg.norm(stacked - support @ (support.conj().T @ stacked)))
-        if coverage > _BLOCK_ATOL or containment > _BLOCK_ATOL:
+        if not (coverage <= _BLOCK_ATOL and containment <= _BLOCK_ATOL):
             raise ValueError(f"blocks on subsystem {n} do not span the local support exactly")
+        if rank < dims[n]:
+            stacked = np.hstack([stacked, np.linalg.qr(stacked, mode="complete")[0][:, rank:]])
         frames.append((stacked, np.cumsum([0] + [b.shape[1] for b in bases])))
     return frames
 
 
-def _local_frame(state: StateTensor, frames) -> _LocalFrame:
-    """Complete each subsystem's frame (Q_n, bounds) and rotate the state into it.
-
-    N rotations, one per subsystem.  The marginals come from staged sums:
-    |psi'|^2 is summed over the subsystems before n once per n, then for
-    each m > n in turn the subsystems after m and those between n and m.
-    """
-    dims = state.dims
-    nodes = []
-    rotated = state.amps
-    for n, (stacked, cuts) in enumerate(frames):
-        nodes += [GraphNode(n, k, stacked[:, a:b]) for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
-        if cuts[-1] < dims[n]:  # complete Q_n with an orthonormal complement of its span
-            stacked = np.hstack([stacked, np.linalg.qr(stacked, mode="complete")[0][:, cuts[-1]:]])
-        rotated = apply_matrix_at(rotated, dims, n, stacked.conj().T)
-    marginals = {}
-    tail = rotated.real**2 + rotated.imag**2  # summed over the subsystems before n
-    for n in range(state.n_subsystems - 1):
-        tail = rest = tail.reshape(dims[n], -1)
-        for m in range(n + 1, state.n_subsystems):
-            rest = rest.reshape(dims[n], dims[m], -1)  # summed over the subsystems n < . < m
-            marginals[n, m] = rest.sum(axis=2)
-            rest = rest.sum(axis=1)
-        tail = tail.sum(axis=0)
-    return _LocalFrame(tuple(nodes), tuple(c for _, c in frames), marginals)
-
-
 def build_correlation_graph(
     state: StateTensor,
-    blocks,
+    frames,
     t_edge: float = DEFAULT_TOLERANCES.t_edge,
-    t_supp: float = DEFAULT_TOLERANCES.t_supp,
-    *,
-    frame=None,
 ) -> CorrelationGraph:
     """Build the block correlation graph of a state.
+
+    ``frames`` holds one pair (U_n, bounds) per subsystem: U_n is a complete
+    d_n x d_n unitary whose columns ``bounds[k]`` to ``bounds[k + 1]`` are
+    block k, the last bound being the support rank.
 
     The weight of the edge between block a on subsystem n and block b on
     subsystem m is the squared joint projection ||P_n^a P_m^b psi||^2.
     With orthonormal blocks this is ||(B_a^H x B_b^H) psi||^2, so every
-    weight comes from one rotated frame: psi is rotated once on each
-    subsystem by U_n^H, where U_n = (Q_n | C_n) stacks subsystem n's blocks
-    and an orthonormal complement of their span, and
+    weight comes from one rotated vector psi' = (U_0^H x ... x U_{N-1}^H) psi:
 
         M_nm[x, y] = sum over the other indices of |psi'[..., x, ..., y, ...]|^2
         weight((n, a), (m, b)) = sum of M_nm[x, y] over x in a, y in b
@@ -517,17 +474,7 @@ def build_correlation_graph(
     The other subsystems are summed over a complete basis, so the t_supp
     leak outside the supports cannot move an edge.  That is N rotations
     of psi for all edges, in place of one full-vector projection per node
-    pair.
-
-    Parameters
-    ----------
-    blocks : sequence of sequences of arrays
-        For each subsystem, a list of orthonormal bases.  Per subsystem the
-        blocks must be mutually orthogonal and jointly span exactly the
-        local support of the reduced state.
-    frame : optional
-        The state's frame when the caller has one, and ``blocks`` is then
-        not read; otherwise the blocks are checked and the frame built here.
+    pair, and each M_nm comes from staged sums of |psi'|^2.
 
     Raises
     ------
@@ -536,16 +483,27 @@ def build_correlation_graph(
         edge from some block to that subsystem.  The message names the
         largest rejected edge weight.
     """
-    if frame is None:
-        frame = _local_frame(state, _checked_frames(state, blocks, t_supp))
+    dims = state.dims
+    nodes, offsets = [], [0]
+    rotated = state.amps
+    for n, (frame, cuts) in enumerate(frames):
+        nodes += [GraphNode(n, frame[:, a:b]) for a, b in zip(cuts, cuts[1:])]
+        offsets.append(len(nodes))
+        rotated = apply_matrix_at(rotated, dims, n, frame.conj().T)
+    bounds = [cuts for _, cuts in frames]
     # weights[a, b]: the edge weight of nodes a < b on distinct subsystems, else NaN;
     # nodes are numbered subsystem by subsystem, so np.nonzero lists edges in (a, b) order
-    offsets = np.cumsum([0] + [len(cuts) - 1 for cuts in frame.bounds])
-    weights = np.full((len(frame.nodes),) * 2, np.nan)
-    for (n, m), marginal in frame.marginals.items():
-        rows = np.add.reduceat(marginal[: frame.bounds[n][-1]], frame.bounds[n][:-1], axis=0)
-        joint = np.add.reduceat(rows[:, : frame.bounds[m][-1]], frame.bounds[m][:-1], axis=1)
-        weights[offsets[n]:offsets[n + 1], offsets[m]:offsets[m + 1]] = joint
+    weights = np.full((len(nodes),) * 2, np.nan)
+    tail = rotated.real**2 + rotated.imag**2  # summed over the subsystems before n
+    for n in range(state.n_subsystems - 1):
+        tail = rest = tail.reshape(dims[n], -1)
+        for m in range(n + 1, state.n_subsystems):
+            rest = rest.reshape(dims[n], dims[m], -1)  # summed over the subsystems n < . < m
+            rows = np.add.reduceat(rest.sum(axis=2)[: bounds[n][-1]], bounds[n][:-1], axis=0)
+            joint = np.add.reduceat(rows[:, : bounds[m][-1]], bounds[m][:-1], axis=1)
+            weights[offsets[n]:offsets[n + 1], offsets[m]:offsets[m + 1]] = joint
+            rest = rest.sum(axis=1)
+        tail = tail.sum(axis=0)
     linked = weights > t_edge
     edges = [(int(a), int(b), float(weights[a, b])) for a, b in zip(*np.nonzero(linked))]
     rejected = weights[weights <= t_edge]
@@ -556,13 +514,13 @@ def build_correlation_graph(
     min_accepted = min((w for _, _, w in edges), default=None)
     max_rejected = float(rejected.max()) if rejected.size else None
     for comp in components:
-        missed = set(range(len(frame.bounds))) - {frame.nodes[i].subsystem for i in comp}
+        missed = set(range(state.n_subsystems)) - {nodes[i].subsystem for i in comp}
         if missed:  # so some edge was rejected
             raise ValueError(
                 f"t_edge {t_edge:g} leaves a correlation-graph component without subsystem "
                 f"{min(missed)}: the largest rejected edge weight is {max_rejected:.6g}"
             )
-    return CorrelationGraph(frame.nodes, tuple(edges), components, min_accepted, max_rejected)
+    return CorrelationGraph(tuple(nodes), tuple(edges), components, min_accepted, max_rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +632,13 @@ def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: 
 
 def _support_partitions(state: StateTensor, subsystems, tol: Tolerances) -> tuple:
     """Each given subsystem's support split cluster by cluster, as a frame
-    (Q_n, bounds), and the subsystems whose supports needed SBD.
+    (U_n, bounds), and the subsystems whose supports needed SBD.
 
     Eigenvalues are clustered at gaps of max(``t_deg``, ``_GUARD_GAP``).
-    Q_n holds rho_n's in-support eigenvectors V, with a larger cluster's
-    columns lo:hi overwritten by V[:, lo:hi] p for its SBD parts p;
-    ``bounds`` are the block offsets, ending at the rank.  With the state in
+    U_n is rho_n's full eigenbasis V, with a larger cluster's in-support
+    columns lo:hi overwritten by V[:, lo:hi] p for its SBD parts p, so the
+    out-of-support eigenvectors complete it to a unitary; ``bounds`` are the
+    block offsets, ending at the rank.  With the state in
     the given eigenbases, a cluster's pair slices are a basic slice over its
     run of indices, divided by its weight, the sum of its in-support
     eigenvalues, so ``t_deg`` and ``t_edge`` judge the SBD relative to the
@@ -692,7 +651,7 @@ def _support_partitions(state: StateTensor, subsystems, tol: Tolerances) -> tupl
     slices = _eigenframe_slices(state, spectra, degenerate)
     frames, rng = [], None
     for spec in spectra:
-        stacked, bounds = spec.support_basis.copy(), [0]
+        stacked, bounds = spec.eigenvectors.copy(), [0]
         for cluster in spec.clusters:
             lo, hi = cluster[0], min(cluster[-1] + 1, spec.support_rank)
             if hi - lo == 1:
@@ -749,12 +708,11 @@ def _extract_component_branches(state, frames, tol):
     Component c's support on subsystem n stacks its nodes' blocks there,
     in frame-column order, as nodes are numbered subsystem by subsystem.
     """
-    frame = _local_frame(state, frames)
-    graph = build_correlation_graph(state, None, tol.t_edge, frame=frame)
+    graph = build_correlation_graph(state, frames, tol.t_edge)
     supports = [
         tuple(
-            np.hstack([frame.nodes[i].basis for i in group])
-            for _, group in itertools.groupby(comp, key=lambda i: frame.nodes[i].subsystem)
+            np.hstack([graph.nodes[i].basis for i in group])
+            for _, group in itertools.groupby(comp, key=lambda i: graph.nodes[i].subsystem)
         )
         for comp in graph.components
     ]
@@ -805,9 +763,11 @@ def assemble_branches(
 
     Builds the block correlation graph and turns its connected components
     into branches.  The branches are exactly as fine as the partitions:
-    nothing is refined further.  Blocks as :func:`build_correlation_graph`
-    takes them; ValueError otherwise.  As :func:`maximal_decomposition`, it
-    raises InternalConsistencyError unless :func:`verify_lo` passes the result.
+    nothing is refined further.  ``partitions`` holds, for each subsystem, a
+    list of orthonormal bases that are mutually orthogonal and jointly span
+    exactly the local support of the reduced state; ValueError otherwise.
+    As :func:`maximal_decomposition`, it raises InternalConsistencyError
+    unless :func:`verify_lo` passes the result.
     """
     if state.n_subsystems == 2:
         raise UnsupportedOperationError("block assembly needs at least three subsystems")

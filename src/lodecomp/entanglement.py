@@ -50,7 +50,7 @@ def _check_unitary(mat: np.ndarray, size: int) -> np.ndarray:
     if mat.shape != (size, size):
         raise ValueError(f"expected a {size}x{size} matrix, got {mat.shape}")
     deviation = float(np.max(np.abs(mat.conj().T @ mat - np.eye(size))))
-    if deviation > UNITARITY_ATOL:
+    if not deviation <= UNITARITY_ATOL:  # so NaN fails too
         raise ValueError(f"matrix is not unitary (deviation {deviation:.3e})")
     return mat
 

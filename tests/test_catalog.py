@@ -67,6 +67,11 @@ class TestNamedStates:
         with pytest.raises(ValueError):
             z_state((0.5, 0.5, -0.0000001, 0.0000001))
 
+    def test_z_rejects_non_finite_weights(self):
+        # the weights are named, not the amplitudes they would have made
+        with pytest.raises(ValueError, match="weights must be nonempty and nonnegative"):
+            z_state((0.5, np.nan, 0.5))
+
     def test_u_amplitudes(self):
         amps = u_state().amps
         dims = (2, 2, 2)

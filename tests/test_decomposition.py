@@ -28,6 +28,7 @@ from lodecomp.decomposition import (
     VERIFY_ATOL,
     W_MIN,
     _GUARD_GAP,
+    _checked_frames,
     _component_roots,
     _eigenframe_slices,
     _key_order,
@@ -76,6 +77,11 @@ import states as bench_states  # noqa: E402  (bench/, put on the path by util)
 
 def computational_blocks(dim):
     return [np.eye(dim)[:, [k]] for k in range(dim)]
+
+
+def caller_graph(state, blocks):
+    """The correlation graph of caller blocks, completed by the one block check."""
+    return build_correlation_graph(state, _checked_frames(state, blocks, DEFAULT_TOLERANCES.t_supp))
 
 
 def nested_state():
@@ -208,6 +214,11 @@ class TestBranch:
     def test_rejects_unnormalized_vector(self):
         with pytest.raises(ValueError, match="branch vector must be normalized, got norm 2.0"):
             Branch(1.0, [2.0, 0.0], [np.eye(2)])
+
+    def test_rejects_non_finite_vector(self):
+        # NaN fails every comparison: the norm guard must be one NaN cannot pass
+        with pytest.raises(ValueError, match="branch vector must be normalized, got norm nan"):
+            Branch(1.0, [np.nan] + [0] * 7, [np.eye(2)] * 3)
 
 
 class TestBranchDecompositionShapes:
@@ -603,7 +614,7 @@ class TestGraphAgainstReference:
             if state.n_subsystems == 2:
                 continue
             blocks = [sbd_refine(state, n) for n in range(state.n_subsystems)]
-            graph = build_correlation_graph(state, blocks)
+            graph = caller_graph(state, blocks)
             accepted = {(a, b): w for a, b, w in graph.edges}
             rejected = []
             for a, na in enumerate(graph.nodes):
@@ -681,7 +692,7 @@ class TestRotatedFrameAgainstReference:
         steps = theta_c * (1 + np.array([-1e-2, -1e-3, 1e-3, 1e-2]))
         for theta in np.concatenate([np.logspace(-12, -3, 46), steps]):
             partitions = turned_partition(state, 0, theta)
-            graph = build_correlation_graph(state, partitions)
+            graph = caller_graph(state, partitions)
             residual = max(
                 float(np.linalg.norm(v - vectors[0]))
                 for vectors in reference_component_projections(state, graph)
@@ -699,6 +710,31 @@ class TestRotatedFrameAgainstReference:
             outcomes.append(raised)
         assert not outcomes[0] and any(outcomes) and not outcomes[45]
         assert outcomes[-4:] == [False, False, True, True]
+
+
+class TestPipelineFrames:
+    """The pipeline's frames come complete from rho_n's eigenbasis: its
+    out-of-support eigenvectors complete each frame, so no QR is taken."""
+
+    def test_frames_are_unitaries_that_start_with_the_blocks(self):
+        tol = DEFAULT_TOLERANCES
+        frames = deficient = 0
+        worst = 0.0
+        for state in frame_states():
+            pipeline = _support_partitions(state, range(state.n_subsystems), tol)[0]
+            for n, (frame, bounds) in enumerate(pipeline):
+                ((alone, cuts),) = _support_partitions(state, [n], tol)[0]
+                for u in (frame, alone):
+                    assert u.shape == (state.dims[n],) * 2
+                    worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(len(u))))))
+                blocks = sbd_refine(state, n, tol)
+                assert list(np.diff(cuts)) == [b.shape[1] for b in blocks]
+                assert np.array_equal(alone[:, : cuts[-1]], np.hstack(blocks))
+                assert bounds[-1] == cuts[-1]
+                frames += 1
+                deficient += bounds[-1] < state.dims[n]
+        assert worst <= 1e-13
+        assert frames >= 100 and deficient >= 10
 
 
 def hadamard_fake():
@@ -881,7 +917,7 @@ class TestComponentRoots:
     def test_graph_components_match_union_find(self):
         checked = 0
         for state in frame_states():
-            graph = build_correlation_graph(state, frame_partitions(state))
+            graph = caller_graph(state, frame_partitions(state))
             uf = UnionFind(len(graph.nodes))
             for a, b, _ in graph.edges:
                 uf.union(a, b)
@@ -894,7 +930,7 @@ class TestCorrelationGraph:
     def test_ghz_components(self):
         ghz = ghz_state()
         blocks = [computational_blocks(2) for _ in range(3)]
-        graph = build_correlation_graph(ghz, blocks)
+        graph = caller_graph(ghz, blocks)
         assert len(graph.nodes) == 6
         assert len(graph.components) == 2
         assert graph.min_accepted_edge == pytest.approx(0.5)
@@ -906,30 +942,30 @@ class TestCorrelationGraph:
             [local_spectrum(w, n).eigenvectors[:, [k]] for k in range(2)]
             for n in range(3)
         ]
-        graph = build_correlation_graph(w, blocks)
+        graph = caller_graph(w, blocks)
         assert len(graph.components) == 1
 
     def test_rejects_non_orthonormal_blocks(self):
         ghz = ghz_state()
         bad = [[np.array([[1.0], [1.0]])], [np.eye(2)], [np.eye(2)]]
         with pytest.raises(ValueError, match="orthonormal"):
-            build_correlation_graph(ghz, bad)
+            caller_graph(ghz, bad)
 
     def test_rejects_blocks_missing_support(self):
         ghz = ghz_state()
         partial = [[np.array([1.0, 0.0])], computational_blocks(2), computational_blocks(2)]
         with pytest.raises(ValueError, match="span"):
-            build_correlation_graph(ghz, partial)
+            caller_graph(ghz, partial)
 
     def test_rejects_blocks_outside_support(self):
         # the third subsystem of |U> is pure, so the full basis overshoots
         blocks = [computational_blocks(2)] * 3
         with pytest.raises(ValueError, match="span"):
-            build_correlation_graph(u_state(), blocks)
+            caller_graph(u_state(), blocks)
 
     def test_wrong_block_count(self):
         with pytest.raises(ValueError):
-            build_correlation_graph(ghz_state(), [computational_blocks(2)] * 2)
+            caller_graph(ghz_state(), [computational_blocks(2)] * 2)
 
     def test_edge_threshold_that_strands_a_block_raises(self):
         # every ghz edge weighs 0.5: at t_edge 0.6 each block stands alone,
@@ -937,7 +973,7 @@ class TestCorrelationGraph:
         message = ("t_edge 0.6 leaves a correlation-graph component without subsystem 1: "
                    "the largest rejected edge weight is 0.5")
         with pytest.raises(ValueError, match=re.escape(message)):
-            build_correlation_graph(ghz_state(), [computational_blocks(2)] * 3, t_edge=0.6)
+            assemble_branches(ghz_state(), [computational_blocks(2)] * 3, Tolerances(t_edge=0.6))
 
 
 QUBIT = computational_blocks(2)
@@ -955,14 +991,22 @@ BAD_BLOCKS = {  # fault: (state, blocks, the ValueError's message)
     # the third subsystem of |U> is pure, so the full basis overshoots
     "overshoots the support": (u_state(), [QUBIT] * 3,
                                "blocks on subsystem 2 do not span the local support exactly"),
+    # NaN fails every comparison, so each guard must be one that NaN cannot pass
+    "not finite": (ghz_state(), [[np.array([[np.nan], [0.0]]), QUBIT[1]], QUBIT, QUBIT],
+                   "blocks on subsystem 0 are not mutually orthonormal"),
 }
 
 
 class TestBlockChecks:
-    """Caller blocks are checked once, at either public door; the pipeline's
-    own blocks never pass through the checks."""
+    """Caller blocks are checked once, by `_checked_frames`: behind
+    `assemble_branches`, the one public door that takes them, and behind the
+    correlation graph of caller blocks; the pipeline's own blocks never pass
+    through the checks."""
 
-    @pytest.mark.parametrize("door", [assemble_branches, build_correlation_graph])
+    @pytest.mark.parametrize("door", [
+        assemble_branches,
+        pytest.param(caller_graph, id="build_correlation_graph"),
+    ])
     @pytest.mark.parametrize("fault", list(BAD_BLOCKS))
     def test_doors_reject_bad_blocks(self, door, fault):
         state, blocks, message = BAD_BLOCKS[fault]

@@ -137,6 +137,11 @@ class TestApplyLocalUnitary:
         with pytest.raises(ValueError):
             apply_local_unitary(ghz_state(), 0, np.array([[1.0, 0.0], [1.0, 1.0]]))
 
+    def test_rejects_non_finite_matrix(self):
+        # the matrix is named, not the amplitudes it would have made
+        with pytest.raises(ValueError, match=r"matrix is not unitary \(deviation nan\)"):
+            apply_local_unitary(ghz_state(), 0, [[np.nan, 0], [0, 1]])
+
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
             apply_local_unitary(ghz_state(), 0, np.eye(3))

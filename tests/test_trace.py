@@ -12,8 +12,15 @@ import io
 
 from lodecomp import cli
 from lodecomp.catalog import dress_state, z_state
-from lodecomp.decomposition import assemble_branches, maximal_decomposition, sbd_refine
+from lodecomp.decomposition import (
+    _checked_frames,
+    assemble_branches,
+    build_correlation_graph,
+    maximal_decomposition,
+    sbd_refine,
+)
 from lodecomp.fileio import StateFile
+from lodecomp.tolerances import DEFAULT_TOLERANCES
 
 import util  # noqa: F401  (puts bench/ on the path)
 import states  # noqa: E402
@@ -29,15 +36,26 @@ def test_trace_targets_resolve():
 
 
 def test_traced_decomposition_records_layer_spans():
+    # the benchmark's decomposition.graph_nodes and graph_edges are read off
+    # the kept result of the build_correlation_graph span: it must be the
+    # graph the pipeline built its branches from
     state = dress_state(z_state((0.5, 0.3, 0.2)), seed=3)
     recorder = tracer.Tracer()
     recorder.install()
     try:
-        maximal_decomposition(state)
+        result = maximal_decomposition(state)
     finally:
         recorder.uninstall()
-    names = {name for name, _, _ in recorder.take()}
+    spans = recorder.take()
+    names = {name for name, _, _ in spans}
     assert {"build_correlation_graph", "verify_lo", "local_spectrum"} <= names
+    (graph,) = [kept for name, _, kept in spans if name == "build_correlation_graph"]
+    blocks = [sbd_refine(state, n) for n in range(state.n_subsystems)]
+    assert len(graph.nodes) == sum(map(len, blocks)) == 9
+    frames = _checked_frames(state, blocks, DEFAULT_TOLERANCES.t_supp)
+    assert graph.edges == build_correlation_graph(state, frames).edges and len(graph.edges) == 9
+    assert len(graph.components) == result.decomposition.n_branches == 3
+    assert result.diagnostics.min_accepted_edge == min(w for _, _, w in graph.edges)
 
 
 def test_traced_round_trip_records_file_io_spans(tmp_path):

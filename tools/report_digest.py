@@ -22,8 +22,11 @@ On a state above `ORACLE_MAX_DIM` that is exit 2 and the oracle's message.
 The `layers` label digests the layer API on the same states with three or
 more subsystems: the `sbd_refine` blocks of every subsystem, then, from
 those blocks, the weights, vectors and supports of `assemble_branches` and
-the edges, components and edge margins of `build_correlation_graph`.  Arrays are hashed by their bytes, floats by
-their round-trip repr, and a state whose calls raise by the exception.
+the edges, components and edge margins of the graph it builds, kept from
+its `build_correlation_graph` call by `bench/tracer.py`'s `Tracer`, so no
+call depends on that function's signature.  Arrays are hashed by their
+bytes, floats by their round-trip repr, and a state whose calls raise by
+the exception.
 
 The `algebra` label digests the decomposition algebra on the catalog
 states (plain and dressed) with three or more subsystems whose maximal
@@ -90,7 +93,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from lodecomp import (  # noqa: E402
     assemble_branches,
-    build_correlation_graph,
     cli,
     coarse_grain,
     common_fine_graining,
@@ -120,6 +122,7 @@ from lodecomp.oracle import (  # noqa: E402
 
 import check  # noqa: E402
 import states  # noqa: E402
+import tracer  # noqa: E402
 
 FORMATS = ("json", "table", "csv")
 ERRORS = (ValueError, InternalConsistencyError, UnsupportedOperationError)
@@ -235,10 +238,17 @@ def digests(workload_seeds) -> dict:
 
 def layer_outputs(state) -> list:
     """The layer API's outputs on one state, in a fixed order: the
-    ``sbd_refine`` blocks, then the branches and the graph built from them."""
+    ``sbd_refine`` blocks, then the branches ``assemble_branches`` builds
+    from them and the graph it builds on the way, as the benchmark's
+    ``Tracer`` keeps it."""
     partitions = [sbd_refine(state, n) for n in range(state.n_subsystems)]
-    decomposition = assemble_branches(state, partitions)
-    graph = build_correlation_graph(state, partitions)
+    recorder = tracer.Tracer()
+    recorder.install(targets=[("lodecomp.decomposition", "build_correlation_graph")])
+    try:
+        decomposition = assemble_branches(state, partitions)
+    finally:
+        recorder.uninstall()
+    ((_, _, graph),) = recorder.take()
     out = [b for per_subsystem in partitions for b in per_subsystem]
     for branch in decomposition.branches:
         out += [branch.weight, branch.vector, *branch.supports]
