@@ -72,6 +72,8 @@ class Branch:
 
     def __post_init__(self):
         object.__setattr__(self, "weight", float(self.weight))
+        if not math.isfinite(self.weight):
+            raise ValueError(f"branch weight must be finite, got {self.weight}")
         vector = np.asarray(self.vector, dtype=np.complex128).flatten()
         norm = float(np.linalg.norm(vector))
         if not abs(norm - 1.0) <= VERIFY_ATOL:  # so NaN fails too
@@ -220,7 +222,8 @@ def verify_lo(d: BranchDecomposition) -> VerificationReport:
     """Check every invariant of a branch decomposition numerically.
 
     Failures are reported, never raised, and every tolerance is a module
-    constant: no caller can loosen the check.  The checks cover weight
+    constant: no caller can loosen the check.  A check's residual is the
+    largest of its parts, NaN if any part is NaN.  The checks cover weight
     positivity and normalization, branch orthonormality, reconstruction of
     the state, orthonormality and mutual orthogonality of the
     per-subsystem supports, the branch-count bound, and the defining
@@ -259,11 +262,11 @@ def verify_lo(d: BranchDecomposition) -> VerificationReport:
     vectors = np.stack([br.vector for br in d.branches])
     checks = []
 
-    def add(name, residual, tolerance):
-        residual = float(residual)
+    def add(name, residuals, tolerance):
+        residual = float(np.max(residuals, initial=0.0))  # NaN propagates, unlike max()
         checks.append(CheckResult(name, residual, tolerance, residual <= tolerance))
 
-    add("weights_positive", max(0.0, W_MIN - float(weights.min())), 0.0)
+    add("weights_positive", W_MIN - weights, 0.0)
     add("weight_sum", abs(float(weights.sum()) - 1.0), VERIFY_ATOL)
 
     gram = vectors.conj() @ vectors.T
@@ -275,7 +278,7 @@ def verify_lo(d: BranchDecomposition) -> VerificationReport:
 
     targets = vectors
     targets *= scales[:, None]  # in place: sqrt(w_i) v_i; the vectors are not needed again
-    sup_dev = overlap = identity_res = 0.0
+    norms, identity = [], []  # per subsystem: Gram block norms, squared identity residuals
     for n in range(state.n_subsystems):
         # Q[i] = (B_n^i | 0): supports zero-padded to a common rank, so one
         # batched product serves all branches; the padding adds zero rows and
@@ -285,19 +288,16 @@ def verify_lo(d: BranchDecomposition) -> VerificationReport:
         blocks = np.matmul(q.conj().swapaxes(1, 2)[:, None], q[None])
         in_rank = np.arange(rank) < ranks[:, None]
         blocks[np.arange(k), np.arange(k)] -= in_rank[:, :, None] * np.eye(rank)
-        norms = np.linalg.norm(blocks, axis=(-2, -1))
-        sup_dev = max(sup_dev, float(norms.diagonal().max()))
-        if k > 1:
-            overlap = max(overlap, float(norms[~np.eye(k, dtype=bool)].max()))
+        norms.append(np.linalg.norm(blocks, axis=(-2, -1)))
         diff = project_supports(state.amps, dims, n, q)  # all k projections P_n^i psi at once
         diff -= targets.reshape(k, len(diff), -1).swapaxes(0, 1)
         pairs = diff.view(np.float64)  # (re, im) pairs: squared norms with no complex temporary
-        worst = float(np.einsum("pkx,pkx->k", pairs, pairs).max())
-        identity_res = max(identity_res, math.sqrt(worst))
-    add("support_orthonormality", sup_dev, VERIFY_ATOL)
-    add("local_orthogonality", overlap, VERIFY_ATOL)
-    add("branch_count", max(0, k - min(dims)), 0.0)
-    add("projector_identity", identity_res, (T_NINDEP - 2 * VERIFY_ATOL) / 2)
+        identity.append(np.einsum("pkx,pkx->k", pairs, pairs))
+    norms, diagonal = np.array(norms), np.eye(k, dtype=bool)
+    add("support_orthonormality", norms[:, diagonal], VERIFY_ATOL)
+    add("local_orthogonality", norms[:, ~diagonal], VERIFY_ATOL)
+    add("branch_count", k - min(dims), 0.0)
+    add("projector_identity", np.sqrt(identity), (T_NINDEP - 2 * VERIFY_ATOL) / 2)
 
     return VerificationReport(tuple(checks), all(c.passed for c in checks))
 
@@ -405,13 +405,16 @@ class CorrelationGraph:
     Nodes are (subsystem, block) pairs, numbered subsystem by subsystem; an
     edge connects blocks on distinct subsystems whose joint projection of
     the state has squared norm above the edge threshold.  ``components``
-    partitions the node indices; the extreme accepted/rejected edge weights
-    are kept for diagnosing marginal cases.
+    partitions the node indices, and ``supports`` holds each component's
+    supports: per subsystem, its blocks there stacked in frame-column order.
+    The extreme accepted/rejected edge weights are kept for diagnosing
+    marginal cases.
     """
 
     nodes: tuple
     edges: tuple
     components: tuple
+    supports: tuple
     min_accepted_edge: float | None
     max_rejected_edge: float | None
 
@@ -513,14 +516,20 @@ def build_correlation_graph(
     components = tuple(map(tuple, groups.values()))
     min_accepted = min((w for _, _, w in edges), default=None)
     max_rejected = float(rejected.max()) if rejected.size else None
+    supports = []
     for comp in components:
-        missed = set(range(state.n_subsystems)) - {nodes[i].subsystem for i in comp}
+        blocks = {}  # in subsystem order: each component lists its nodes in ascending order
+        for i in comp:
+            blocks.setdefault(nodes[i].subsystem, []).append(nodes[i].basis)
+        missed = set(range(state.n_subsystems)) - blocks.keys()
         if missed:  # so some edge was rejected
             raise ValueError(
                 f"t_edge {t_edge:g} leaves a correlation-graph component without subsystem "
                 f"{min(missed)}: the largest rejected edge weight is {max_rejected:.6g}"
             )
-    return CorrelationGraph(tuple(nodes), tuple(edges), components, min_accepted, max_rejected)
+        supports.append(tuple(map(np.hstack, blocks.values())))
+    return CorrelationGraph(tuple(nodes), tuple(edges), components, tuple(supports),
+                            min_accepted, max_rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +633,7 @@ def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: 
             continue
         drawn, stable, left = drawn[:0], stable + rounds, left - rounds
         if stable >= SBD_STABLE_ROUNDS:
-            return [parts[i] for i in _key_order(parts)]
+            return parts if len(parts) == 1 else [parts[i] for i in _key_order(parts)]
     raise InternalConsistencyError(
         f"block-diagonalization failed to stabilize on subsystem {subsystem}"
     )
@@ -702,23 +711,6 @@ def sbd_refine(
 # assembly of branches from block partitions
 
 
-def _extract_component_branches(state, frames, tol):
-    """Each correlation-graph component's supports, and the graph.
-
-    Component c's support on subsystem n stacks its nodes' blocks there,
-    in frame-column order, as nodes are numbered subsystem by subsystem.
-    """
-    graph = build_correlation_graph(state, frames, tol.t_edge)
-    supports = [
-        tuple(
-            np.hstack([graph.nodes[i].basis for i in group])
-            for _, group in itertools.groupby(comp, key=lambda i: graph.nodes[i].subsystem)
-        )
-        for comp in graph.components
-    ]
-    return supports, graph
-
-
 def branches_from_supports(state: StateTensor, supports) -> list:
     """Branch i from its per-subsystem supports ``supports[i]``: weight
     w_i = ||P_0^i psi||^2 and vector P_0^i psi / sqrt(w_i), every P_0^i psi
@@ -772,8 +764,8 @@ def assemble_branches(
     if state.n_subsystems == 2:
         raise UnsupportedOperationError("block assembly needs at least three subsystems")
     frames = _checked_frames(state, partitions, tol.t_supp)
-    supports, _ = _extract_component_branches(state, frames, tol)
-    return _decomposition_from_supports(state, supports)[0]
+    graph = build_correlation_graph(state, frames, tol.t_edge)
+    return _decomposition_from_supports(state, graph.supports)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +848,8 @@ def maximal_decomposition(
         graph, path, seed, degenerate = None, "schmidt", None, (0, 1) if non_unique else ()
     else:
         frames, degenerate = _support_partitions(state, range(state.n_subsystems), tol)
-        supports, graph = _extract_component_branches(state, frames, tol)
+        graph = build_correlation_graph(state, frames, tol.t_edge)
+        supports = graph.supports
         path = "block-sbd" if degenerate else "eigenvector-graph"
         seed, non_unique = SBD_SEED, False
     dec, report = _decomposition_from_supports(state, supports)

@@ -220,6 +220,11 @@ class TestBranch:
         with pytest.raises(ValueError, match="branch vector must be normalized, got norm nan"):
             Branch(1.0, [np.nan] + [0] * 7, [np.eye(2)] * 3)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match=f"branch weight must be finite, got {weight}"):
+            Branch(weight, [1.0, 0.0], [np.eye(2)])
+
 
 class TestBranchDecompositionShapes:
     @pytest.mark.parametrize("branch, message", [
@@ -485,6 +490,32 @@ class TestVerify:
         report = verify_lo(maximal_decomposition(ghz_state(3, 4)).decomposition)
         check = {c.name: c for c in report.checks}["branch_count"]
         assert check.passed
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_support_entry_fails(self, entry):
+        # one bad entry in branch 1's subsystem-2 support: a fold that drops
+        # NaN would pass all eight checks
+        d = maximal_decomposition(ghz_state()).decomposition
+        supports = [b.copy() for b in d.branches[1].supports]
+        supports[2][0, 0] = entry
+        bad = Branch(d.branches[1].weight, d.branches[1].vector, supports)
+        with np.errstate(invalid="ignore"):
+            report = verify_lo(BranchDecomposition(d.state, [d.branches[0], bad]))
+        checks = {c.name: c for c in report.checks}
+        for name in ("support_orthonormality", "local_orthogonality", "projector_identity"):
+            assert np.isnan(checks[name].residual) and not checks[name].passed, name
+        assert not report.passed
+
+    def test_nan_weights_fail(self):
+        d = maximal_decomposition(ghz_state()).decomposition
+        for br in d.branches:
+            object.__setattr__(br, "weight", float("nan"))  # past Branch's own guard
+        with np.errstate(invalid="ignore"):
+            report = verify_lo(d)
+        checks = {c.name: c for c in report.checks}
+        for name in ("weights_positive", "projector_identity"):
+            assert np.isnan(checks[name].residual) and not checks[name].passed, name
+            assert f"FAIL  {name}: residual nan" in report.summary()
 
 
 def catalog_and_dressed_states():

@@ -10,6 +10,8 @@ import contextlib
 import importlib
 import io
 
+import numpy as np
+
 from lodecomp import cli
 from lodecomp.catalog import dress_state, z_state
 from lodecomp.decomposition import (
@@ -55,6 +57,12 @@ def test_traced_decomposition_records_layer_spans():
     frames = _checked_frames(state, blocks, DEFAULT_TOLERANCES.t_supp)
     assert graph.edges == build_correlation_graph(state, frames).edges and len(graph.edges) == 9
     assert len(graph.components) == result.decomposition.n_branches == 3
+    # the branches come from the kept graph's supports, so the two cannot drift
+    assert len(graph.supports) == result.decomposition.n_branches
+    for br in result.decomposition.branches:
+        assert any(
+            all(map(np.array_equal, br.supports, supports)) for supports in graph.supports
+        )
     assert result.diagnostics.min_accepted_edge == min(w for _, _, w in graph.edges)
 
 
