@@ -13,11 +13,10 @@ import math
 import sys
 
 from .catalog import KINDS, StateSpec, generate
-from .decomposition import maximal_decomposition, verify_lo
+from .decomposition import VERIFY_ATOL, maximal_decomposition, verify_lo
 from .entanglement import e_lo, weight_entropy
 from .errors import InternalConsistencyError, UnsupportedOperationError
 from .fileio import (
-    WEIGHT_ATOL,
     StateFile,
     branches_from_report,
     parse_report,
@@ -193,7 +192,7 @@ def cmd_compare(args) -> int:
     for key in ("label", "dims", "branches", "weights", "entropy"):
         lines.append(f"{key:>9}  {str(a[key]):<{width}}  {b[key]}")
     wa, wb = weights
-    same = len(wa) == len(wb) and all(abs(x - y) <= WEIGHT_ATOL for x, y in zip(wa, wb))
+    same = len(wa) == len(wb) and all(abs(x - y) <= VERIFY_ATOL for x, y in zip(wa, wb))
     lines.append(f"identical weight multisets: {'yes' if same else 'no'}")
     _emit("\n".join(lines) + "\n", None)
     return 0

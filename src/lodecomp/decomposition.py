@@ -49,7 +49,6 @@ W_MIN = 1e-12  # branch weight floor: a projected component at or below it is ex
 # allowed residual between branch vectors extracted via different subsystems'
 # support projectors; verify_lo allows (T_NINDEP - 2 VERIFY_ATOL) / 2 per subsystem and branch
 T_NINDEP = 1e-8
-_BLOCK_ATOL = 1e-8  # caller blocks: orthonormality, coverage and containment of the support
 # eigenvalue gaps below this are left to SBD: an eigenvector across a gap g
 # is accurate to about eps / g (Davis-Kahan), here 100x under VERIFY_ATOL
 _GUARD_GAP = 100 * np.finfo(np.float64).eps / VERIFY_ATOL
@@ -204,11 +203,6 @@ class VerificationReport:
 
     checks: tuple
     passed: bool
-
-    @property
-    def worst(self):
-        """The failed check with the largest residual, or None if all passed."""
-        return max((c for c in self.checks if not c.passed), key=lambda c: c.residual, default=None)
 
     def summary(self) -> str:
         lines = []
@@ -421,9 +415,11 @@ class CorrelationGraph:
 
 def _checked_frames(state: StateTensor, blocks, t_supp: float) -> list:
     """Caller-given blocks as per-subsystem frames (U_n, bounds), once checked
-    to be orthonormal and to span exactly each local support, and completed
-    by the trailing columns of a complete QR.  The pipeline's own frames come
-    complete from rho_n's eigenbasis and do not come through here."""
+    at ``VERIFY_ATOL`` to be orthonormal (the Frobenius norm of their Gram
+    matrix less the identity bounds every Gram block :func:`verify_lo` reads)
+    and to span exactly each local support (the Frobenius distance of the two
+    projectors), and completed, as the pipeline's frames are, by rho_n's
+    out-of-support eigenvectors."""
     dims = state.dims
     if len(blocks) != state.n_subsystems:
         raise ValueError("need one block list per subsystem")
@@ -434,24 +430,22 @@ def _checked_frames(state: StateTensor, blocks, t_supp: float) -> list:
             b = np.asarray(b, dtype=np.complex128)
             if b.ndim == 1:
                 b = b[:, None]
-            if b.shape[0] != dims[n] or b.shape[1] == 0:
+            if b.ndim != 2 or b.shape[0] != dims[n] or b.shape[1] == 0:
                 raise ValueError(f"block on subsystem {n} has wrong shape {b.shape}")
             bases.append(b)
         if not bases:
             raise ValueError(f"subsystem {n} has no blocks")
         stacked = np.hstack(bases)
-        rank = stacked.shape[1]
-        gram = stacked.conj().T @ stacked - np.eye(rank)
-        if not float(np.max(np.abs(gram))) <= _BLOCK_ATOL:  # so NaN fails too
+        gram = stacked.conj().T @ stacked - np.eye(stacked.shape[1])
+        if not float(np.linalg.norm(gram)) <= VERIFY_ATOL:  # so NaN fails too
             raise ValueError(f"blocks on subsystem {n} are not mutually orthonormal")
-        support = _local_support(state, n, t_supp).support_basis
-        coverage = float(np.linalg.norm(support - stacked @ (stacked.conj().T @ support)))
-        containment = float(np.linalg.norm(stacked - support @ (support.conj().T @ stacked)))
-        if not (coverage <= _BLOCK_ATOL and containment <= _BLOCK_ATOL):
+        spec = _local_support(state, n, t_supp)
+        support = spec.support_basis
+        span = np.linalg.norm(support @ support.conj().T - stacked @ stacked.conj().T)
+        if not float(span) <= VERIFY_ATOL:
             raise ValueError(f"blocks on subsystem {n} do not span the local support exactly")
-        if rank < dims[n]:
-            stacked = np.hstack([stacked, np.linalg.qr(stacked, mode="complete")[0][:, rank:]])
-        frames.append((stacked, np.cumsum([0] + [b.shape[1] for b in bases])))
+        frame = np.hstack([stacked, spec.eigenvectors[:, spec.support_rank:]])
+        frames.append((frame, np.cumsum([0] + [b.shape[1] for b in bases])))
     return frames
 
 
@@ -757,7 +751,8 @@ def assemble_branches(
     into branches.  The branches are exactly as fine as the partitions:
     nothing is refined further.  ``partitions`` holds, for each subsystem, a
     list of orthonormal bases that are mutually orthogonal and jointly span
-    exactly the local support of the reduced state; ValueError otherwise.
+    exactly the local support of the reduced state, at ``VERIFY_ATOL`` as
+    :func:`verify_lo` judges them; ValueError otherwise.
     As :func:`maximal_decomposition`, it raises InternalConsistencyError
     unless :func:`verify_lo` passes the result.
     """

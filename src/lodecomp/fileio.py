@@ -25,14 +25,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .decomposition import (SBD_STABLE_ROUNDS, T_NINDEP, W_MIN, BranchDecomposition,
-                            DecompositionResult, branches_from_supports)
+from .decomposition import (SBD_STABLE_ROUNDS, T_NINDEP, VERIFY_ATOL, W_MIN,
+                            BranchDecomposition, DecompositionResult, branches_from_supports)
 from .entanglement import weight_entropy
 from .tensor import StateTensor
 
 SCHEMA_VERSION = 1
 ENTROPY_ATOL = 1e-12  # decompose writes entropy_bits bit-exact
-WEIGHT_ATOL = 1e-9  # a reported branch weight against the weight its supports carry
 
 
 def _complex_pairs(values: np.ndarray) -> list:
@@ -288,7 +287,7 @@ def branches_from_report(document: dict, state: StateTensor):
     for j, (weight, branch) in enumerate(zip(reported, branches)):
         if branch is None:
             problems.append(f"branch {j}: reported supports carry no weight in the state")
-        elif abs(branch.weight - weight) > WEIGHT_ATOL:
+        elif abs(branch.weight - weight) > VERIFY_ATOL:
             problems.append(
                 f"branch {j}: reported weight {weight!r} does not match the state "
                 f"(recomputed {branch.weight!r})"

@@ -79,6 +79,12 @@ def computational_blocks(dim):
     return [np.eye(dim)[:, [k]] for k in range(dim)]
 
 
+def spectral_blocks(state):
+    """Each subsystem's in-support eigenvector columns of rho_n, one block each."""
+    bases = (local_spectrum(state, n).support_basis for n in range(state.n_subsystems))
+    return [[basis[:, [k]] for k in range(basis.shape[1])] for basis in bases]
+
+
 def caller_graph(state, blocks):
     """The correlation graph of caller blocks, completed by the one block check."""
     return build_correlation_graph(state, _checked_frames(state, blocks, DEFAULT_TOLERANCES.t_supp))
@@ -446,7 +452,6 @@ class TestVerify:
     def test_passes_on_maximal(self):
         report = verify_lo(maximal_decomposition(ghz_state()).decomposition)
         assert report.passed
-        assert report.worst is None
 
     def test_detects_bad_weight(self):
         d = maximal_decomposition(ghz_state()).decomposition
@@ -461,8 +466,6 @@ class TestVerify:
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert "weight_sum" in failed or "reconstruction" in failed
-        assert not report.worst.passed
-        assert report.worst.residual == max(c.residual for c in report.checks if not c.passed)
 
     def test_detects_overlapping_supports(self):
         ghz = ghz_state()
@@ -806,7 +809,8 @@ class TestTrivial:
         with pytest.raises(InternalConsistencyError, match="FAIL  reconstruction") as excinfo:
             trivial_decomposition(state, Tolerances(t_supp=0.05))
         assert failed_checks(excinfo) == {"weight_sum", "reconstruction"}
-        assert excinfo.value.report.worst.residual == pytest.approx(0.1)
+        residuals = {c.name: c.residual for c in excinfo.value.report.checks}
+        assert residuals["reconstruction"] == pytest.approx(0.1)
 
 
 class TestCoarseGrain:
@@ -1022,6 +1026,10 @@ BAD_BLOCKS = {  # fault: (state, blocks, the ValueError's message)
     # the third subsystem of |U> is pure, so the full basis overshoots
     "overshoots the support": (u_state(), [QUBIT] * 3,
                                "blocks on subsystem 2 do not span the local support exactly"),
+    "0-d block": (ghz_state(), [QUBIT, [np.array(1.0)], QUBIT],
+                  "block on subsystem 1 has wrong shape ()"),
+    "3-d block": (ghz_state(), [QUBIT, QUBIT, [np.ones((2, 1, 1))]],
+                  "block on subsystem 2 has wrong shape (2, 1, 1)"),
     # NaN fails every comparison, so each guard must be one that NaN cannot pass
     "not finite": (ghz_state(), [[np.array([[np.nan], [0.0]]), QUBIT[1]], QUBIT, QUBIT],
                    "blocks on subsystem 0 are not mutually orthonormal"),
@@ -1043,6 +1051,53 @@ class TestBlockChecks:
         state, blocks, message = BAD_BLOCKS[fault]
         with pytest.raises(ValueError, match=re.escape(message)):
             door(state, blocks)
+
+    @pytest.mark.parametrize("size, raises", [(3e-9, True), (3e-10, False)])
+    def test_blocks_off_by_more_than_verify_atol_are_invalid_input(self, size, raises):
+        # blocks off orthonormal, or turned off the support, by more than
+        # VERIFY_ATOL once passed the door and then failed verify_lo, which
+        # judges at VERIFY_ATOL, as an internal error
+        scaled = dress_state(z_state((0.5, 0.3, 0.2)), 1)
+        scaled_blocks = spectral_blocks(scaled)
+        scaled_blocks[0][0] = scaled_blocks[0][0] * (1 + size)
+        turned = dress_state(z_state((0.6, 0.4), dims=(3, 3, 3)), 0)
+        spec = local_spectrum(turned, 0)
+        assert spec.support_rank == 2
+        kernel = spec.eigenvectors[:, [2]]
+        turned_blocks = spectral_blocks(turned)
+        turned_blocks[0][0] = np.cos(size) * turned_blocks[0][0] + np.sin(size) * kernel
+        cases = [(scaled, scaled_blocks, 3, "blocks on subsystem 0 are not mutually orthonormal"),
+                 (turned, turned_blocks, 2,
+                  "blocks on subsystem 0 do not span the local support exactly")]
+        for state, partition, count, message in cases:
+            if raises:
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    assemble_branches(state, partition)
+            else:
+                assert assemble_branches(state, partition).n_branches == count
+
+    def test_door_passes_no_blocks_the_support_checks_fail(self):
+        # a block scaled by 1 + eps is off orthonormal by about 2 eps in the
+        # Gram matrix and in the span: every eps either stops at the door or
+        # yields a decomposition, never a support check's internal error
+        states = [dress_state(z_state((0.5, 0.3, 0.2)), 1),
+                  dress_state(z_state((0.6, 0.4), dims=(3, 3, 3)), 0),
+                  dress_state(z_state((0.45, 0.3, 0.15, 0.1), dims=(4, 4, 4)), 2),
+                  dress_state(ghz_state(3, 3), 0)]
+        outcomes = set()
+        for state in states:
+            partitions = frame_partitions(state)
+            for eps in np.logspace(-10, -8, 9):
+                for n in range(state.n_subsystems):
+                    blocks = [list(p) for p in partitions]
+                    blocks[n][0] = blocks[n][0] * (1 + eps)
+                    try:
+                        assemble_branches(state, blocks)
+                        outcomes.add("returned")
+                    except ValueError as exc:
+                        assert f"blocks on subsystem {n} are not mutually orthonormal" in str(exc)
+                        outcomes.add("refused")
+        assert outcomes == {"returned", "refused"}
 
     def test_partition_fault_is_internal(self, monkeypatch, tmp_path):
         # SBD parts a little off orthonormal: the pipeline does not check
