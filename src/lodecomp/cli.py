@@ -131,7 +131,9 @@ def _spec_from_args(args, kind: str, seed) -> StateSpec:
     if args.d is not None:
         if kind != "ghz":
             raise ValueError(f"kind {kind!r} does not accept parameters ['d']")
-        dims = (args.d,) * (args.n or (len(dims) if dims else 3))
+        if dims and set(dims) != {args.d}:
+            raise ValueError(f"--dims {args.dims} disagrees with --d {args.d}")
+        dims = dims or (args.d,) * (args.n or 3)
     return StateSpec(kind, args.n, dims, weights, seed, args.split)
 
 

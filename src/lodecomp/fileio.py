@@ -17,6 +17,7 @@ text.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -55,44 +56,33 @@ def _is_dims(dims) -> bool:
     return isinstance(dims, list) and bool(dims) and all(_is_int(d) and d >= 1 for d in dims)
 
 
-def _float_pairs(pairs: list):
-    """Fast path of :func:`_pairs_to_complex`: a list of [re, im] lists of
-    JSON numbers as a complex vector, or None when any entry is anything
-    else.  Types are checked exactly, because numpy reads [true, 0] as the
-    numbers [1, 0]; an integer beyond the float range, or a non-finite
-    number, also gives None."""
-    if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
-        return None
-    flat = list(itertools.chain.from_iterable(pairs))
-    if set(map(type, flat)) - {float, int}:
-        return None
-    try:
-        out = np.fromiter(flat, dtype=np.float64, count=len(flat)).view(np.complex128)
-    except OverflowError:
-        return None
-    return out if np.isfinite(out).all() else None
+def _pairs_to_complex(pairs: list, name) -> np.ndarray:
+    """A list of [re, im] lists of finite JSON numbers as a complex vector.
 
-
-def _pairs_to_complex(pairs, what: str) -> np.ndarray:
-    out = _float_pairs(pairs)
-    if out is not None:
-        return out
-    # the per-index loop names the first bad entry
-    out = np.empty(len(pairs), dtype=np.complex128)
-    for k, pair in enumerate(pairs):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ValueError(f"{what}[{k}] must be a [re, im] pair")
-        re, im = pair
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
-            raise ValueError(f"{what}[{k}] must contain two numbers")
-        try:
-            out[k] = complex(re, im)
-        except OverflowError:
-            raise ValueError(f"{what}[{k}] must contain two finite numbers") from None
-    nonfinite = np.flatnonzero(~np.isfinite(out))
-    if nonfinite.size:
-        raise ValueError(f"{what}[{nonfinite[0]}] must contain two finite numbers")
-    return out
+    Types are checked exactly, because numpy reads [true, 0] as the numbers
+    [1, 0], and all pairs are converted in one call into a float64 buffer.
+    When any check fails, raise ValueError naming the first bad pair, in
+    order, as ``name(k)``: not a two-element list, not two numbers, or a
+    number whose float64 is not finite (NaN, infinity, or an integer that
+    rounds beyond the float range)."""
+    if not (set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}):
+        flat = list(itertools.chain.from_iterable(pairs))
+        if not set(map(type, flat)) - {float, int}:
+            try:  # not contextlib.suppress: entering it costs more than a try, on every call
+                out = np.fromiter(flat, dtype=np.float64, count=len(flat)).view(np.complex128)
+                if np.isfinite(out).all():
+                    return out
+            except OverflowError:  # an integer beyond the float range
+                pass
+    for k, pair in enumerate(pairs):  # the same checks, pair by pair
+        if not (type(pair) is list and len(pair) == 2):
+            raise ValueError(f"{name(k)} must be a [re, im] pair")
+        if set(map(type, pair)) - {float, int}:
+            raise ValueError(f"{name(k)} must contain two numbers")
+        with contextlib.suppress(OverflowError):  # converted as np.fromiter converts
+            if all(map(math.isfinite, pair)):
+                continue
+        raise ValueError(f"{name(k)} must contain two finite numbers")
 
 
 def _load(text: str, kind: str) -> dict:
@@ -103,8 +93,8 @@ def _load(text: str, kind: str) -> dict:
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ValueError(f"{kind} must be a JSON object")
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {document.get('schema_version')!r}")
+    if not _is_int(version := document.get("schema_version")) or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version!r}")
     return document
 
 
@@ -152,7 +142,7 @@ class StateFile:
             raise ValueError(
                 f"amps has length {len(amps)}, expected prod(dims) = {math.prod(dims)}"
             )
-        vec = _pairs_to_complex(amps, "amps")
+        vec = _pairs_to_complex(amps, lambda k: f"amps[{k}]")
         name = document.get("name")
         if name is not None and not isinstance(name, str):
             raise ValueError("name must be a string")
@@ -269,18 +259,16 @@ def branches_from_report(document: dict, state: StateTensor):
         if not isinstance(raw, list) or len(raw) != len(dims):
             raise ValueError(f"branch {j} must list one support per subsystem")
         supports.append([])
-        for n, columns in enumerate(raw):
+        for n, (d, columns) in enumerate(zip(dims, raw)):
             if not isinstance(columns, list) or not columns:
                 raise ValueError(f"branch {j} subsystem {n} support is empty")
             if not all(isinstance(col, list) for col in columns):
                 raise ValueError(f"branch {j} support {n} columns must be lists of [re, im] pairs")
-            if any(len(col) != dims[n] for col in columns):
-                raise ValueError(f"branch {j} support {n} columns must have dimension {dims[n]}")
-            flat = _float_pairs(list(itertools.chain.from_iterable(columns)))
-            if flat is None:  # column by column, to name the bad entry
-                flat = np.concatenate([_pairs_to_complex(col, f"branch {j} support {n} column {c}")
-                                       for c, col in enumerate(columns)])
-            supports[j].append(flat.reshape(len(columns), dims[n]).T)
+            if any(len(col) != d for col in columns):
+                raise ValueError(f"branch {j} support {n} columns must have dimension {d}")
+            flat = _pairs_to_complex(list(itertools.chain.from_iterable(columns)),
+                                     lambda k: f"branch {j} support {n} column {k // d}[{k % d}]")
+            supports[j].append(flat.reshape(len(columns), d).T)
 
     branches = branches_from_supports(state, supports)
     problems = []

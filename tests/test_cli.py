@@ -110,6 +110,24 @@ class TestGenerate:
         assert main([*args, "--base", "ghz"]) == 0
         assert json.loads(path.read_text())["dims"] == [3, 3, 3]
 
+    @pytest.mark.parametrize("args, dims", [
+        (("--kind", "ghz", "--d", "3", "--dims", "2,2"), "2,2"),
+        (("--kind", "ghz", "--d", "3", "--dims", "2,2", "--n", "2"), "2,2"),
+        (("--kind", "random_local_dressing", "--base", "ghz", "--d", "3", "--dims", "5,5,5"),
+         "5,5,5"),
+    ])
+    def test_dims_that_disagree_with_d_is_input_error(self, tmp_path, capsys, args, dims):
+        # --d is not dropped for --dims, nor --dims for --d
+        path = tmp_path / "state.json"
+        assert main(["generate", *args, "-o", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: --dims {dims} disagrees with --d 3\n"
+        assert not path.exists()
+
+    def test_d_with_matching_dims(self, tmp_path):
+        path = tmp_path / "state.json"
+        assert main(["generate", "--kind", "ghz", "--d", "3", "--dims", "3,3", "-o", str(path)]) == 0
+        assert json.loads(path.read_text())["dims"] == [3, 3]
+
     @pytest.mark.parametrize("args, message", [
         (("--kind", "z", "--dims", "2,x"), "--dims must be a comma-separated integer list"),
         (("--kind", "product"), "product requires dims"),
@@ -590,6 +608,11 @@ MALFORMED_FILES = {
                       "branch 0 subsystem 0 support is empty"),
     "column_not_list": ("report", lambda doc: doc["branches"][0]["supports"].__setitem__(0, [5]),
                         "branch 0 support 0 columns must be lists of [re, im] pairs"),
+    # a boolean or a float is not the integer version 1
+    "schema_version_true": ("state", lambda doc: {**doc, "schema_version": True},
+                            "unsupported schema_version True"),
+    "schema_version_float": ("report", lambda doc: {**doc, "schema_version": 1.0},
+                             "unsupported schema_version 1.0"),
 }
 
 

@@ -22,7 +22,6 @@ from lodecomp.tensor import StateTensor
 from lodecomp.fileio import (
     SCHEMA_VERSION,
     StateFile,
-    _float_pairs,
     _pairs_to_complex,
     branches_from_report,
     parse_report,
@@ -489,28 +488,32 @@ class TestWritersAreSortedJsonDumps:
         assert state_file.to_json() == dumps(reference_state_document(state_file))
 
 
-def reference_pairs_to_complex(pairs, what):
-    """The per-index parse: every amplitude read by complex(re, im)."""
+def reference_pairs_to_complex(pairs, name):
+    """The per-index parse: every amplitude read by complex(re, im), and
+    the first pair that is not a list of two finite numbers named."""
     out = np.empty(len(pairs), dtype=np.complex128)
     for k, pair in enumerate(pairs):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ValueError(f"{what}[{k}] must be a [re, im] pair")
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"{name(k)} must be a [re, im] pair")
         re, im = pair
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
-            raise ValueError(f"{what}[{k}] must contain two numbers")
+            raise ValueError(f"{name(k)} must contain two numbers")
         try:
             out[k] = complex(re, im)
         except OverflowError:
-            raise ValueError(f"{what}[{k}] must contain two finite numbers") from None
-    nonfinite = np.flatnonzero(~np.isfinite(out))
-    if nonfinite.size:
-        raise ValueError(f"{what}[{nonfinite[0]}] must contain two finite numbers")
+            raise ValueError(f"{name(k)} must contain two finite numbers") from None
+        if not np.isfinite(out[k]):
+            raise ValueError(f"{name(k)} must contain two finite numbers")
     return out
+
+
+def amps_name(k):
+    return f"amps[{k}]"
 
 
 def outcome(parse, pairs):
     try:
-        return parse(pairs, "amps").tobytes()
+        return parse(pairs, amps_name).tobytes()
     except ValueError as exc:
         return str(exc)
 
@@ -518,14 +521,14 @@ def outcome(parse, pairs):
 json_numbers = st.one_of(
     finite_floats,
     st.integers(min_value=-(2**64), max_value=2**64),
-    st.sampled_from([2**53 + 1, -(2**63) - 1, 10**308, 2**1023 * 3 // 2]),
+    st.sampled_from([2**53 + 1, -(2**63) - 1, 10**308, 2**1023 * 3 // 2, 2**1024 - 2**970 - 1]),
 )
 json_scalars = st.one_of(
     json_numbers,
     st.booleans(),
     st.none(),
     st.text(max_size=2),
-    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**309)]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**309), 2**1024 - 2**970]),
 )
 
 
@@ -533,9 +536,8 @@ class TestAmplitudeParser:
     @given(st.lists(st.lists(json_numbers, min_size=2, max_size=2), max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_fast_path_bits_equal_complex(self, pairs):
-        fast = _float_pairs(pairs)
-        want = reference_pairs_to_complex(pairs, "amps")
-        assert fast is not None
+        fast = _pairs_to_complex(pairs, amps_name)
+        want = reference_pairs_to_complex(pairs, amps_name)
         assert fast.tobytes() == want.tobytes()
 
     @given(
@@ -564,3 +566,30 @@ class TestAmplitudeParser:
             message = rf"^branch 0 support 1 column {column}\[1\] must contain two numbers$"
             with pytest.raises(ValueError, match=message):
                 branches_from_report(document, state)
+
+    def test_first_bad_pair_is_named_also_when_it_is_not_finite(self):
+        # a non-finite pair named before a later boolean one
+        amps = [[math.nan, 0.0], [True, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        text = json.dumps({"schema_version": SCHEMA_VERSION, "dims": [2, 2], "amps": amps})
+        with pytest.raises(ValueError, match=r"^amps\[0\] must contain two finite numbers$"):
+            StateFile.from_json(text)
+        state = ghz_state()
+        document = sample_report(state)
+        document["branches"][0]["supports"][1][0][:2] = [[math.nan, 0.0], [True, 0.0]]
+        message = r"^branch 0 support 1 column 0\[0\] must contain two finite numbers$"
+        with pytest.raises(ValueError, match=message):
+            branches_from_report(document, state)
+
+    def test_integer_that_rounds_to_the_largest_float_is_never_named(self):
+        # read as the fast path reads it, also when a later pair is bad
+        largest, overflows = 2**1024 - 2**970 - 1, 2**1024 - 2**970
+        assert _pairs_to_complex([[largest, 0]], amps_name)[0] == np.finfo(np.float64).max
+        with pytest.raises(ValueError, match=r"^amps\[1\] must contain two numbers$"):
+            _pairs_to_complex([[largest, 0], [True, 0]], amps_name)
+        with pytest.raises(ValueError, match=r"^amps\[0\] must contain two finite numbers$"):
+            _pairs_to_complex([[overflows, 0], [True, 0]], amps_name)
+
+    def test_tuple_pair_is_not_a_pair(self):
+        # JSON has no tuples: a tuple is not read as a pair
+        with pytest.raises(ValueError, match=r"^amps\[1\] must be a \[re, im\] pair$"):
+            _pairs_to_complex([[1.0, 0.0], (0.0, 1.0)], amps_name)

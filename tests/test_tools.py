@@ -41,7 +41,7 @@ def seed_digests(printed_digests):
     compared with."""
     rows = (line.rsplit(None, 3) for line in printed_digests.splitlines())
     return {label: (digest, int(count)) for label, digest, count, _ in rows
-            if label not in ("layers", "algebra", "oracle", "states")}
+            if label not in ("layers", "algebra", "oracle", "states", "reader")}
 
 
 def test_one_digest_per_path_label(printed_digests, tmp_path):
@@ -49,7 +49,7 @@ def test_one_digest_per_path_label(printed_digests, tmp_path):
     lines = printed_digests.splitlines()
     labels = [line.split()[0] for line in lines]
     assert labels == ["block-sbd", "eigenvector-graph", "schmidt", "verify", "verify-oracle",
-                      "layers", "algebra", "oracle", "states"]
+                      "layers", "algebra", "oracle", "states", "reader"]
     counts = {}
     for label, line in zip(labels, lines):
         digest, count = line.split()[1:3]
@@ -73,6 +73,9 @@ def test_one_digest_per_path_label(printed_digests, tmp_path):
     assert counts["oracle"] == sum(s.total_dim <= tool.ORACLE_MAX_DIM for s in catalog)
     # the state writer is hashed once on every input state
     assert counts["states"] == len(tool.write_inputs(tmp_path, [3]))
+    # the reader once on each malformed copy: every bad pair first and last,
+    # and one NaN-then-true copy, in the state file and in the report
+    assert counts["reader"] == 2 * (2 * len(tool.BAD_PAIRS) + 1)
 
 
 def test_digests_repeat(seed_digests):
@@ -209,3 +212,19 @@ def test_state_digest_repeats_and_follows_the_writer_bytes(monkeypatch):
     monkeypatch.setattr(tool.StateFile, "to_json", lambda self: write(self) + " ")
     changed = tool.state_digest([3])
     assert changed[1] == first[1] and changed[0] != first[0]
+
+
+def test_reader_digest_repeats_and_follows_the_verify_output(printed_digests, monkeypatch):
+    tool = load_tool()
+    first = tool.reader_digest()
+    assert f"{'reader':<18} {first[0]}  {first[1]} outputs" in printed_digests.splitlines()
+    # every malformed copy is an input error that names its first bad pair
+    outputs = {name: (code, text.decode()) for name, code, text in tool.reader_outputs()}
+    assert all(code == 2 for code, _ in outputs.values())
+    assert outputs["state NaN then true"][1] == "error: amps[0] must contain two finite numbers\n"
+    assert outputs["report true at -1"][1] == (
+        "error: branch 0 support 0 column 0[3] must contain two numbers\n")
+    # one bad pair fewer: four outputs fewer, and another digest
+    monkeypatch.delitem(tool.BAD_PAIRS, "5")
+    fewer = tool.reader_digest()
+    assert fewer[1] == first[1] - 4 and fewer[0] != first[0]

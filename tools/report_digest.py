@@ -47,6 +47,15 @@ The `states` label digests the state writer: `StateFile.to_json` of every
 input state above (workload, catalog and dressed), each re-read through
 `StateFile.from_json`.
 
+The `reader` label digests `lodecomp verify` on a fixed malformed corpus
+built from the `ghz-3x4-dressed-0` catalog state file and its genuine
+report: its exit code, standard output and standard error.  Each of ten
+bad pairs (a `true`, `"1"`, `null`, `NaN`, `Infinity` or `10**400` real
+part, `[1.0]`, `[1.0, 0.0, 0.0]`, `5` and `{}`) replaces the first and the
+last amplitude of the state file, then the first and the last entry of
+the report's first support column; one more copy of each file holds a NaN
+pair before a `true` one.
+
     python3 tools/report_digest.py                       # workload seeds 0-4
     python3 tools/report_digest.py --workload-seeds 3,11
     python3 tools/report_digest.py --root ../other       # another checkout
@@ -71,6 +80,7 @@ import copy  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -381,6 +391,63 @@ def state_digest(workload_seeds) -> tuple:
     return digest.hexdigest(), count
 
 
+READER_STATE = "ghz-3x4-dressed-0"
+BAD_PAIRS = {  # name: the value that replaces one good [re, im] pair
+    "true": [True, 0.0], '"1"': ["1", 0.0], "null": [None, 0.0], "NaN": [math.nan, 0.0],
+    "Infinity": [math.inf, 0.0], "10**400": [10**400, 0.0],
+    "[1.0]": [1.0], "[1.0, 0.0, 0.0]": [1.0, 0.0, 0.0], "5": 5, "{}": {},
+}
+
+
+def reader_corpus(state: dict, report: dict) -> list:
+    """(name, which file, document) of each malformed copy of a state file's
+    and its report's documents: every bad pair at the first and the last
+    amplitude, and at the first and the last entry of branch 0's first
+    support column, then a NaN pair before a ``true`` one in each."""
+    corpus = []
+    places = (("state", state, lambda doc: doc["amps"]),
+              ("report", report, lambda doc: doc["branches"][0]["supports"][0][0]))
+    for which, document, pairs in places:
+        edits = [(f"{bad} at {k}", {k: pair}) for bad, pair in BAD_PAIRS.items() for k in (0, -1)]
+        edits.append(("NaN then true", {0: [math.nan, 0.0], 1: [True, 0.0]}))
+        for name, edit in edits:
+            edited = copy.deepcopy(document)
+            for k, pair in edit.items():
+                pairs(edited)[k] = pair
+            corpus.append((f"{which} {name}", which, edited))
+    return corpus
+
+
+def reader_outputs() -> list:
+    """(name, exit code, standard output and error) of ``verify`` on each
+    :func:`reader_corpus` copy, beside the other file's genuine copy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        state, bad_state = work / "state.json", work / "bad-state.json"
+        StateFile.from_state(catalog_states()[READER_STATE], name=READER_STATE).write(state)
+        code, report = decompose(state, "json", work / "out")
+        outputs = []
+        for name, which, document in reader_corpus(json.loads(state.read_text()),
+                                                   json.loads(report)):
+            text = json.dumps(document)
+            if which == "state":
+                bad_state.write_text(text)
+                outputs.append((name, *run_verify(bad_state, report, work)))
+            else:
+                outputs.append((name, *run_verify(state, text.encode(), work)))
+    return outputs
+
+
+def reader_digest() -> tuple:
+    """(sha256 hex digest, number of outputs) of :func:`reader_outputs`."""
+    digest = hashlib.sha256()
+    outputs = reader_outputs()
+    for name, code, text in outputs:
+        digest.update(f"{name} reader exit={code} bytes={len(text)}\n".encode())
+        digest.update(text)
+    return digest.hexdigest(), len(outputs)
+
+
 def _int_list(text: str) -> list:
     return [int(part) for part in text.split(",")]
 
@@ -397,6 +464,7 @@ def main(argv=None) -> int:
     labels["algebra"] = algebra_digest()
     labels["oracle"] = oracle_digest()
     labels["states"] = state_digest(args.workload_seeds)
+    labels["reader"] = reader_digest()
     for label, (digest, count) in labels.items():
         print(f"{label:<18} {digest}  {count} outputs")
     return 0
