@@ -31,20 +31,11 @@ from .decomposition import (
     Diagnostics,
     VerificationReport,
     assemble_branches,
-    coarse_grain,
-    common_fine_graining,
     maximal_decomposition,
     sbd_refine,
-    trivial_decomposition,
     verify_lo,
 )
-from .entanglement import (
-    apply_local_unitary,
-    apply_pairwise_unitary,
-    e_lo,
-    level_mixing_unitary,
-    weight_entropy,
-)
+from .entanglement import e_lo, weight_entropy
 from .errors import (
     DegenerateSpectrumError,
     InternalConsistencyError,
@@ -61,12 +52,7 @@ from .spectral import (
     cluster_eigenvalues,
     local_spectrum,
 )
-from .tensor import (
-    StateTensor,
-    partial_trace,
-    permute_subsystems,
-    tensor_compose,
-)
+from .tensor import StateTensor, partial_trace
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __version__ = "1.0.0"

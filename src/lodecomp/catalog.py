@@ -142,10 +142,18 @@ def x_state() -> StateTensor:
     return StateTensor(dims, amps.reshape(-1) / math.sqrt(8))
 
 
+def _rng(seed) -> np.random.Generator:
+    """A generator seeded with ``seed``: an integer by :func:`_index`, and nonnegative."""
+    seed = _index(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def random_state(dims, seed: int = 0) -> StateTensor:
     """Normalized complex Gaussian amplitudes: rotation-invariant ensemble."""
     dims = _dims(dims)
-    rng = np.random.default_rng(_index(seed, "seed"))
+    rng = _rng(seed)
     total = math.prod(dims)
     amps = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     return StateTensor(dims, amps / np.linalg.norm(amps))
@@ -160,7 +168,7 @@ def product_state(dims, split: int = 1, seed: int = 0) -> StateTensor:
     dims, split = _dims(dims), _index(split, "split")
     if not 1 <= split <= len(dims) - 1:
         raise ValueError(f"split must fall strictly inside dims, got {split}")
-    rng = np.random.default_rng(_index(seed, "seed"))
+    rng = _rng(seed)
 
     def factor(size):
         vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -182,7 +190,7 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
 
 def dress_state(state: StateTensor, seed: int = 0) -> StateTensor:
     """Apply an independent seeded random unitary to every subsystem."""
-    rng = np.random.default_rng(_index(seed, "seed"))
+    rng = _rng(seed)
     amps = state.amps
     for n, d in enumerate(state.dims):
         amps = apply_matrix_at(amps, state.dims, n, haar_unitary(d, rng))

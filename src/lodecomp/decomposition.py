@@ -3,9 +3,9 @@
 A branch decomposition splits a state into a weighted sum of orthonormal
 branch vectors whose per-subsystem reduced states occupy mutually
 orthogonal subspaces, so a local measurement on any single subsystem
-reveals the branch.  This module houses the data model, verification,
-the coarse/fine-graining algebra, and the one construction path of the
-finest (maximal) such decomposition, in one pass.  Each local support is
+reveals the branch.  This module houses the data model, verification
+and the one construction path of the finest (maximal) such
+decomposition, in one pass.  Each local support is
 split along the eigenvalue clusters of its reduced state, where eigenvalues
 closer than a guard gap share a cluster (eigenvectors across a narrower gap
 are too inaccurate to split along): a singleton cluster into its
@@ -40,8 +40,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, UnsupportedOperationError
 from .spectral import fix_phases, local_spectrum
-from .tensor import (StateTensor, _index, apply_matrix_at, basis_stack, partial_trace,
-                     project_supports)
+from .tensor import StateTensor, apply_matrix_at, basis_stack, partial_trace, project_supports
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 VERIFY_ATOL = 1e-9
@@ -54,6 +53,9 @@ T_NINDEP = 1e-8
 _GUARD_GAP = 100 * np.finfo(np.float64).eps / VERIFY_ATOL
 _SBD_BATCH_ENTRIES = 1 << 20  # cap on one SBD batch's cross-block entries, rounds x layout
 SBD_STABLE_ROUNDS = 3  # consecutive rounds without a split that end one cluster's SBD search
+# SBD cuts each draw at eigenvalue gaps above this, relative to the cluster's
+# weight; the t_edge merge undoes any cut that a pair state couples across
+SBD_SPLIT_GAP = 1e-8
 SBD_SEED = 0  # seeds the SBD generator; the draws choose bases inside blocks, not the blocks
 
 
@@ -170,21 +172,6 @@ def _local_support(state: StateTensor, n: int, t_supp: float, t_deg=DEFAULT_TOLE
     return spec
 
 
-def _supports_from_vector(vec: np.ndarray, dims, t_supp: float) -> tuple:
-    """Per-subsystem support bases of a vector's reduced states, once normalized."""
-    state = StateTensor(dims, vec)
-    return tuple(_local_support(state, n, t_supp).support_basis for n in range(len(dims)))
-
-
-def trivial_decomposition(
-    state: StateTensor, tol: Tolerances = DEFAULT_TOLERANCES
-) -> BranchDecomposition:
-    """The one-branch decomposition onto the state's full supports;
-    InternalConsistencyError when ``tol.t_supp`` drops weight from the state."""
-    supports = _supports_from_vector(state.amps, state.dims, tol.t_supp)
-    return _decomposition_from_supports(state, [supports])[0]
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -294,83 +281,6 @@ def verify_lo(d: BranchDecomposition) -> VerificationReport:
     add("projector_identity", np.sqrt(identity), (T_NINDEP - 2 * VERIFY_ATOL) / 2)
 
     return VerificationReport(tuple(checks), all(c.passed for c in checks))
-
-
-# ---------------------------------------------------------------------------
-# coarse- and fine-graining algebra
-
-
-def coarse_grain(d: BranchDecomposition, merge) -> BranchDecomposition:
-    """Merge branches according to a partition.
-
-    Parameters
-    ----------
-    merge : iterable of iterables of int
-        Partition of the branch indices of ``d``.  Each class becomes one
-        branch whose supports are the direct sums of the members' supports,
-        and whose vector is the state's projection onto them.
-
-    Raises
-    ------
-    ValueError
-        If ``merge`` is not a partition of the branch indices.
-    InternalConsistencyError
-        If the merged decomposition fails :func:`verify_lo`, as it can when
-        ``d`` was not locally orthogonal to begin with.
-    """
-    classes = [sorted(_index(i, "branch index") for i in cls) for cls in merge]
-    flat = sorted(i for cls in classes for i in cls)
-    if flat != list(range(d.n_branches)) or not all(classes):
-        raise ValueError("merge must be a partition of the branch indices")
-    supports = [
-        tuple(map(np.hstack, zip(*(d.branches[i].supports for i in cls)))) for cls in classes
-    ]
-    return _decomposition_from_supports(d.state, supports)[0]
-
-
-def common_fine_graining(
-    d1: BranchDecomposition,
-    d2: BranchDecomposition,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> BranchDecomposition:
-    """The joint refinement of two decompositions of the same state.
-
-    Each output branch is the state's component inside one subspace
-    intersection: the full product of d1's branch-i support projectors
-    applied to d2's weighted branch k gives its supports, and the state's
-    projection onto them its vector.  Pairs whose component vanishes are
-    dropped.  Both inputs are coarse-grainings of the result.
-
-    Raises
-    ------
-    ValueError
-        If the two decompositions do not share the same state.
-    UnsupportedOperationError
-        For bipartite states, where the construction is not guaranteed.
-    InternalConsistencyError
-        If either input fails :func:`verify_lo`, or the result does.
-    """
-    if d1.state.dims != d2.state.dims:
-        raise ValueError(f"dimension mismatch: {d1.state.dims} vs {d2.state.dims}")
-    if float(np.linalg.norm(d1.state.amps - d2.state.amps)) > VERIFY_ATOL:
-        raise ValueError("decompositions must be of the same state")
-    dims = d1.state.dims
-    if len(dims) == 2:
-        raise UnsupportedOperationError(
-            "common fine-graining is only available for three or more subsystems"
-        )
-    for d in (d1, d2):
-        _judged(d, "input decomposition")
-
-    supports = []
-    for bk in d2.branches:
-        for bi in d1.branches:
-            vec = math.sqrt(bk.weight) * bk.vector  # (P_0^i x ... x P_{N-1}^i) sqrt(w_k) v_k
-            for n, basis in enumerate(bi.supports):
-                vec = project_supports(vec, dims, n, basis[None]).reshape(-1)
-            if float(np.vdot(vec, vec).real) > W_MIN:
-                supports.append(_supports_from_vector(vec, dims, tol.t_supp))
-    return _decomposition_from_supports(d1.state, supports)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +521,7 @@ def _split_cluster(family: np.ndarray, starts, tol: Tolerances, rng, subsystem: 
         for basis in parts:
             vals, vecs = np.linalg.eigh(basis.conj().T @ combined @ basis)
             frames.append(basis @ vecs)
-            firsts += [np.ones((rounds, 1), dtype=bool), vals[:, 1:] - vals[:, :-1] > tol.t_deg]
+            firsts += [np.ones((rounds, 1), dtype=bool), vals[:, 1:] - vals[:, :-1] > SBD_SPLIT_GAP]
         frames = np.concatenate(frames, axis=2)
         labels = np.cumsum(np.concatenate(firsts, axis=1), axis=1) - 1
         # merge-back keeps the search sound: a split that any pair state
@@ -644,9 +554,9 @@ def _support_partitions(state: StateTensor, subsystems, tol: Tolerances) -> tupl
     block offsets, ending at the rank.  With the state in
     the given eigenbases, a cluster's pair slices are a basic slice over its
     run of indices, divided by its weight, the sum of its in-support
-    eigenvalues, so ``t_deg`` and ``t_edge`` judge the SBD relative to the
-    cluster.  The subsystems draw in order from one generator seeded with
-    ``SBD_SEED``, built at the first cluster that needs SBD.
+    eigenvalues, so ``SBD_SPLIT_GAP`` and ``t_edge`` judge the SBD relative
+    to the cluster.  The subsystems draw in order from one generator seeded
+    with ``SBD_SEED``, built at the first cluster that needs SBD.
     """
     t_split = max(tol.t_deg, _GUARD_GAP)
     spectra = [_local_support(state, n, tol.t_supp, t_split) for n in subsystems]
@@ -683,11 +593,12 @@ def sbd_refine(
     eigenvector, so a support whose local state has two well-separated
     eigenvalues comes back as at least two blocks.  A larger
     cluster of weight w is split along the eigenvalue clusters of random
-    draws X = Tr_m[(I x H_m) rho_nm] / w, H_m Hermitian, restricted to it;
-    parts a < b merge back whenever ||(B_b^H x I) rho_nm (B_a x I)||_F / w
-    exceeds ``tol.t_edge`` for some m, and the search stops after
-    ``SBD_STABLE_ROUNDS`` consecutive stable rounds.  Deterministic: the
-    draws come from a generator seeded with ``SBD_SEED``.
+    draws X = Tr_m[(I x H_m) rho_nm] / w, H_m Hermitian, restricted to it,
+    cut at gaps above ``SBD_SPLIT_GAP``; parts a < b merge back whenever
+    ||(B_b^H x I) rho_nm (B_a x I)||_F / w exceeds ``tol.t_edge`` for some
+    m, and the search stops after ``SBD_STABLE_ROUNDS`` consecutive stable
+    rounds.  Deterministic: the draws come from a generator seeded with
+    ``SBD_SEED``.
 
     Returns
     -------

@@ -11,13 +11,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .decomposition import maximal_decomposition
-from .tensor import StateTensor, _check_subsystem, _index, apply_matrix_at
+from .tensor import StateTensor
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
-
-UNITARITY_ATOL = 1e-10
 
 
 def weight_entropy(weights) -> float:
@@ -43,62 +39,3 @@ def weight_entropy(weights) -> float:
 def e_lo(state: StateTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Shannon entropy (in bits) of the maximal decomposition's weights."""
     return weight_entropy(maximal_decomposition(state, tol).decomposition.weights)
-
-
-def _check_unitary(mat: np.ndarray, size: int) -> np.ndarray:
-    mat = np.asarray(mat, dtype=np.complex128)
-    if mat.shape != (size, size):
-        raise ValueError(f"expected a {size}x{size} matrix, got {mat.shape}")
-    deviation = float(np.max(np.abs(mat.conj().T @ mat - np.eye(size))))
-    if not deviation <= UNITARITY_ATOL:  # so NaN fails too
-        raise ValueError(f"matrix is not unitary (deviation {deviation:.3e})")
-    return mat
-
-
-def apply_local_unitary(state: StateTensor, n: int, mat: np.ndarray) -> StateTensor:
-    """Apply a unitary to one subsystem, leaving the others untouched."""
-    n = _check_subsystem(state.dims, n)
-    mat = _check_unitary(mat, state.dims[n])
-    return StateTensor(state.dims, apply_matrix_at(state.amps, state.dims, n, mat))
-
-
-def apply_pairwise_unitary(state: StateTensor, n: int, m: int, mat: np.ndarray) -> StateTensor:
-    """Apply a unitary to the (n, m) subsystem pair.
-
-    The matrix is indexed in the product basis |x_n, x_m> with the
-    subsystem listed first varying slowest, regardless of whether n < m.
-    """
-    n = _check_subsystem(state.dims, n)
-    m = _check_subsystem(state.dims, m)
-    if n == m:
-        raise ValueError("pairwise unitary needs two distinct subsystems")
-    mat = _check_unitary(mat, state.dims[n] * state.dims[m])
-    # n and m to the front, flattened with n slowest: one product over the pair axis
-    pair_first = np.moveaxis(state.as_array(), (n, m), (0, 1))
-    out = (mat @ pair_first.reshape(len(mat), -1)).reshape(pair_first.shape)
-    return StateTensor(state.dims, np.moveaxis(out, (0, 1), (n, m)).reshape(-1))
-
-
-def level_mixing_unitary(d_n: int, d_m: int, a: int, b: int) -> np.ndarray:
-    """Pairwise unitary sending |a,a> and |b,b> to their even/odd mixtures.
-
-    Every other product basis state is fixed.  Acting on a diagonal state
-    whose branch levels include a but not b, this entangles the pair inside
-    one branch's subspaces without leaking into the others, so the branch
-    weights are unchanged.
-    """
-    d_n, d_m = _index(d_n, "subsystem dimension"), _index(d_m, "subsystem dimension")
-    a, b = _index(a, "level"), _index(b, "level")
-    if not (0 <= a < min(d_n, d_m) and 0 <= b < min(d_n, d_m)):
-        raise ValueError("levels must exist on both subsystems")
-    if a == b:
-        raise ValueError("levels must differ")
-    mat = np.eye(d_n * d_m, dtype=np.complex128)
-    e1 = a * d_m + a
-    e2 = b * d_m + b
-    h = 1.0 / math.sqrt(2.0)
-    mat[e1, e1] = h
-    mat[e1, e2] = h
-    mat[e2, e1] = h
-    mat[e2, e2] = -h
-    return mat

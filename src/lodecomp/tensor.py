@@ -177,17 +177,3 @@ def partial_trace(state: StateTensor, keep) -> np.ndarray:
     # one transpose, one product: np.dot keeps tensordot's bits (matmul not always)
     kept = state.as_array().transpose(keep + traced).reshape(dim, -1)
     return np.dot(kept, kept.conj().T)
-
-
-def tensor_compose(a: StateTensor, b: StateTensor) -> StateTensor:
-    """Tensor product state on the concatenated subsystem list."""
-    return StateTensor(a.dims + b.dims, np.kron(a.amps, b.amps))
-
-
-def permute_subsystems(state: StateTensor, perm) -> StateTensor:
-    """Reorder subsystems: new position ``k`` holds old subsystem ``perm[k]``."""
-    perm = tuple(_index(p, "permutation entry") for p in perm)
-    if sorted(perm) != list(range(state.n_subsystems)):
-        raise ValueError(f"{perm} is not a permutation of 0..{state.n_subsystems - 1}")
-    arr = state.as_array().transpose(perm)
-    return StateTensor(tuple(state.dims[p] for p in perm), arr.reshape(-1))

@@ -14,15 +14,13 @@ class Tolerances:
     Every cutoff must be a finite number > 0; anything else raises
     ``ValueError``.  The other thresholds are constants of
     :mod:`lodecomp.decomposition`, so no caller can loosen them:
-    ``W_MIN``, ``T_NINDEP`` and ``SBD_STABLE_ROUNDS``.
+    ``W_MIN``, ``T_NINDEP``, ``SBD_STABLE_ROUNDS`` and ``SBD_SPLIT_GAP``.
 
     Attributes
     ----------
     t_deg : float
         Degeneracy clustering tolerance: eigenvalues closer than this are
-        treated as indistinguishable.  Inside an eigenvalue cluster the
-        block-diagonalization search applies it relative to the cluster's
-        weight.
+        treated as indistinguishable.
     t_supp : float
         Support membership cutoff: eigenvalues / squared singular values at
         or below this count as zero.

@@ -21,26 +21,22 @@ from lodecomp.catalog import (
     x_state,
     z_state,
 )
-from lodecomp.decomposition import (
-    coarse_grain,
-    common_fine_graining,
-    maximal_decomposition,
-    verify_lo,
-)
-from lodecomp.entanglement import (
-    apply_pairwise_unitary,
-    e_lo,
-    level_mixing_unitary,
-    weight_entropy,
-)
+from lodecomp.decomposition import maximal_decomposition, verify_lo
+from lodecomp.entanglement import e_lo, weight_entropy
 from lodecomp.oracle import oracle_maximal_nondegenerate, oracle_verify_maximality_small
-from lodecomp.tensor import apply_matrix_at, permute_subsystems, tensor_compose
+from lodecomp.tensor import apply_matrix_at
 
 from util import (
+    apply_pairwise_unitary,
     assert_same_decomposition,
+    coarse_grain,
+    common_fine_graining,
     is_coarse_graining_of,
+    level_mixing_unitary,
+    permute_subsystems,
     random_partition,
     random_weights,
+    tensor_compose,
 )
 
 WEIGHT_ATOL = 1e-9

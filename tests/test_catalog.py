@@ -159,6 +159,17 @@ class TestRandomFamilies:
             with pytest.raises(ValueError, match="seed must be an integer, got None"):
                 call()
 
+    @pytest.mark.parametrize("call, seed", [
+        (lambda: random_state((2, 2), seed=-1), -1),
+        (lambda: product_state((2, 2), seed=-3), -3),
+        (lambda: dress_state(ghz_state(), seed=-2), -2),
+        (lambda: generate(StateSpec("random", dims=(2, 2), seed=-1)), -1),
+    ], ids=["random_state", "product_state", "dress_state", "generate"])
+    def test_negative_seed_named(self, call, seed):
+        # numpy's own message, "expected non-negative integer", named no argument
+        with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {seed}$"):
+            call()
+
     def test_unset_spec_seed_is_zero(self):
         base = StateSpec("ghz")
         for spec, want in (

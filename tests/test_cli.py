@@ -9,10 +9,12 @@ import pytest
 from lodecomp import cli
 from lodecomp.catalog import dress_state, ghz_state, z_state
 from lodecomp.cli import main
-from lodecomp.decomposition import coarse_grain, maximal_decomposition
+from lodecomp.decomposition import maximal_decomposition
 from lodecomp.entanglement import e_lo
 from lodecomp.fileio import StateFile, report_document, report_to_json
 from lodecomp.tolerances import Tolerances
+
+from util import coarse_grain
 
 
 def run_cli(*argv, **kwargs):
@@ -131,6 +133,10 @@ class TestGenerate:
     @pytest.mark.parametrize("args, message", [
         (("--kind", "z", "--dims", "2,x"), "--dims must be a comma-separated integer list"),
         (("--kind", "product"), "product requires dims"),
+        (("--kind", "random", "--dims", "2,2", "--seed", "-1"),
+         "seed must be a nonnegative integer, got -1"),
+        (("--kind", "product", "--dims", "2,2", "--seed", "-3"),
+         "seed must be a nonnegative integer, got -3"),
     ])
     def test_dims_input_error_names_the_defect(self, tmp_path, capsys, args, message):
         path = tmp_path / "state.json"

@@ -20,9 +20,9 @@ from lodecomp.catalog import dress_state, ghz_state, random_state, w_state, x_st
 from lodecomp.decomposition import T_NINDEP, VERIFY_ATOL, maximal_decomposition
 from lodecomp.entanglement import weight_entropy
 from lodecomp.spectral import local_spectrum
-from lodecomp.tensor import StateTensor, permute_subsystems
+from lodecomp.tensor import StateTensor
 
-import util  # noqa: F401  (puts bench/ on the path)
+from util import permute_subsystems  # and bench/ on the path
 import states as bench_states
 
 # verify_lo passes ||P_n^i psi - sqrt(w_i) v_i|| <= r on both sides.  To

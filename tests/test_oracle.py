@@ -11,7 +11,7 @@ from lodecomp.catalog import (
     x_state,
     z_state,
 )
-from lodecomp.decomposition import maximal_decomposition, trivial_decomposition
+from lodecomp.decomposition import maximal_decomposition
 from lodecomp.errors import DegenerateSpectrumError
 from lodecomp.oracle import (
     ORACLE_MAX_DIM,
@@ -19,7 +19,7 @@ from lodecomp.oracle import (
     oracle_verify_maximality_small,
 )
 
-from util import assert_same_decomposition
+from util import assert_same_decomposition, coarse_grain, trivial_decomposition
 
 
 class TestOracleConstruction:
@@ -100,8 +100,6 @@ class TestMaximalityVerdicts:
         assert oracle_verify_maximality_small(d).verdict == "pass"
 
     def test_partially_merged_fails(self):
-        from lodecomp.decomposition import coarse_grain
-
         full = maximal_decomposition(z_state((0.5, 0.3, 0.2))).decomposition
         merged = coarse_grain(full, [[0, 1], [2]])
         assert oracle_verify_maximality_small(merged).verdict == "fail"

@@ -13,15 +13,11 @@ from lodecomp.tensor import (
     apply_matrix_at,
     basis_stack,
     partial_trace,
-    permute_subsystems,
     project_supports,
-    tensor_compose,
 )
-from lodecomp.decomposition import coarse_grain, maximal_decomposition
-from lodecomp.entanglement import apply_pairwise_unitary, level_mixing_unitary
 from lodecomp.spectral import local_spectrum
 
-import util  # noqa: F401  (puts bench/ on the path)
+from util import apply_pairwise_unitary, permute_subsystems, tensor_compose  # and bench/ on the path
 import states as bench_states  # noqa: E402
 from lodecomp.catalog import (  # noqa: E402
     StateSpec,
@@ -397,27 +393,18 @@ class TestComposition:
         out = permute_subsystems(permute_subsystems(state, (1, 2, 0)), (2, 0, 1))
         assert np.allclose(out.amps, state.amps)
 
-    def test_permute_validation(self):
-        state = StateTensor((2, 2), [1, 0, 0, 0])
-        with pytest.raises(ValueError):
-            permute_subsystems(state, (0, 0))
-
 
 def _z3():
     return z_state((0.5, 0.3, 0.2))
 
 
-# every door that takes a subsystem dimension or count, a subsystem, branch
-# or level index, a split or a seed, called with the value in an index
-# position; 2 is valid at each
+# every door that takes a subsystem dimension or count, a subsystem index,
+# a split or a seed, called with the value in an index position; 2 is valid
+# at each
 INDEX_DOORS = {
     "StateTensor dims": lambda v: StateTensor((2, v), np.ones(4)),
     "partial_trace": lambda v: partial_trace(_z3(), [v]),
     "local_spectrum": lambda v: local_spectrum(_z3(), v),
-    "permute_subsystems": lambda v: permute_subsystems(_z3(), (v, 0, 1)),
-    "coarse_grain": lambda v: coarse_grain(
-        maximal_decomposition(_z3()).decomposition, [[0, v], [1]]
-    ),
     "ghz_state n_subsystems": lambda v: ghz_state(v),
     "ghz_state dim": lambda v: ghz_state(3, v),
     "w_state": lambda v: w_state(v),
@@ -434,8 +421,6 @@ INDEX_DOORS = {
     "StateSpec dims": lambda v: StateSpec("z", weights=(0.5, 0.5), dims=(2, v, 2)),
     "StateSpec seed": lambda v: StateSpec("random", dims=(2, 2), seed=v),
     "StateSpec split": lambda v: StateSpec("product", dims=(2, 2, 2), split=v),
-    "level_mixing_unitary dims": lambda v: level_mixing_unitary(v, 3, 0, 1),
-    "level_mixing_unitary level": lambda v: level_mixing_unitary(3, 3, 0, v),
 }
 
 

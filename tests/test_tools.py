@@ -134,7 +134,7 @@ def test_algebra_outputs_hash_each_raise_by_its_exception(monkeypatch):
     def refused(*args):
         raise tool.InternalConsistencyError("refused")
 
-    monkeypatch.setattr(tool, "coarse_grain", refused)
+    monkeypatch.setattr(tool.util, "coarse_grain", refused)
     out = tool.algebra_outputs(state, full)
     assert len(out) == per_branch + 2
     assert list(map(tool._value_bytes, out[:per_branch])) == list(
@@ -144,10 +144,13 @@ def test_algebra_outputs_hash_each_raise_by_its_exception(monkeypatch):
 
 def test_root_digests_another_checkout(printed_digests, tmp_path, capsys):
     tool = load_tool()
-    # a copy of this checkout's package and benchmark, digested from elsewhere
+    # a copy of this checkout's package, benchmark and test-side algebra,
+    # digested from elsewhere
     for part in ("src", "bench"):
         shutil.copytree(TOOLS.parent / part, tmp_path / "copy" / part,
                         ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "copy" / "tests").mkdir()
+    shutil.copy(TOOLS.parent / "tests" / "util.py", tmp_path / "copy" / "tests")
     run = subprocess.run([sys.executable, str(TOOLS / "report_digest.py"), "--root",
                           str(tmp_path / "copy"), *DIGEST_ARGS], capture_output=True, text=True,
                          cwd=tmp_path)

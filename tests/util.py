@@ -1,15 +1,18 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from lodecomp import decomposition
+from lodecomp.decomposition import _decomposition_from_supports, _judged, _local_support
 from lodecomp.errors import InternalConsistencyError
 from lodecomp.spectral import cluster_eigenvalues
-from lodecomp.tensor import StateTensor, apply_matrix_at, partial_trace
+from lodecomp.tensor import StateTensor, apply_matrix_at, partial_trace, project_supports
+from lodecomp.tolerances import DEFAULT_TOLERANCES
 
 PROJ_ATOL = 1e-8
 
@@ -17,6 +20,81 @@ PROJ_ATOL = 1e-8
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
+
+
+# the decomposition algebra and the invariance transforms the paper's proofs
+# reason with, built as the pipeline builds and judges its decompositions;
+# they take valid arguments and check none but coarse_grain's partition
+
+
+def _supports_of(vec, dims, t_supp):
+    """Per-subsystem support bases of a vector's reduced states, once normalized."""
+    state = StateTensor(dims, vec)
+    return tuple(_local_support(state, n, t_supp).support_basis for n in range(len(dims)))
+
+
+def trivial_decomposition(state, tol=DEFAULT_TOLERANCES):
+    """The one-branch decomposition onto the state's full supports."""
+    supports = _supports_of(state.amps, state.dims, tol.t_supp)
+    return _decomposition_from_supports(state, [supports])[0]
+
+
+def coarse_grain(d, merge):
+    """One branch per class of the partition ``merge`` of d's branch
+    indices, on the direct sums of its members' supports.  ``merge`` must
+    cover the indices: the `oracle` digest of ``tools/report_digest.py``
+    hashes this refusal of [[0, 1]] on one-branch states."""
+    if sorted(i for cls in merge for i in cls) != list(range(d.n_branches)):
+        raise ValueError("merge must be a partition of the branch indices")
+    supports = [tuple(map(np.hstack, zip(*(d.branches[i].supports for i in sorted(cls)))))
+                for cls in merge]
+    return _decomposition_from_supports(d.state, supports)[0]
+
+
+def common_fine_graining(d1, d2, tol=DEFAULT_TOLERANCES):
+    """The joint refinement of two judged decompositions of one state: the
+    supports of every nonzero (P_0^i x ... x P_{N-1}^i) sqrt(w_k) v_k, i
+    over d1's branches and k over d2's."""
+    for d in (d1, d2):
+        _judged(d, "input decomposition")
+    dims, supports = d1.state.dims, []
+    for bk, bi in itertools.product(d2.branches, d1.branches):
+        vec = math.sqrt(bk.weight) * bk.vector
+        for n, basis in enumerate(bi.supports):
+            vec = project_supports(vec, dims, n, basis[None]).reshape(-1)
+        if float(np.vdot(vec, vec).real) > decomposition.W_MIN:
+            supports.append(_supports_of(vec, dims, tol.t_supp))
+    return _decomposition_from_supports(d1.state, supports)[0]
+
+
+def apply_local_unitary(state, n, mat):
+    mat = np.asarray(mat, complex)
+    return StateTensor(state.dims, apply_matrix_at(state.amps, state.dims, n, mat))
+
+
+def apply_pairwise_unitary(state, n, m, mat):
+    """``mat`` on the (n, m) pair, indexed |x_n, x_m> with n slowest, whether or not n < m."""
+    pair_first = np.moveaxis(state.as_array(), (n, m), (0, 1))
+    out = (np.asarray(mat, complex) @ pair_first.reshape(len(mat), -1)).reshape(pair_first.shape)
+    return StateTensor(state.dims, np.moveaxis(out, (0, 1), (n, m)).reshape(-1))
+
+
+def level_mixing_unitary(d_n, d_m, a, b):
+    """Sends |a,a> and |b,b> to their even and odd mixtures, fixing every
+    other product basis state."""
+    mat, pair, h = np.eye(d_n * d_m, dtype=complex), [a * d_m + a, b * d_m + b], 1 / math.sqrt(2)
+    mat[np.ix_(pair, pair)] = [[h, h], [h, -h]]
+    return mat
+
+
+def tensor_compose(a, b):
+    return StateTensor(a.dims + b.dims, np.kron(a.amps, b.amps))
+
+
+def permute_subsystems(state, perm):
+    """New position k holds old subsystem ``perm[k]``."""
+    arr = state.as_array().transpose(perm)
+    return StateTensor(tuple(state.dims[p] for p in perm), arr.reshape(-1))
 
 
 class UnionFind:
@@ -218,7 +296,8 @@ def reference_round_merge(parts, layout, starts, t_edge):
 def reference_split_cluster(family, starts, tol, rng, subsystem):
     """SBD of one eigenvalue cluster one round at a time: the loop that
     ``decomposition._split_cluster`` batched.  Each round draws one X, splits
-    every part along its eigenvalue clusters on the previous round's bases and
+    every part at its eigenvalue gaps above ``decomposition.SBD_SPLIT_GAP``
+    on the previous round's bases and
     merges back with ``reference_round_merge``; the search stops after
     ``decomposition.SBD_STABLE_ROUNDS`` consecutive rounds without a change in
     the part count, or raises after 50 rounds per dimension.  The constant is
@@ -235,7 +314,8 @@ def reference_split_cluster(family, starts, tol, rng, subsystem):
         candidates = []
         for basis in parts:
             vals, vecs = np.linalg.eigh(basis.conj().T @ combined @ basis)
-            candidates += [basis @ vecs[:, c] for c in cluster_eigenvalues(-vals, tol.t_deg)]
+            clusters = cluster_eigenvalues(-vals, decomposition.SBD_SPLIT_GAP)
+            candidates += [basis @ vecs[:, c] for c in clusters]
         count_before = len(parts)
         parts = reference_round_merge(candidates, layout, starts, tol.t_edge)
         stable = stable + 1 if len(parts) == count_before else 0

@@ -28,13 +28,13 @@ call depends on that function's signature.  Arrays are hashed by their
 bytes, floats by their round-trip repr, and a state whose calls raise by
 the exception.
 
-The `algebra` label digests the decomposition algebra on the catalog
-states (plain and dressed) with three or more subsystems whose maximal
-decomposition has two or more branches: the weights, vectors and
-supports of `trivial_decomposition`, of `coarse_grain` with branches 0 and
-1 merged, and of `common_fine_graining` of that coarse-graining and the
-one that merges branches 1 to k - 1.  Each call that raises is hashed by
-its exception.
+The `algebra` label digests the decomposition algebra, the test-side
+helpers of `tests/util.py`, on the catalog states (plain and dressed) with
+three or more subsystems whose maximal decomposition has two or more
+branches: the weights, vectors and supports of `trivial_decomposition`, of
+`coarse_grain` with branches 0 and 1 merged, and of `common_fine_graining`
+of that coarse-graining and the one that merges branches 1 to k - 1.  Each
+call that raises is hashed by its exception.
 
 The `oracle` label digests the brute-force reference on the catalog
 states (plain and dressed) of total dimension at most `ORACLE_MAX_DIM`:
@@ -60,9 +60,10 @@ pair before a `true` one.
     python3 tools/report_digest.py --workload-seeds 3,11
     python3 tools/report_digest.py --root ../other       # another checkout
 
-It imports the package from `DIR/src` and the workload states from
-`DIR/bench`, DIR being `--root` when run as a script and this tool's own
-checkout otherwise, and writes only to a temporary directory.  So one copy
+It imports the package from `DIR/src`, the workload states from
+`DIR/bench` and the algebra from `DIR/tests`, DIR being `--root` when run
+as a script and this tool's own checkout otherwise, and writes only to a
+temporary directory.  So one copy
 of the tool digests two checkouts with the same tampered copies and states.
 """
 
@@ -92,24 +93,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _root_option(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     parser.add_argument("--root", type=Path, default=ROOT,
-                        help="checkout to digest: its src/ and bench/ (default: this tool's)")
+                        help="checkout to digest: its src/, bench/ and tests/ "
+                             "(default: this tool's)")
     return parser
 
 
 if __name__ == "__main__":  # the package is imported from --root, so read it first
     ROOT = _root_option(argparse.ArgumentParser(add_help=False)).parse_known_args()[0].root
     ROOT = ROOT.resolve()
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
-from lodecomp import (  # noqa: E402
-    assemble_branches,
-    cli,
-    coarse_grain,
-    common_fine_graining,
-    maximal_decomposition,
-    sbd_refine,
-    trivial_decomposition,
-)
+from lodecomp import assemble_branches, cli, maximal_decomposition, sbd_refine  # noqa: E402
 from lodecomp.catalog import (  # noqa: E402
     dress_state,
     ghz_state,
@@ -133,6 +127,7 @@ from lodecomp.oracle import (  # noqa: E402
 import check  # noqa: E402
 import states  # noqa: E402
 import tracer  # noqa: E402
+import util  # noqa: E402
 
 FORMATS = ("json", "table", "csv")
 ERRORS = (ValueError, InternalConsistencyError, UnsupportedOperationError)
@@ -272,10 +267,10 @@ def algebra_outputs(state, full) -> list:
     k = full.n_branches
     merged = [[0, 1], *([i] for i in range(2, k))]
     calls = [
-        lambda: trivial_decomposition(state),
-        lambda: coarse_grain(full, merged),
-        lambda: common_fine_graining(coarse_grain(full, merged),
-                                     coarse_grain(full, [[0], list(range(1, k))])),
+        lambda: util.trivial_decomposition(state),
+        lambda: util.coarse_grain(full, merged),
+        lambda: util.common_fine_graining(util.coarse_grain(full, merged),
+                                          util.coarse_grain(full, [[0], list(range(1, k))])),
     ]
     return call_outputs(calls)
 
@@ -291,7 +286,7 @@ def oracle_outputs(state) -> list:
     calls = [
         lambda: oracle_maximal_nondegenerate(state),
         lambda: oracle_verify_maximality_small(full),
-        lambda: oracle_verify_maximality_small(coarse_grain(full, merged)),
+        lambda: oracle_verify_maximality_small(util.coarse_grain(full, merged)),
     ]
     return call_outputs(calls)
 
