@@ -73,6 +73,7 @@ from util import (
 )
 
 import states as bench_states  # noqa: E402  (bench/, put on the path by util)
+import util  # noqa: E402
 
 
 def computational_blocks(dim):
@@ -837,6 +838,18 @@ class TestCoarseGrain:
             coarse_grain(hadamard_fake(), [[0], [1]])
         assert failed_checks(excinfo) == {"projector_identity"}
 
+    def test_partition_validation(self):
+        # the one check the test-side helper keeps: the `oracle` digest of
+        # tools/report_digest.py hashes its refusal on one-branch states
+        full = maximal_decomposition(ghz_state()).decomposition
+        for merge in ([[0]], [[0, 1], [1]], [[0, 1, 2]]):
+            with pytest.raises(ValueError, match="merge must be a partition of the branch indices"):
+                coarse_grain(full, merge)
+        one = maximal_decomposition(w_state()).decomposition
+        assert one.n_branches == 1
+        with pytest.raises(ValueError, match="merge must be a partition of the branch indices"):
+            coarse_grain(one, [[0, 1]])
+
 
 class TestCommonFineGraining:
     def test_identity_on_equal_inputs(self):
@@ -867,6 +880,36 @@ class TestCommonFineGraining:
         with pytest.raises(InternalConsistencyError, match="input decomposition failed") as excinfo:
             common_fine_graining(*inputs)
         assert failed_checks(excinfo) == {"projector_identity"}
+
+    def test_inputs_judged_and_one_projection_order(self, monkeypatch):
+        # verify_lo judges both inputs, then the result; outside verify_lo each
+        # of the k1 k2 pairs takes one projection per subsystem, and the
+        # branches come from one more product
+        full = maximal_decomposition(z_state((0.5, 0.3, 0.2))).decomposition
+        merged = coarse_grain(full, [[0, 1], [2]])
+        judged, calls, inside = [], [], []
+        verify, project = decomposition.verify_lo, decomposition.project_supports
+
+        def counting_verify(d):
+            judged.append(d)
+            inside.append(True)
+            try:
+                return verify(d)
+            finally:
+                inside.pop()
+
+        def counting_project(*args):
+            calls.append(bool(inside))
+            return project(*args)
+
+        monkeypatch.setattr(decomposition, "verify_lo", counting_verify)
+        monkeypatch.setattr(decomposition, "project_supports", counting_project)
+        monkeypatch.setattr(util, "project_supports", counting_project)
+        fg = common_fine_graining(full, merged)
+        assert judged[0] is full and judged[1] is merged and judged[2] is fg and len(judged) == 3
+        assert calls.count(False) == 3 * 2 * 3 + 1
+        assert calls.count(True) == 3 * 3
+        assert_same_decomposition(fg, full)
 
 
 class TestComponentRoots:

@@ -405,6 +405,7 @@ INDEX_DOORS = {
     "StateTensor dims": lambda v: StateTensor((2, v), np.ones(4)),
     "partial_trace": lambda v: partial_trace(_z3(), [v]),
     "local_spectrum": lambda v: local_spectrum(_z3(), v),
+    "apply_matrix_at": lambda v: apply_matrix_at(_z3().amps, _z3().dims, v, np.eye(3)),
     "ghz_state n_subsystems": lambda v: ghz_state(v),
     "ghz_state dim": lambda v: ghz_state(3, v),
     "w_state": lambda v: w_state(v),
@@ -431,3 +432,11 @@ def test_index_arguments_are_never_truncated(door, value):
     with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {value!r}")):
         INDEX_DOORS[door](value)
     INDEX_DOORS[door](np.int64(2))
+
+
+@pytest.mark.parametrize("door", ["apply_matrix_at", "partial_trace", "local_spectrum"])
+@pytest.mark.parametrize("n", [-1, 3])
+def test_subsystem_index_out_of_range(door, n):
+    # a negative index is refused, not read from the end
+    with pytest.raises(ValueError, match=f"subsystem index {n} out of range for 3 subsystems"):
+        INDEX_DOORS[door](n)

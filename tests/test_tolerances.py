@@ -39,6 +39,12 @@ def test_fixed_thresholds_keep_their_values(name, value):
     assert constant == value and type(constant) is type(value)
 
 
+def test_default_t_deg_is_the_split_gap():
+    # SBD cuts its draws at SBD_SPLIT_GAP, where it cut at t_deg before, so
+    # every report at default tolerances keeps its bytes
+    assert decomposition.SBD_SPLIT_GAP == DEFAULT_TOLERANCES.t_deg
+
+
 @pytest.mark.parametrize("name, value", [("w_min", 1e-12), ("t_nindep", 1e-8), ("sbd_stable_rounds", 3)])
 def test_fixed_thresholds_are_not_fields(name, value):
     # not even their own value is accepted, by construction or by replace
